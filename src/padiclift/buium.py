@@ -86,5 +86,6 @@ def fermat_quotient(k: int, p: int, precision: int) -> PAdicInt:
     if precision < 2:
         raise PrecisionError("insufficient precision")
     num = k - k**p
-    assert num % p == 0
+    if num % p:
+        raise RuntimeError("Fermat quotient numerator is not divisible by p")
     return PAdicInt.from_integer(num // p, p, precision - 1)

@@ -29,8 +29,9 @@ from functools import lru_cache
 from .errors import PrecisionError, TruncationError
 from .gamma import gamma_p
 from .gfq import FqElem, FqField, fq_make, is_prime
+from .residue import mulmod, powmod
 from .witt_zq import ZqElem, teichmuller_int, zq_ring
-from .zp_ring import PAdicInt
+from .zp_ring import PAdicInt, scalar_residue
 
 SERIES_CAP_FACTOR = 64  # additive-character series may use at most 64*p terms
 
@@ -147,22 +148,20 @@ class PiRing:
         self.precision = precision
         self.modulus = p**precision
         self.degree = p - 1
+        self.relation = (p,) + (0,) * (p - 2) + (1,)  # pi^(p-1) + p
 
     def element(self, coeffs) -> "PiRingElem":
-        coeffs = tuple(int(c) % self.modulus for c in coeffs)
+        """Coefficients are ints or PAdicInts, coerced by scalar_residue."""
+        coeffs = tuple(scalar_residue(c, self.p, self.precision) for c in coeffs)
         if len(coeffs) != self.degree:
             raise ValueError(f"expected {self.degree} coefficients")
         return PiRingElem(self, coeffs)
 
-    def from_int(self, k: int) -> "PiRingElem":
+    def from_int(self, k) -> "PiRingElem":
         return self.element([k] + [0] * (self.degree - 1))
 
     def from_padic(self, x: PAdicInt) -> "PiRingElem":
-        if x.p != self.p:
-            raise ValueError("prime mismatch")
-        if x.precision < self.precision:
-            raise PrecisionError("scalar carries too little precision")
-        return self.from_int(x.value)
+        return self.from_int(x)
 
     def zero(self) -> "PiRingElem":
         return self.from_int(0)
@@ -202,10 +201,8 @@ class PiRingElem:
             if other.ring != self.ring:
                 raise ValueError("ring mismatch")
             return other
-        if isinstance(other, int):
+        if isinstance(other, (int, PAdicInt)):
             return self.ring.from_int(other)
-        if isinstance(other, PAdicInt):
-            return self.ring.from_padic(other)
         return None
 
     def __add__(self, other):
@@ -236,33 +233,15 @@ class PiRingElem:
         if o is None:
             return NotImplemented
         ring = self.ring
-        mod = ring.modulus
-        d = ring.degree
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(o.coeffs):
-                    prod[i + j] = (prod[i + j] + ai * bj) % mod
-        # fold pi^(p-1) = -p; degrees stay below 2(p-1), one pass is enough
-        for k in range(2 * d - 2, d - 1, -1):
-            f = prod[k]
-            if f:
-                prod[k - d] = (prod[k - d] - ring.p * f) % mod
-        return PiRingElem(ring, tuple(prod[:d]))
+        return PiRingElem(ring, mulmod(self.coeffs, o.coeffs, ring.relation, ring.modulus))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             return self.unit_inverse() ** (-e)
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        ring = self.ring
+        return PiRingElem(ring, powmod(self.coeffs, e, ring.relation, ring.modulus))
 
     def is_unit(self) -> bool:
         return self.coeffs[0] % self.ring.p != 0
@@ -287,16 +266,11 @@ class PiRingElem:
         return best
 
     def unit_inverse(self) -> "PiRingElem":
+        """x^(|units| - 1): the unit group has (p - 1) p^((p-1)N - 1) elements."""
         if not self.is_unit():
             raise ValueError("not a unit")
-        z = self.ring.from_int(pow(self.coeffs[0], -1, self.ring.modulus))
-        one = self.ring.one()
-        for _ in range(2 * self.ring.precision + 8):
-            err = self * z
-            if err == one:
-                return z
-            z = z * (2 - err)
-        raise RuntimeError("inverse iteration did not stabilize")
+        p = self.ring.p
+        return self ** ((p - 1) * p ** (self.ring.degree * self.ring.precision - 1) - 1)
 
     def div_exact_by_p(self) -> "PiRingElem":
         """Coefficient-wise exact division by p; drops one digit of precision."""
@@ -563,9 +537,9 @@ def count_fermat_jacobi(q: int, m: int, precision: int = 0) -> int:
     for a in range(1, m):
         for b in range(1, m):
             total = total + jacobi_sum(a * step, b * step, field, precision)
-    if any(c.value for c in total.coeffs[1:]):
+    if any(total.residues[1:]):
         raise RuntimeError("Jacobi-sum total is not rational")
-    v = total.coeffs[0].value
+    v = total.residues[0]
     if v > p**precision // 2:
         v -= p**precision
     return q + v

@@ -80,7 +80,7 @@ def cmd_teich(args) -> int:
         payload["digits"] = payload["coeffs"][0]
     _emit(args.format, [payload])
     print(f"teichmuller({v.to_int()}) in Z_{args.p}^{args.n} at N={args.N}: "
-          f"{[c.value for c in t.coeffs]}", file=sys.stderr)
+          f"{list(t.residues)}", file=sys.stderr)
     return 0
 
 
@@ -88,7 +88,7 @@ def cmd_frobenius(args) -> int:
     x = _parse_element(args)
     y = frobenius_lift(x)
     _emit(args.format, [{"op": "frobenius_lift", **jsonable(y), "input": jsonable(x)}])
-    print(f"frobenius_lift -> {[c.value for c in y.coeffs]}", file=sys.stderr)
+    print(f"frobenius_lift -> {list(y.residues)}", file=sys.stderr)
     return 0
 
 
@@ -96,7 +96,7 @@ def cmd_delta(args) -> int:
     x = _parse_element(args)
     d = p_derivation(x)
     _emit(args.format, [{"op": "p_derivation", **jsonable(d), "input": jsonable(x)}])
-    print(f"p_derivation -> {[c.value for c in d.coeffs]}", file=sys.stderr)
+    print(f"p_derivation -> {list(d.residues)}", file=sys.stderr)
     return 0
 
 
@@ -136,7 +136,7 @@ def cmd_jacobi(args) -> int:
     _emit(args.format, [{"op": "jacobi_sum", "a": args.a, "b": args.b,
                          "q": field.q, **jsonable(v)}])
     print(f"jacobi_sum({args.a},{args.b}) over F_{field.q}: "
-          f"{[c.value for c in v.coeffs]}", file=sys.stderr)
+          f"{list(v.residues)}", file=sys.stderr)
     return 0
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from .residue import from_digits, mulmod, powmod, to_digits
+
 Q_CAP = 1 << 20
 
 
@@ -50,40 +52,12 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p (dense little-endian coefficient lists)
+# irreducibility over F_p (dense little-endian coefficient lists)
 
 def _ptrim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _pmulmod(a, b, modulus, p):
-    n = len(modulus) - 1
-    c = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                c[i + j] = (c[i + j] + ai * bj) % p
-    for k in range(len(c) - 1, n - 1, -1):
-        f = c[k]
-        if f:
-            for i in range(n + 1):
-                c[k - n + i] = (c[k - n + i] - f * modulus[i]) % p
-    c = c[:n]
-    return c + [0] * (n - len(c))
-
-
-def _ppowmod(a, e, modulus, p):
-    n = len(modulus) - 1
-    r = [1] + [0] * (n - 1)
-    base = a[:n] + [0] * max(0, n - len(a))
-    while e:
-        if e & 1:
-            r = _pmulmod(r, base, modulus, p)
-        base = _pmulmod(base, base, modulus, p)
-        e >>= 1
-    return r
 
 
 def _pgcd(a, b, p):
@@ -112,11 +86,11 @@ def _is_irreducible(modulus, p):
     n = len(modulus) - 1
     if n == 1:
         return True
-    x = [0, 1] + [0] * (n - 2)
-    if _ppowmod(x, p**n, modulus, p) != x:
+    x = (0, 1) + (0,) * (n - 2)
+    if powmod(x, p**n, modulus, p) != x:
         return False
     for l in prime_factors(n):
-        xp = _ppowmod(x, p ** (n // l), modulus, p)
+        xp = powmod(x, p ** (n // l), modulus, p)
         diff = [(u - v) % p for u, v in zip(xp, x)]
         if len(_pgcd(modulus, diff, p)) > 1:
             return False
@@ -146,7 +120,7 @@ class FqField:
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree n")
-        if not _is_irreducible(list(modulus), p):
+        if not _is_irreducible(modulus, p):
             raise ValueError("modulus is reducible")
         self.p = p
         self.n = n
@@ -189,12 +163,7 @@ class FqField:
 
     def from_int(self, k: int) -> "FqElem":
         """Element whose coefficient vector is k written in base p."""
-        k %= self.q
-        coeffs = []
-        for _ in range(self.n):
-            coeffs.append(k % self.p)
-            k //= self.p
-        return FqElem(self, tuple(coeffs))
+        return FqElem(self, to_digits(k, self.p, self.n))
 
     def zero(self) -> "FqElem":
         return FqElem(self, (0,) * self.n)
@@ -283,7 +252,7 @@ class FqElem:
         if o is None:
             return NotImplemented
         f = self.field
-        return FqElem(f, tuple(_pmulmod(list(self.coeffs), list(o.coeffs), list(f.modulus), f.p)))
+        return FqElem(f, mulmod(self.coeffs, o.coeffs, f.modulus, f.p))
 
     __rmul__ = __mul__
 
@@ -291,7 +260,7 @@ class FqElem:
         f = self.field
         if e < 0:
             return self.inverse() ** (-e)
-        return FqElem(f, tuple(_ppowmod(list(self.coeffs), e, list(f.modulus), f.p)))
+        return FqElem(f, powmod(self.coeffs, e, f.modulus, f.p))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -318,10 +287,7 @@ class FqElem:
         return not self.is_zero()
 
     def to_int(self) -> int:
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.field.p + c
-        return k
+        return from_digits(self.coeffs, self.field.p)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -353,9 +319,10 @@ def fq_make(p: int, n: int) -> FqField:
         raise ValueError("field too large")
     if n == 1:
         return FqField(p, 1, (0, 1))
-    for tail in itertools.product(range(p), repeat=n):
+    # c_0 = 0 makes the candidate divisible by t, so those are skipped
+    for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
         candidate = tail + (1,)
-        if _is_irreducible(list(candidate), p):
+        if _is_irreducible(candidate, p):
             return FqField(p, n, candidate)
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, is_dataclass, fields as dc_fields
 from . import buium, charsum, cohomo, gamma
 from .charsum import PiRingElem, jacobi_sum, pi_ring
 from .gfq import FqElem, fq_make
+from .residue import to_digits
 from .rng import CounterRng
 from .witt_zq import ZqElem, ZqRing, zq_ring
 from .zp_ring import PAdicInt, carry_cocycle, from_integer
@@ -61,17 +62,12 @@ def jsonable(v):
         return {"p": v.p, "n": 1, "N": v.precision, "digits": list(v.digits)}
     if isinstance(v, ZqElem):
         return {"p": v.ring.p, "n": v.ring.n, "N": v.ring.precision,
-                "coeffs": [list(c.digits) for c in v.coeffs]}
+                "coeffs": [list(to_digits(c, v.ring.p, v.ring.precision))
+                           for c in v.residues]}
     if isinstance(v, PiRingElem):
-        digits = []
-        for c in v.coeffs:
-            block = []
-            k = c
-            for _ in range(v.ring.precision):
-                block.append(k % v.ring.p)
-                k //= v.ring.p
-            digits.append(block)
-        return {"p": v.ring.p, "n": 1, "N": v.ring.precision, "pi_coeffs": digits}
+        return {"p": v.ring.p, "n": 1, "N": v.ring.precision,
+                "pi_coeffs": [list(to_digits(c, v.ring.p, v.ring.precision))
+                              for c in v.coeffs]}
     if isinstance(v, FqElem):
         return {"p": v.field.p, "n": v.field.n, "coeffs": list(v.coeffs)}
     if is_dataclass(v) and not isinstance(v, type):
@@ -313,7 +309,7 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
                         continue
                     cob = charsum.gauss_coboundary(a, b, p, Ncob, terms)
                     jac = jacobi_sum(a, b, field, Ncob)
-                    emb = pi_ring(p, Ncob).from_padic(jac.coeffs[0])
+                    emb = pi_ring(p, Ncob).from_int(jac.residues[0])
                     yield {"p": p, "a": a, "b": b}, cob == emb, cob - emb
 
         col.run("gauss_coboundary/equals_jacobi", {"p": p, "N": Ncob},

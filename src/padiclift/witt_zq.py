@@ -1,9 +1,10 @@
 """Truncated unramified extensions Z_q = W(F_q) mod p^N.
 
-A ZqRing is (Z/p^N)[t] modulo the trivially lifted field modulus, so ring
-arithmetic is plain polynomial arithmetic over PAdicInt coefficients.  The
-Witt-vector structure is recovered on top of it: teichmuller computes the
-unique root-of-unity lift by q-power iteration, teich_digits peels an
+A ZqRing is (Z/p^N)[t] modulo the trivially lifted field modulus, and a
+ZqElem stores its coefficients as plain int residues mod p^N, so ring
+arithmetic is the shared residue-ring kernel (residue.mulmod / powmod).
+The Witt-vector structure is recovered on top of it: teichmuller computes
+the unique root-of-unity lift by q-power iteration, teich_digits peels an
 element into its Teichmuller digit expansion x = sum tau(x_i) p^i, and
 frobenius_lift transports Frobenius digit-wise through that expansion,
 which makes it a ring endomorphism reducing to x -> x^p mod p.
@@ -18,7 +19,8 @@ from functools import lru_cache
 
 from .errors import PrecisionError
 from .gfq import FqElem, FqField, fq_make
-from .zp_ring import PAdicInt, int_exact
+from .residue import mulmod, powmod, to_digits
+from .zp_ring import PAdicInt, int_exact, scalar_residue
 
 
 @lru_cache(maxsize=None)
@@ -28,7 +30,7 @@ def zq_ring(field: FqField, precision: int) -> "ZqRing":
 
 
 class ZqRing:
-    """(Z/p^N)[t] / (lifted modulus), polynomial basis over PAdicInt."""
+    """(Z/p^N)[t] / (lifted modulus), polynomial basis over int residues."""
 
     def __init__(self, field: FqField, precision: int):
         if precision < 1:
@@ -37,46 +39,21 @@ class ZqRing:
         self.precision = precision
         self.p = field.p
         self.n = field.n
+        self.modulus = field.p**precision
         self.lifted_modulus = tuple(
             PAdicInt.from_integer(c, field.p, precision) for c in field.modulus
         )
         self._teich: dict[tuple, ZqElem] = {}
-        # reductions of t^k, n <= k <= 2n-2, used by polynomial multiplication
-        self._tpow: list[tuple[PAdicInt, ...]] = []
-        mod = field.p**precision
-        if field.n > 1:
-            # t^n = -(lower modulus coefficients)
-            coeffs = [(-c) % mod for c in field.modulus[:-1]]
-            self._tpow.append(tuple(PAdicInt.from_integer(c, field.p, precision) for c in coeffs))
-            for _ in range(field.n - 2):
-                coeffs = self._shift_reduce(coeffs, mod)
-                self._tpow.append(tuple(PAdicInt.from_integer(c, field.p, precision) for c in coeffs))
-
-    def _shift_reduce(self, coeffs, mod):
-        top = coeffs[-1]
-        shifted = [0] + coeffs[:-1]
-        if top:
-            for i, c in enumerate(self.field.modulus[:-1]):
-                shifted[i] = (shifted[i] - top * c) % mod
-        return shifted
 
     # -- constructors ------------------------------------------------------
     def element(self, coeffs) -> "ZqElem":
-        out = []
-        for c in coeffs:
-            if isinstance(c, PAdicInt):
-                if c.p != self.p:
-                    raise ValueError("prime mismatch")
-                if c.precision != self.precision:
-                    raise PrecisionError("coefficient precision does not match ring")
-                out.append(c)
-            else:
-                out.append(PAdicInt.from_integer(int(c), self.p, self.precision))
+        """Coefficients are ints or PAdicInts, coerced by scalar_residue."""
+        out = tuple(scalar_residue(c, self.p, self.precision) for c in coeffs)
         if len(out) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(out)}")
-        return ZqElem(self, tuple(out))
+        return ZqElem(self, out)
 
-    def from_int(self, k: int) -> "ZqElem":
+    def from_int(self, k) -> "ZqElem":
         return self.element([k] + [0] * (self.n - 1))
 
     def zero(self) -> "ZqElem":
@@ -89,7 +66,7 @@ class ZqRing:
         """Coefficient-wise lift of a field element, digits re-read mod p^N."""
         if v.field != self.field:
             raise ValueError("field mismatch")
-        return self.element(list(v.coeffs))
+        return ZqElem(self, v.coeffs)
 
     def with_precision(self, precision: int) -> "ZqRing":
         return zq_ring(self.field, precision)
@@ -131,13 +108,20 @@ class ZqRing:
 
 
 class ZqElem:
-    """Element of a ZqRing: length-n vector of PAdicInt at ring precision."""
+    """Element of a ZqRing: length-n tuple of int residues mod p^N."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "residues")
 
-    def __init__(self, ring: ZqRing, coeffs: tuple):
+    def __init__(self, ring: ZqRing, residues: tuple):
         self.ring = ring
-        self.coeffs = coeffs
+        self.residues = residues
+
+    @property
+    def coeffs(self) -> tuple[PAdicInt, ...]:
+        """The coefficients as PAdicInts at ring precision (a read-only view)."""
+        ring = self.ring
+        return tuple(PAdicInt.from_integer(c, ring.p, ring.precision)
+                     for c in self.residues)
 
     def _coerce(self, other):
         if isinstance(other, ZqElem):
@@ -145,15 +129,15 @@ class ZqElem:
                 raise ValueError("ring mismatch")
             return other
         if isinstance(other, (int, PAdicInt)):
-            k = other.value if isinstance(other, PAdicInt) else other
-            return self.ring.from_int(k)
+            return self.ring.from_int(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ZqElem(self.ring, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        mod = self.ring.modulus
+        return ZqElem(self.ring, tuple((a + b) % mod for a, b in zip(self.residues, o.residues)))
 
     __radd__ = __add__
 
@@ -161,101 +145,79 @@ class ZqElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ZqElem(self.ring, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        mod = self.ring.modulus
+        return ZqElem(self.ring, tuple((a - b) % mod for a, b in zip(self.residues, o.residues)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return ZqElem(self.ring, tuple(-a for a in self.coeffs))
+        mod = self.ring.modulus
+        return ZqElem(self.ring, tuple(-a % mod for a in self.residues))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         ring = self.ring
-        n = ring.n
-        if n == 1:
-            return ZqElem(ring, (self.coeffs[0] * o.coeffs[0],))
-        mod = ring.p**ring.precision
-        a = [c.value for c in self.coeffs]
-        b = [c.value for c in o.coeffs]
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % mod
-        out = prod[:n]
-        for k in range(n, 2 * n - 1):
-            f = prod[k]
-            if f:
-                red = ring._tpow[k - n]
-                for i in range(n):
-                    out[i] = (out[i] + f * red[i].value) % mod
-        return ring.element(out)
+        return ZqElem(ring, mulmod(self.residues, o.residues, ring.field.modulus, ring.modulus))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             return self.unit_inverse() ** (-e)
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        ring = self.ring
+        return ZqElem(ring, powmod(self.residues, e, ring.field.modulus, ring.modulus))
 
     # -- structure ----------------------------------------------------------
     def reduce_mod_p(self) -> FqElem:
-        return self.ring.field.element([c.digits[0] for c in self.coeffs])
+        return self.ring.field.element(self.residues)
 
     def is_unit(self) -> bool:
         return not self.reduce_mod_p().is_zero()
 
     def unit_inverse(self) -> "ZqElem":
-        """Newton/Hensel lift of the residue-field inverse."""
+        """x^(|units| - 1): the unit group has (q - 1) q^(N-1) elements."""
         if not self.is_unit():
             raise ValueError("not a unit")
-        z = self.ring.naive_lift(self.reduce_mod_p().inverse())
-        one = self.ring.one()
-        for _ in range(self.ring.precision + 2):
-            err = self * z
-            if err == one:
-                return z
-            z = z * (2 - err)
-        raise RuntimeError("inverse iteration did not stabilize")
+        q = self.ring.field.q
+        return self ** ((q - 1) * q ** (self.ring.precision - 1) - 1)
 
     def div_exact_by_p(self) -> "ZqElem":
         """Coefficient-wise exact division by p; drops one digit of precision."""
-        if self.ring.precision == 1:
+        ring = self.ring
+        if ring.precision == 1:
             raise PrecisionError("precision exhausted")
-        lower = self.ring.with_precision(self.ring.precision - 1)
-        return lower.element([c.div_exact_by_p() for c in self.coeffs])
+        if any(c % ring.p for c in self.residues):
+            raise ValueError("not divisible")
+        lower = ring.with_precision(ring.precision - 1)
+        return ZqElem(lower, tuple(c // ring.p for c in self.residues))
 
     def truncate(self, precision: int) -> "ZqElem":
-        ring = self.ring.with_precision(precision)
-        return ring.element([c.truncate(precision) for c in self.coeffs])
+        if not 1 <= precision <= self.ring.precision:
+            raise PrecisionError("cannot truncate to that precision")
+        lower = self.ring.with_precision(precision)
+        return ZqElem(lower, tuple(c % lower.modulus for c in self.residues))
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.ring.from_int(other)
         if not isinstance(other, ZqElem):
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+        return self.ring == other.ring and self.residues == other.residues
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self.residues))
 
     def __repr__(self):
-        vals = [c.value for c in self.coeffs]
-        return f"ZqElem({vals} in {self.ring!r})"
+        return f"ZqElem({list(self.residues)} in {self.ring!r})"
 
     def to_text(self) -> str:
-        blocks = "|".join(",".join(str(d) for d in c.digits) for c in self.coeffs)
-        return f"p={self.ring.p};n={self.ring.n};N={self.ring.precision};coeffs=[{blocks}]"
+        ring = self.ring
+        blocks = "|".join(",".join(str(d) for d in to_digits(c, ring.p, ring.precision))
+                          for c in self.residues)
+        return f"p={ring.p};n={ring.n};N={ring.precision};coeffs=[{blocks}]"
 
 
 def parse_zq(text: str) -> ZqElem:

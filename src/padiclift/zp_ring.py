@@ -19,6 +19,7 @@ import re
 
 from .errors import PrecisionError
 from .gfq import is_prime
+from .residue import from_digits, to_digits
 
 _INT_RE = re.compile(r"-?[0-9]+")
 
@@ -64,12 +65,7 @@ class PAdicInt:
             raise PrecisionError("precision must be >= 1")
         if not is_prime(p):
             raise ValueError("not prime")
-        k %= p**precision
-        digits = []
-        for _ in range(precision):
-            digits.append(k % p)
-            k //= p
-        return cls(p, digits, check=False)
+        return cls(p, to_digits(k, p, precision), check=False)
 
     @property
     def precision(self) -> int:
@@ -77,10 +73,7 @@ class PAdicInt:
 
     @property
     def value(self) -> int:
-        k = 0
-        for d in reversed(self.digits):
-            k = k * self.p + d
-        return k
+        return from_digits(self.digits, self.p)
 
     @property
     def modulus(self) -> int:
@@ -192,6 +185,22 @@ def from_integer(k: int, p: int, precision: int) -> PAdicInt:
     return PAdicInt.from_integer(k, p, precision)
 
 
+def scalar_residue(x, p: int, precision: int) -> int:
+    """An int or PAdicInt scalar as a residue mod p^precision.
+
+    The one coercion rule of the rings over Z/p^N: a PAdicInt of another
+    prime raises ValueError, one known to fewer digits than the ring's
+    precision raises PrecisionError, and one known to more is reduced.
+    """
+    if isinstance(x, PAdicInt):
+        if x.p != p:
+            raise ValueError("prime mismatch")
+        if x.precision < precision:
+            raise PrecisionError("scalar carries too little precision")
+        x = x.value
+    return int(x) % p**precision
+
+
 def parse_padic(text: str) -> PAdicInt:
     """Parse the canonical text form "p=5;N=3;digits=2,1,0" (exact grammar)."""
     parts = text.strip().split(";")
@@ -230,5 +239,6 @@ def buium_carry(x: PAdicInt, y: PAdicInt) -> PAdicInt:
     a = x.value % p**n
     b = y.value % p**n
     num = a**p + b**p - (a + b) ** p
-    assert num % p == 0
+    if num % p:
+        raise RuntimeError("carry polynomial is not divisible by p")
     return PAdicInt.from_integer(num // p, p, n - 1)

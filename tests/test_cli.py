@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -99,6 +100,14 @@ def test_verify_suite(capsys):
     assert report["passed"]
     assert all(r["failures"] == 0 for r in report["records"])
     assert "suite carry" in err
+
+
+def test_verify_all_seed0_stdout_is_pinned(capsys):
+    # the behaviour invariant: the full report at seed 0, byte for byte
+    rc, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "0")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "2d4142838f451e7499f51acb115a5a5599789a56bcea3453c676658f6b973eff"
 
 
 def test_verify_determinism(capsys):

@@ -11,6 +11,8 @@ def test_fq_make_smallest_modulus():
     assert fq_make(5, 1).modulus == (0, 1)       # degree-1 case: the prime field
     assert fq_make(3, 2).modulus == (1, 0, 1)    # t^2 + 1, -1 a non-residue mod 3
     assert fq_make(5, 2).modulus == (1, 1, 1)    # t^2 + 1 splits mod 5, t^2+t+1 not
+    # t^16 + t^15 + t^13 + t^11 + 1
+    assert fq_make(2, 16).modulus == (1,) + (0,) * 10 + (1, 0, 1, 0, 1, 1)
 
 
 def test_fq_make_smallest_generator():

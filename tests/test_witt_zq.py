@@ -183,6 +183,12 @@ def test_coefficient_precision_is_enforced():
         ring.element([PAdicInt(3, [1, 2]), PAdicInt(3, [0, 1])])
     with pytest.raises(ValueError, match="prime mismatch"):
         ring.element([PAdicInt(5, [1, 2, 0, 0]), PAdicInt(5, [0, 1, 0, 0])])
+    # scalars follow the same rule as coefficients
+    with pytest.raises(PrecisionError):
+        ring.one() + PAdicInt(3, [2])  # 5 mod 3 says nothing about 5 mod 81
+    with pytest.raises(ValueError, match="prime mismatch"):
+        ring.one() + PAdicInt(5, [0, 1, 0, 0])
+    assert ring.one() + PAdicInt(3, [2, 1, 0, 0, 1]) == ring.from_int(6)
 
 
 def test_truncate_and_div_exact():
