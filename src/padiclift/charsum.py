@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .errors import PrecisionError, TruncationError
 from .gamma import gamma_p
-from .gfq import FqElem, FqField, fq_make, is_prime
+from .gfq import FqElem, FqField, fq_make, is_prime, prime_factors
 from .residue import mulmod, powmod
 from .witt_zq import ZqElem, teichmuller_int, zq_ring
 from .zp_ring import PAdicInt, scalar_residue
@@ -38,21 +38,13 @@ SERIES_CAP_FACTOR = 64  # additive-character series may use at most 64*p terms
 
 def field_for_order(q: int) -> FqField:
     """The canonical field with q = p^n elements."""
-    if q < 2:
+    primes = prime_factors(q)
+    if len(primes) != 1:
         raise ValueError("q must be a prime power")
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
-            break
-    n = 0
-    qq = q
-    while qq % p == 0:
-        qq //= p
+    p = primes[0]
+    n = 1
+    while p**n < q:
         n += 1
-    if qq != 1:
-        raise ValueError("q must be a prime power")
     return fq_make(p, n)
 
 
@@ -356,20 +348,16 @@ def dwork_theta(terms: int, p: int, precision: int) -> list[PiRingElem]:
     return [_theta_coefficient(m, p, precision) for m in range(terms + 1)]
 
 
-_PSI_CACHE: dict[tuple[int, int], tuple[tuple[PiRingElem, ...], int]] = {}
-
-
-def _psi_table(p: int, precision: int, terms_hint: int = 0):
+@lru_cache(maxsize=None)
+def _psi_table(p: int, precision: int, terms_hint: int):
     """Stabilized psi(c) = theta(tau(c)) for all c in F_p.
 
     Partial sums are extended until two consecutive checkpoints agree AND
     psi(1) is a nontrivial p-th root of unity; the cap makes nontermination
-    impossible and turns a wrong pi-convention into a loud failure.
+    impossible and turns a wrong pi-convention into a loud failure.  The
+    terms hint is part of the cache key, so the terms consumed do not
+    depend on which hints were asked for earlier.
     """
-    key = (p, precision)
-    cached = _PSI_CACHE.get(key)
-    if cached is not None:
-        return cached
     ring = pi_ring(p, precision)
     mod = ring.modulus
     cap = SERIES_CAP_FACTOR * p
@@ -389,9 +377,7 @@ def _psi_table(p: int, precision: int, terms_hint: int = 0):
             k += 1
         snapshot = tuple(sums)
         if snapshot == prev and sums[1] != one and sums[1] ** p == one:
-            result = (snapshot, k - 1)
-            _PSI_CACHE[key] = result
-            return result
+            return snapshot, k - 1
         if target >= cap:
             raise TruncationError("series truncation insufficient")
         prev = snapshot

@@ -182,8 +182,7 @@ def cmd_fermat(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = RunConfig(p=args.p, n=args.n, precision=args.N, terms=args.K,
-                    seed=args.seed, count=args.count, suite=args.suite,
-                    fmt=args.format, fixtures=args.fixtures)
+                    seed=args.seed, count=args.count, suite=args.suite)
     records = run_suites(cfg)
     report = {
         "config": {"suite": cfg.suite, "p": cfg.p, "n": cfg.n, "N": cfg.precision,

@@ -25,16 +25,15 @@ def _default_combine(a, b):
 class GroupValuedMap:
     """A 1- or 2-argument map into a commutative monoid of values.
 
-    combine is the group law on *arguments* (defaults to +); invert is the
-    inverse on *values* and is only needed in multiplicative flavor, where
-    it defaults to the value's own unit_inverse/inverse method.
+    combine is the group law on *arguments* (defaults to +).  In
+    multiplicative flavor values are inverted by their own
+    unit_inverse/inverse method.
     """
 
     fn: Callable
     flavor: str
     name: str = "f"
     combine: Callable = field(default=_default_combine)
-    invert: Callable | None = None
 
     def __post_init__(self):
         if self.flavor not in (ADDITIVE, MULTIPLICATIVE):
@@ -47,8 +46,6 @@ class GroupValuedMap:
         return v
 
     def invert_value(self, v):
-        if self.invert is not None:
-            return self.invert(v)
         for attr in ("unit_inverse", "inverse"):
             method = getattr(v, attr, None)
             if method is not None:

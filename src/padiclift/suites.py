@@ -41,8 +41,6 @@ class RunConfig:
     seed: int = 0
     count: int = 200
     suite: str = "all"
-    fmt: str = "json"
-    fixtures: str | None = None
 
 
 @dataclass

@@ -4,10 +4,11 @@ A ZqRing is (Z/p^N)[t] modulo the trivially lifted field modulus, and a
 ZqElem stores its coefficients as plain int residues mod p^N, so ring
 arithmetic is the shared residue-ring kernel (residue.mulmod / powmod).
 The Witt-vector structure is recovered on top of it: teichmuller computes
-the unique root-of-unity lift by q-power iteration, teich_digits peels an
-element into its Teichmuller digit expansion x = sum tau(x_i) p^i, and
-frobenius_lift transports Frobenius digit-wise through that expansion,
-which makes it a ring endomorphism reducing to x -> x^p mod p.
+the unique root-of-unity lift as one exact power q^k of the naive lift,
+teich_digits peels an element into its Teichmuller digit expansion
+x = sum tau(x_i) p^i, and frobenius_lift transports Frobenius digit-wise
+through that expansion, which makes it a ring endomorphism reducing to
+x -> x^p mod p.
 
 Canonical text form (CLI interchange): "p=3;n=2;N=4;coeffs=[1,0,2,1|0,0,1,2]"
 with one little-endian digit vector per polynomial coefficient.
@@ -73,25 +74,18 @@ class ZqRing:
 
     # -- Teichmuller --------------------------------------------------------
     def teichmuller(self, v: FqElem) -> "ZqElem":
-        """The unique lift t of v with t^q = t, by q-power iteration.
+        """The unique lift t of v with t^q = t, as one power of the naive lift.
 
-        Each iteration gains at least one digit of agreement with the fixed
-        point, so N iterations suffice; the cap guards against bugs only.
+        A lift t(1 + pu) of v raised to q^k is t mod p^(kn+1), so
+        k = ceil((N-1)/n) gives t at precision N.
         """
         if v.field != self.field:
             raise ValueError("field mismatch")
         cached = self._teich.get(v.coeffs)
         if cached is not None:
             return cached
-        q = self.field.q
-        x = self.naive_lift(v)
-        for _ in range(self.precision + 2):
-            nxt = x**q
-            if nxt == x:
-                break
-            x = nxt
-        else:
-            raise RuntimeError("Teichmuller iteration did not stabilize")
+        k = -(-(self.precision - 1) // self.n)
+        x = self.naive_lift(v) ** (self.field.q**k)
         self._teich[v.coeffs] = x
         return x
 
@@ -257,15 +251,8 @@ def teichmuller(v: FqElem, precision: int) -> ZqElem:
 
 
 def teichmuller_int(c: int, p: int, precision: int) -> int:
-    """tau of a prime-field residue as a plain integer mod p^N."""
-    mod = p**precision
-    x = c % mod
-    for _ in range(precision + 2):
-        nxt = pow(x, p, mod)
-        if nxt == x:
-            return x
-        x = nxt
-    raise RuntimeError("Teichmuller iteration did not stabilize")
+    """tau of a prime-field residue as a plain integer mod p^N: c^(p^(N-1))."""
+    return pow(c, p ** (precision - 1), p**precision)
 
 
 def reduce_mod_p(x: ZqElem) -> FqElem:

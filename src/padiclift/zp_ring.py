@@ -1,14 +1,15 @@
 """Truncated arithmetic in Z/p^N with explicit base-p digits and carries.
 
-A PAdicInt stores its residue as a little-endian digit vector; the precision
-N is the digit count, so the value is known exactly mod p^N.  Binary
-operations propagate the minimum precision of their operands, and exact
-division by p shifts digits down at the cost of one digit of precision.
+A PAdicInt stores its residue as one int value in [0, p^N) together with
+the precision N, so the value is known exactly mod p^N.  Its little-endian
+base-p digits are a read-only view (digits).  Binary operations propagate
+the minimum precision of their operands, and exact division by p costs one
+digit of precision.
 
 Addition walks the digits schoolbook-style, and every carry it emits is a
 value of carry_cocycle: the carry function is exactly the 2-cocycle that
 glues Z/p^2 out of two copies of Z/p, which several verification suites
-check exhaustively.
+check exhaustively.  Every other operation works on the int value.
 
 Canonical text form (CLI interchange): "p=5;N=3;digits=2,1,0".
 """
@@ -43,21 +44,22 @@ def carry_cocycle(x: int, y: int, p: int) -> int:
 
 
 class PAdicInt:
-    """A residue mod p^N as a little-endian digit vector of length N."""
+    """A residue mod p^N: an int value in [0, p^N) and its precision N."""
 
-    __slots__ = ("p", "digits")
+    __slots__ = ("p", "value", "precision")
 
-    def __init__(self, p: int, digits, check: bool = True):
+    def __init__(self, p: int, digits):
+        """The residue with the given little-endian base-p digits."""
         digits = tuple(digits)
-        if check:
-            if not is_prime(p):
-                raise ValueError("not prime")
-            if len(digits) < 1:
-                raise PrecisionError("precision must be >= 1")
-            if any(not 0 <= d < p for d in digits):
-                raise ValueError("digit out of range")
+        if not is_prime(p):
+            raise ValueError("not prime")
+        if len(digits) < 1:
+            raise PrecisionError("precision must be >= 1")
+        if any(not 0 <= d < p for d in digits):
+            raise ValueError("digit out of range")
         self.p = p
-        self.digits = digits
+        self.value = from_digits(digits, p)
+        self.precision = len(digits)
 
     @classmethod
     def from_integer(cls, k: int, p: int, precision: int) -> "PAdicInt":
@@ -65,19 +67,16 @@ class PAdicInt:
             raise PrecisionError("precision must be >= 1")
         if not is_prime(p):
             raise ValueError("not prime")
-        return cls(p, to_digits(k, p, precision), check=False)
+        return _unchecked(p, k % p**precision, precision)
 
     @property
-    def precision(self) -> int:
-        return len(self.digits)
-
-    @property
-    def value(self) -> int:
-        return from_digits(self.digits, self.p)
+    def digits(self) -> tuple:
+        """The precision little-endian base-p digits (a read-only view)."""
+        return to_digits(self.value, self.p, self.precision)
 
     @property
     def modulus(self) -> int:
-        return self.p ** len(self.digits)
+        return self.p**self.precision
 
     # -- arithmetic -----------------------------------------------------
     def _coerce(self, other):
@@ -86,7 +85,7 @@ class PAdicInt:
                 raise ValueError("prime mismatch")
             return other
         if isinstance(other, int):
-            return PAdicInt.from_integer(other, self.p, self.precision)
+            return _unchecked(self.p, other % self.modulus, self.precision)
         return None
 
     def __add__(self, other):
@@ -94,30 +93,28 @@ class PAdicInt:
         if o is None:
             return NotImplemented
         p = self.p
-        n = min(self.precision, o.precision)
         out = []
         carry = 0
-        for i in range(n):
-            a, b = self.digits[i], o.digits[i]
+        for a, b in zip(self.digits, o.digits):
             s = (a + b) % p
             c1 = carry_cocycle(a, b, p)
             t = (s + carry) % p
             c2 = carry_cocycle(s, carry, p)
             out.append(t)
             carry = c1 + c2  # never both: a+b+carry < 2p
-        return PAdicInt(p, out, check=False)
+        return _unchecked(p, from_digits(out, p), len(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PAdicInt.from_integer(-self.value, self.p, self.precision)
+        return _unchecked(self.p, -self.value % self.modulus, self.precision)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         n = min(self.precision, o.precision)
-        return PAdicInt.from_integer(self.value - o.value, self.p, n)
+        return _unchecked(self.p, (self.value - o.value) % self.p**n, n)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -127,37 +124,37 @@ class PAdicInt:
         if o is None:
             return NotImplemented
         n = min(self.precision, o.precision)
-        return PAdicInt.from_integer(self.value * o.value, self.p, n)
+        return _unchecked(self.p, self.value * o.value % self.p**n, n)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             return self.unit_inverse() ** (-e)
-        return PAdicInt.from_integer(pow(self.value, e, self.modulus), self.p, self.precision)
+        return _unchecked(self.p, pow(self.value, e, self.modulus), self.precision)
 
     # -- unit and divisibility structure --------------------------------
     def is_unit(self) -> bool:
-        return self.digits[0] != 0
+        return self.value % self.p != 0
 
     def unit_inverse(self) -> "PAdicInt":
         """Multiplicative inverse mod p^N; the operand must be a unit."""
         if not self.is_unit():
             raise ValueError("not a unit")
-        return PAdicInt.from_integer(pow(self.value, -1, self.modulus), self.p, self.precision)
+        return _unchecked(self.p, pow(self.value, -1, self.modulus), self.precision)
 
     def div_exact_by_p(self) -> "PAdicInt":
         """Shift digits down one place; only defined when digit 0 is zero."""
         if self.precision == 1:
             raise PrecisionError("precision exhausted")
-        if self.digits[0] != 0:
+        if self.value % self.p:
             raise ValueError("not divisible")
-        return PAdicInt(self.p, self.digits[1:], check=False)
+        return _unchecked(self.p, self.value // self.p, self.precision - 1)
 
     def truncate(self, precision: int) -> "PAdicInt":
         if not 1 <= precision <= self.precision:
             raise PrecisionError("cannot truncate to that precision")
-        return PAdicInt(self.p, self.digits[:precision], check=False)
+        return _unchecked(self.p, self.value % self.p**precision, precision)
 
     # -- misc ------------------------------------------------------------
     def __eq__(self, other):
@@ -165,10 +162,11 @@ class PAdicInt:
             return self.value == other % self.modulus
         if not isinstance(other, PAdicInt):
             return NotImplemented
-        return (self.p, self.digits) == (other.p, other.digits)
+        return (self.p, self.value, self.precision) == (other.p, other.value, other.precision)
 
     def __hash__(self):
-        return hash((self.p, self.digits))
+        # equal to the hash of the int in [0, p^N) that compares equal
+        return hash(self.value)
 
     def __int__(self):
         return self.value
@@ -179,6 +177,15 @@ class PAdicInt:
     def to_text(self) -> str:
         digits = ",".join(str(d) for d in self.digits)
         return f"p={self.p};N={self.precision};digits={digits}"
+
+
+def _unchecked(p: int, value: int, precision: int) -> PAdicInt:
+    """A PAdicInt from a prime p, precision >= 1 and value in [0, p^precision)."""
+    x = object.__new__(PAdicInt)
+    x.p = p
+    x.value = value
+    x.precision = precision
+    return x
 
 
 def from_integer(k: int, p: int, precision: int) -> PAdicInt:
@@ -241,4 +248,4 @@ def buium_carry(x: PAdicInt, y: PAdicInt) -> PAdicInt:
     num = a**p + b**p - (a + b) ** p
     if num % p:
         raise RuntimeError("carry polynomial is not divisible by p")
-    return PAdicInt.from_integer(num // p, p, n - 1)
+    return _unchecked(p, num // p % p ** (n - 1), n - 1)

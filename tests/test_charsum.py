@@ -214,6 +214,14 @@ def test_series_terms_used_reported():
     assert used >= 5 and used <= 64 * 5
 
 
+def test_series_terms_do_not_depend_on_earlier_hints():
+    charsum._psi_table.cache_clear()
+    fresh = charsum.series_terms_used(7, 3, 300)
+    charsum._psi_table.cache_clear()
+    assert charsum.series_terms_used(7, 3, 0) == 28
+    assert charsum.series_terms_used(7, 3, 300) == fresh == 307
+
+
 def test_wrong_pi_convention_is_not_integral():
     # documents the convention gate: if pi^(p-1) were -1 instead of -p,
     # folding pi powers would contribute no powers of p, and the degree-p
@@ -254,10 +262,10 @@ def test_additive_character_is_additive(p):
 
 def test_series_truncation_error(monkeypatch):
     monkeypatch.setattr(charsum, "SERIES_CAP_FACTOR", 1)
-    charsum._PSI_CACHE.pop((11, 2), None)
+    charsum._psi_table.cache_clear()
     with pytest.raises(TruncationError, match="series truncation insufficient"):
         additive_character(1, 11, 2)
-    charsum._PSI_CACHE.pop((11, 2), None)
+    charsum._psi_table.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -83,15 +83,20 @@ def test_teichmuller_multiplicative_exhaustive(p, n):
             assert teichmuller(u * v, N) == teichmuller(u, N) * teichmuller(v, N)
 
 
-@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (3, 2), (5, 2)])
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (3, 2), (5, 2), (2, 1), (2, 3), (2, 4)])
 def test_teichmuller_is_root_of_unity(p, n):
+    # N = 1 and N = n + 1 are the edges where the exponent q^k steps up
     field = fq_make(p, n)
-    ring = zq_ring(field, 4)
-    for v in field.elements():
-        t = ring.teichmuller(v)
-        assert t**field.q == t
-        if not v.is_zero():
-            assert t ** (field.q - 1) == ring.one()
+    for N in sorted({1, 4, n + 1}):
+        ring = zq_ring(field, N)
+        for v in field.elements():
+            t = ring.teichmuller(v)
+            assert t.reduce_mod_p() == v
+            assert t**field.q == t
+            if not v.is_zero():
+                assert t ** (field.q - 1) == ring.one()
+            if n == 1:
+                assert teichmuller_int(v.to_int(), p, N) == t.residues[0]
 
 
 def test_teich_digits_examples():

@@ -155,3 +155,9 @@ def test_pow_and_int_coercion():
     assert (2 * x) == 6
     assert (x - 1) == 2
     assert int(x) == 3
+
+
+def test_hash_agrees_with_int_equality():
+    assert from_integer(7, 5, 2) == 7
+    assert len({from_integer(7, 5, 2), 7}) == 1
+    assert len({PAdicInt(5, [2, 1]), from_integer(7, 5, 2)}) == 1
