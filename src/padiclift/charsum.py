@@ -14,15 +14,24 @@ jacobi_sum(a, b) is literally the multiplicative coboundary
 gauss_sum(a) gauss_sum(b) / gauss_sum(a+b); the Gross-Koblitz comparison
 then evaluates the sum at the negated exponent.
 
-Fermat counting is a dual-route check: a brute-force double loop over F_q^2
-against q + sum of Jacobi sums, with the sum identified as a rational
-integer through a symmetric-range lift whose precision precondition rules
-out silent wraparound.
+Jacobi sums avoid per-element characters: with x = g^k and 1 - x = g^Z[k]
+(the field's Zech logarithms), J(a, b) = sum over 0 < k < q-1 of
+tau(g)^(ak + bZ[k]), so one pass tallies exponents and each power of a
+Teichmuller lift is scaled by its tally.  char_convolution keeps the direct
+definition.
+
+Fermat counting is a dual-route check, both routes O(q): the brute route
+counts the fibres of x -> x^m in F_q with field arithmetic only, and the
+Jacobi route forms q + sum of Jacobi sums from one histogram of Zech
+exponents, with the sum identified as a rational integer through a
+symmetric-range lift whose precision precondition rules out silent
+wraparound.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,10 +116,43 @@ def char_convolution(chi: MultChar, chi2: MultChar, z: FqElem,
     return acc
 
 
+def _powers(x: ZqElem, count: int) -> list[ZqElem]:
+    """x^0, ..., x^(count-1)."""
+    out = [x.ring.one()]
+    for _ in range(count - 1):
+        out.append(out[-1] * x)
+    return out
+
+
+def _tally_sum(powers: list[ZqElem], counts) -> ZqElem:
+    """sum_j counts[j] * powers[j] in Z_q, on the residues."""
+    ring = powers[0].ring
+    acc = [0] * ring.n
+    for c, z in zip(counts, powers):
+        if c:
+            for i, zi in enumerate(z.residues):
+                acc[i] += c * zi
+    return ZqElem(ring, tuple(v % ring.modulus for v in acc))
+
+
 def jacobi_sum(a: int, b: int, field: FqField, precision: int) -> ZqElem:
-    """(chi_a * chi_b)(1); the classical Jacobi sum when a, b, a+b != 0."""
-    one = field.one()
-    return char_convolution(MultChar(field, a), MultChar(field, b), one, precision)
+    """(chi_a * chi_b)(1); the classical Jacobi sum when a, b, a+b != 0.
+
+    Summed over x = g^k, 0 < k < q-1, as tau(g)^(ak + bZ[k]) with Z the
+    Zech table.  Every exponent is a multiple of d = gcd(a, b, q-1), so the
+    terms are powers of zeta = tau(g^d), of order (q-1)/d.
+    """
+    q1 = field.q - 1
+    d = math.gcd(a, b, q1)
+    order = q1 // d
+    a, b = a // d, b // d
+    zech = field.zech_table()
+    counts = [0] * order
+    for k in range(1, q1):
+        counts[(a * k + b * zech[k]) % order] += 1
+    ring = zq_ring(field, precision)
+    zeta = ring.teichmuller(field.generator ** d)
+    return _tally_sum(_powers(zeta, order), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -486,28 +528,30 @@ def gross_koblitz_check(a: int, p: int, precision: int,
 # Fermat curve point counts
 
 def count_fermat_brute(q: int, m: int) -> int:
-    """Affine solutions of x^m + y^m = 1 in F_q^2, by double loop."""
+    """Affine solutions of x^m + y^m = 1 in F_q^2: sum of c(u) c(1-u).
+
+    c(u) counts the x with x^m = u; field arithmetic only, no logs and no
+    Teichmuller lifts, so this route shares nothing with the Jacobi one.
+    """
     field = field_for_order(q)
     if (q - 1) % m:
         raise ValueError("m must divide q-1")
-    powers = [x**m for x in field.elements()]
+    fibres = Counter(x**m for x in field.elements())
     one = field.one()
-    count = 0
-    for xm in powers:
-        for ym in powers:
-            if xm + ym == one:
-                count += 1
-    return count
+    return sum(c * fibres[one - u] for u, c in fibres.items())
 
 
 def count_fermat_jacobi(q: int, m: int, precision: int = 0) -> int:
     """The same count through q + sum of Jacobi sums of order-m characters.
 
-    The double sum is a rational integer; it is recovered from its residue
-    by the symmetric-range lift, which needs p^N > 4 m^2 q so the
-    archimedean bound (m-1)^2 sqrt(q) can never wrap.  Individual Jacobi
-    sums need not be rational when n > 1, so the lift happens after the
-    whole sum is assembled.
+    With zeta = tau(g^((q-1)/m)), J(a(q-1)/m, b(q-1)/m) is the sum of
+    zeta^(ak + bZ[k]) over 0 < k < q-1, so one histogram H of
+    (k mod m, Z[k] mod m) feeds all (m-1)^2 sums, each formed in Z_q from
+    the powers of zeta.  The double sum is a rational integer; it is
+    recovered from its residue by the symmetric-range lift, which needs
+    p^N > 4 m^2 q so the archimedean bound (m-1)^2 sqrt(q) can never wrap.
+    Individual Jacobi sums need not be rational when n > 1, so the lift
+    happens after the whole sum is assembled.
     """
     field = field_for_order(q)
     if (q - 1) % m:
@@ -517,12 +561,17 @@ def count_fermat_jacobi(q: int, m: int, precision: int = 0) -> int:
         precision = fermat_precision(q, m)
     if p**precision <= 4 * m * m * q:
         raise PrecisionError("cannot identify integer")
-    step = (q - 1) // m
+    zech = field.zech_table()
+    hist = Counter((k % m, zech[k] % m) for k in range(1, q - 1))
     ring = zq_ring(field, precision)
+    powers = _powers(ring.teichmuller(field.generator ** ((q - 1) // m)), m)
     total = ring.zero()
     for a in range(1, m):
         for b in range(1, m):
-            total = total + jacobi_sum(a * step, b * step, field, precision)
+            counts = [0] * m
+            for (r, s), c in hist.items():
+                counts[(a * r + b * s) % m] += c
+            total = total + _tally_sum(powers, counts)
     if any(total.residues[1:]):
         raise RuntimeError("Jacobi-sum total is not rational")
     v = total.residues[0]

@@ -3,7 +3,8 @@
 Machine-readable output (json, csv, or text key=value rows) goes to stdout;
 a one-line human summary goes to stderr.  Exit codes: 0 all good, 1 a
 verification failed, 2 usage or domain error, 3 precision or series
-truncation error.  Reports are byte-identical across runs with the same
+truncation error, 4 a mathematical invariant failed inside a computation
+(a RuntimeError).  Reports are byte-identical across runs with the same
 flags and seed.
 """
 
@@ -180,6 +181,21 @@ def cmd_fermat(args) -> int:
     return 0 if brute == viaj else 1
 
 
+def _first_difference(expected, actual: dict) -> str:
+    """Where a fixture and a verify report first differ."""
+    if not isinstance(expected, dict):
+        return "the fixture is not a verify report"
+    if expected.get("config") != actual["config"]:
+        return "config differs"
+    old, new = expected.get("records") or [], actual["records"]
+    for i, (want, got) in enumerate(zip(old, new)):
+        if want != got:
+            return f"record #{i} differs (suite {got['suite']}, op {got['op']})"
+    if len(old) != len(new):
+        return f"{len(old)} records in the fixture, {len(new)} in the report"
+    return "a top-level field differs"
+
+
 def cmd_verify(args) -> int:
     cfg = RunConfig(p=args.p, n=args.n, precision=args.N, terms=args.K,
                     seed=args.seed, count=args.count, suite=args.suite)
@@ -210,8 +226,10 @@ def cmd_verify(args) -> int:
         if os.path.exists(args.fixtures):
             with open(args.fixtures, "r", encoding="utf-8") as fh:
                 expected = json.load(fh)
-            if expected != json.loads(_dumps(report)):
-                print(f"fixtures mismatch against {args.fixtures}", file=sys.stderr)
+            actual = json.loads(_dumps(report))
+            if expected != actual:
+                print(f"fixtures mismatch against {args.fixtures}: "
+                      f"{_first_difference(expected, actual)}", file=sys.stderr)
                 return 1
             print(f"fixtures match {args.fixtures}", file=sys.stderr)
         else:
@@ -324,6 +342,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ irreducible modulus (coefficients compared constant term first) and the
 smallest generator when coefficient vectors are read as base-p integers, so
 repeated runs always build the identical field.
 
-Fields are capped at q <= 2^20: discrete logs are table lookups and several
-verification sweeps are exhaustive, so everything must fit in memory.
+Fields are capped at q <= 2^20: discrete logs and Zech logarithms are table
+lookups and several verification sweeps are exhaustive, so everything must
+fit in memory.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ class FqField:
     have multiplicative order exactly q - 1.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "generator", "_dlog", "__weakref__")
+    __slots__ = ("p", "n", "q", "modulus", "generator", "_dlog", "_zech",
+                 "__weakref__")
 
     def __init__(self, p: int, n: int, modulus, generator=None):
         if not is_prime(p):
@@ -127,6 +129,7 @@ class FqField:
         self.q = q
         self.modulus = modulus
         self._dlog = None
+        self._zech = None
         if generator is None:
             generator = self._find_generator()
         else:
@@ -176,19 +179,35 @@ class FqField:
         for k in range(self.q):
             yield self.from_int(k)
 
-    # -- discrete log ----------------------------------------------------
+    # -- discrete and Zech logarithms ------------------------------------
+    def _log_tables(self) -> None:
+        """One walk over g^k, k < q-1, fills the dlog and the Zech table."""
+        p, f, g = self.p, self.modulus, self.generator.coeffs
+        powers = [self.one().coeffs]
+        for _ in range(self.q - 2):
+            powers.append(mulmod(powers[-1], g, f, p))
+        dlog = {c: e for e, c in enumerate(powers)}
+        # 1 - g^k on coefficient vectors; k = 0 gives 0, which has no log
+        zech = [None] * (self.q - 1)
+        for k in range(1, self.q - 1):
+            c = powers[k]
+            zech[k] = dlog[((1 - c[0]) % p,) + tuple(-x % p for x in c[1:])]
+        self._dlog = dlog
+        self._zech = tuple(zech)
+
     def dlog(self, x: "FqElem") -> int:
         """Exponent e with generator^e = x; table built on first use."""
         if x.is_zero():
             raise ValueError("log of zero")
         if self._dlog is None:
-            table = {}
-            acc = self.one()
-            for e in range(self.q - 1):
-                table[acc.coeffs] = e
-                acc = acc * self.generator
-            self._dlog = table
+            self._log_tables()
         return self._dlog[x.coeffs]
+
+    def zech_table(self) -> tuple:
+        """Z with g^Z[k] = 1 - g^k for 0 < k < q-1; Z[0] is None (1 - 1 = 0)."""
+        if self._zech is None:
+            self._log_tables()
+        return self._zech
 
     # -------------------------------------------------------------------
     def __eq__(self, other):

@@ -10,7 +10,7 @@ from padiclift.charsum import (MultChar, additive_character, char_convolution,
                                gauss_sum, gross_koblitz_check, jacobi_sum,
                                pi_ring)
 from padiclift.errors import PrecisionError, TruncationError
-from padiclift.gfq import fq_make
+from padiclift.gfq import fq_make, prime_factors
 from padiclift.witt_zq import teichmuller, zq_ring
 
 
@@ -102,6 +102,24 @@ def test_jacobi_norm_relation_extension_field():
     for (a, b) in [(1, 2), (7, 11), (13, 5)]:
         assert jacobi_sum(a, b, field25, 2) * jacobi_sum(-a, -b, field25, 2) \
             == ring25.from_int(25)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49])
+def test_jacobi_sum_matches_convolution(q):
+    # the Zech-table sum against the direct definition for every exponent
+    # pair, at N = 3 and, through truncation, at N = 1; the convolution is
+    # symmetric (x -> 1 - x), so one oracle call serves (a, b) and (b, a)
+    field = field_for_order(q)
+    one = field.one()
+    chars = [MultChar(field, a) for a in range(q - 1)]
+    for a in range(q - 1):
+        for b in range(a, q - 1):
+            want = char_convolution(chars[a], chars[b], one, 3)
+            for x, y in ((a, b), (b, a)):
+                assert jacobi_sum(x, y, field, 3) == want, (x, y)
+                assert jacobi_sum(x, y, field, 1) == want.truncate(1), (x, y)
+    # exponents are read mod q-1, negative ones included
+    assert jacobi_sum(-1, q, field, 2) == jacobi_sum(q - 2, 1, field, 2)
 
 
 def test_char_convolution_field_mismatch():
@@ -332,6 +350,33 @@ def test_count_fermat(q, m, expected):
     brute = count_fermat_brute(q, m)
     assert brute == expected  # frozen from the double-loop oracle
     assert count_fermat_jacobi(q, m) == brute
+
+
+def double_loop_count(q, m):
+    """The direct count over F_q^2, kept as the oracle of both routes."""
+    field = field_for_order(q)
+    powers = [x**m for x in field.elements()]
+    one = field.one()
+    return sum(1 for xm in powers for ym in powers if xm + ym == one)
+
+
+SMALL_ORDERS = [q for q in range(2, 82) if len(prime_factors(q)) == 1]
+
+
+@pytest.mark.parametrize("q", SMALL_ORDERS)
+def test_count_fermat_routes_match_double_loop(q):
+    for m in range(1, q):
+        if (q - 1) % m == 0:
+            want = double_loop_count(q, m)
+            assert count_fermat_brute(q, m) == want, m
+            assert count_fermat_jacobi(q, m) == want, m
+
+
+def test_count_fermat_at_3_to_the_9():
+    # x^2 + y^2 = 1 has q - (-1|q) affine points; q = 3^9 = 3 mod 4, so -1
+    # is not a square in F_q and the count is q + 1
+    assert count_fermat_brute(19683, 2) == 19684
+    assert count_fermat_jacobi(19683, 2) == 19684
 
 
 def test_count_fermat_guards():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from padiclift import charsum
 from padiclift.cli import main
 
 
@@ -151,6 +152,36 @@ def test_fixtures_round_trip(tmp_path, capsys):
     rc, _, err = run(capsys, *args)
     assert rc == 1
     assert "mismatch" in err
+
+
+def test_fixtures_mismatch_names_first_record(tmp_path, capsys):
+    fx = tmp_path / "carry.json"
+    args = ("verify", "--suite", "carry", "-p", "3", "--fixtures", str(fx))
+    assert run(capsys, *args)[0] == 0
+    data = json.loads(fx.read_text())
+    data["records"][1]["failures"] += 1
+    data["records"][2:] = []
+    fx.write_text(json.dumps(data))
+    rc, out, err = run(capsys, *args)
+    assert rc == 1 and json.loads(out)["passed"]
+    assert "record #1 differs (suite carry, op add/star_product_vs_integers)" in err
+    data["records"][1]["failures"] -= 1
+    data["records"].append(data["records"][0])
+    fx.write_text(json.dumps(data))
+    rc, _, err = run(capsys, *args)
+    assert rc == 1
+    assert "3 records in the fixture, 2 in the report" in err
+
+
+def test_invariant_failure_exit_4(capsys, monkeypatch):
+    def broken(q, m, precision=0):
+        raise RuntimeError("Jacobi-sum total is not rational")
+
+    monkeypatch.setattr(charsum, "count_fermat_jacobi", broken)
+    rc, out, err = run(capsys, "fermat-count", "-q", "13", "-m", "4")
+    assert rc == 4
+    assert out == ""
+    assert err == "error: Jacobi-sum total is not rational\n"
 
 
 def test_text_format(capsys):

@@ -136,5 +136,15 @@ def test_discrete_log_inverts_exponentiation(p, n):
         assert discrete_log(field.generator**e) == e
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (7, 1), (5, 2)])
+def test_zech_table(p, n):
+    field = fq_make(p, n)
+    g, one = field.generator, field.one()
+    zech = field.zech_table()
+    assert len(zech) == field.q - 1 and zech[0] is None
+    for k in range(1, field.q - 1):
+        assert g ** zech[k] == one - g**k
+
+
 def test_is_prime_basics():
     assert [k for k in range(20) if is_prime(k)] == [2, 3, 5, 7, 11, 13, 17, 19]
