@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Count points on x^m + y^m = 1 over F_q for every m dividing q-1.
 
-Runs both O(q) routes side by side and flags any disagreement: the brute
-route counts the fibres of x -> x^m with field arithmetic alone, the
-Jacobi route sums Jacobi sums of order-m characters from one histogram of
-Zech logarithms.
+Runs both routes side by side and flags any disagreement: the brute route
+counts the fibres of x -> x^m with field arithmetic alone, the Jacobi
+route sums Jacobi sums of order-m characters, each one pass over the
+field's Zech logarithms.
 
 Example:
     python scripts/fermat_counts.py -q 13

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PrecisionError
+from .errors import InvariantError, PrecisionError
 from .witt_zq import ZqElem, frobenius_lift
 from .zp_ring import PAdicInt
 
@@ -87,5 +87,5 @@ def fermat_quotient(k: int, p: int, precision: int) -> PAdicInt:
         raise PrecisionError("insufficient precision")
     num = k - k**p
     if num % p:
-        raise RuntimeError("Fermat quotient numerator is not divisible by p")
+        raise InvariantError("Fermat quotient numerator is not divisible by p")
     return PAdicInt.from_integer(num // p, p, precision - 1)

@@ -20,12 +20,11 @@ tau(g)^(ak + bZ[k]), so one pass tallies exponents and each power of a
 Teichmuller lift is scaled by its tally.  char_convolution keeps the direct
 definition.
 
-Fermat counting is a dual-route check, both routes O(q): the brute route
-counts the fibres of x -> x^m in F_q with field arithmetic only, and the
-Jacobi route forms q + sum of Jacobi sums from one histogram of Zech
-exponents, with the sum identified as a rational integer through a
-symmetric-range lift whose precision precondition rules out silent
-wraparound.
+Fermat counting is a dual-route check: the brute route counts the fibres
+of x -> x^m in F_q with field arithmetic only, and the Jacobi route forms
+q + sum of Jacobi sums in Z_q, one O(q) Zech pass per character pair, with
+the sum identified as a rational integer through a symmetric-range lift
+whose precision precondition rules out silent wraparound.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import PrecisionError, TruncationError
+from .errors import InvariantError, PrecisionError, TruncationError
 from .gamma import gamma_p
 from .gfq import FqElem, FqField, fq_make, is_prime, prime_factors
 from .residue import mulmod, powmod
@@ -116,31 +115,12 @@ def char_convolution(chi: MultChar, chi2: MultChar, z: FqElem,
     return acc
 
 
-def _powers(x: ZqElem, count: int) -> list[ZqElem]:
-    """x^0, ..., x^(count-1)."""
-    out = [x.ring.one()]
-    for _ in range(count - 1):
-        out.append(out[-1] * x)
-    return out
-
-
-def _tally_sum(powers: list[ZqElem], counts) -> ZqElem:
-    """sum_j counts[j] * powers[j] in Z_q, on the residues."""
-    ring = powers[0].ring
-    acc = [0] * ring.n
-    for c, z in zip(counts, powers):
-        if c:
-            for i, zi in enumerate(z.residues):
-                acc[i] += c * zi
-    return ZqElem(ring, tuple(v % ring.modulus for v in acc))
-
-
 def jacobi_sum(a: int, b: int, field: FqField, precision: int) -> ZqElem:
     """(chi_a * chi_b)(1); the classical Jacobi sum when a, b, a+b != 0.
 
     Summed over x = g^k, 0 < k < q-1, as tau(g)^(ak + bZ[k]) with Z the
     Zech table.  Every exponent is a multiple of d = gcd(a, b, q-1), so the
-    terms are powers of zeta = tau(g^d), of order (q-1)/d.
+    terms are powers of zeta = chi_d(g) = tau(g^d), of order (q-1)/d.
     """
     q1 = field.q - 1
     d = math.gcd(a, b, q1)
@@ -150,9 +130,16 @@ def jacobi_sum(a: int, b: int, field: FqField, precision: int) -> ZqElem:
     counts = [0] * order
     for k in range(1, q1):
         counts[(a * k + b * zech[k]) % order] += 1
-    ring = zq_ring(field, precision)
-    zeta = ring.teichmuller(field.generator ** d)
-    return _tally_sum(_powers(zeta, order), counts)
+    zeta = MultChar(field, d).eval(field.generator, precision)
+    ring = zeta.ring
+    acc = [0] * ring.n  # sum of counts[j] * zeta^j, on the residues
+    power = ring.one()
+    for c in counts:
+        if c:
+            for i, zi in enumerate(power.residues):
+                acc[i] += c * zi
+        power = power * zeta
+    return ZqElem(ring, tuple(v % ring.modulus for v in acc))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +360,7 @@ def _theta_coefficient(m: int, p: int, precision: int) -> "PiRingElem":
         vj, uj = _fact_parts(j, p, mod)
         v = vi + vj
         if big < v:
-            raise RuntimeError("series coefficient is not integral")
+            raise InvariantError("series coefficient is not integral")
         u = ui * uj % mod
         s = pow(p, big - v, mod) * pow(u, -1, mod) % mod
         if (j + big) % 2:
@@ -537,21 +524,18 @@ def count_fermat_brute(q: int, m: int) -> int:
     if (q - 1) % m:
         raise ValueError("m must divide q-1")
     fibres = Counter(x**m for x in field.elements())
-    one = field.one()
-    return sum(c * fibres[one - u] for u, c in fibres.items())
+    return sum(c * fibres[1 - u] for u, c in fibres.items())
 
 
 def count_fermat_jacobi(q: int, m: int, precision: int = 0) -> int:
     """The same count through q + sum of Jacobi sums of order-m characters.
 
-    With zeta = tau(g^((q-1)/m)), J(a(q-1)/m, b(q-1)/m) is the sum of
-    zeta^(ak + bZ[k]) over 0 < k < q-1, so one histogram H of
-    (k mod m, Z[k] mod m) feeds all (m-1)^2 sums, each formed in Z_q from
-    the powers of zeta.  The double sum is a rational integer; it is
-    recovered from its residue by the symmetric-range lift, which needs
-    p^N > 4 m^2 q so the archimedean bound (m-1)^2 sqrt(q) can never wrap.
-    Individual Jacobi sums need not be rational when n > 1, so the lift
-    happens after the whole sum is assembled.
+    Each of the (m-1)^2 Jacobi sums is one O(q) pass over the Zech table,
+    summed in Z_q.  The double sum is a rational integer; it is recovered
+    from its residue by the symmetric-range lift, which needs p^N > 4 m^2 q
+    so the archimedean bound (m-1)^2 sqrt(q) can never wrap.  Individual
+    Jacobi sums need not be rational when n > 1, so the lift happens after
+    the whole sum is assembled.
     """
     field = field_for_order(q)
     if (q - 1) % m:
@@ -561,19 +545,13 @@ def count_fermat_jacobi(q: int, m: int, precision: int = 0) -> int:
         precision = fermat_precision(q, m)
     if p**precision <= 4 * m * m * q:
         raise PrecisionError("cannot identify integer")
-    zech = field.zech_table()
-    hist = Counter((k % m, zech[k] % m) for k in range(1, q - 1))
-    ring = zq_ring(field, precision)
-    powers = _powers(ring.teichmuller(field.generator ** ((q - 1) // m)), m)
-    total = ring.zero()
+    step = (q - 1) // m
+    total = zq_ring(field, precision).zero()
     for a in range(1, m):
         for b in range(1, m):
-            counts = [0] * m
-            for (r, s), c in hist.items():
-                counts[(a * r + b * s) % m] += c
-            total = total + _tally_sum(powers, counts)
+            total = total + jacobi_sum(a * step, b * step, field, precision)
     if any(total.residues[1:]):
-        raise RuntimeError("Jacobi-sum total is not rational")
+        raise InvariantError("Jacobi-sum total is not rational")
     v = total.residues[0]
     if v > p**precision // 2:
         v -= p**precision

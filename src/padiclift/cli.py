@@ -4,7 +4,7 @@ Machine-readable output (json, csv, or text key=value rows) goes to stdout;
 a one-line human summary goes to stderr.  Exit codes: 0 all good, 1 a
 verification failed, 2 usage or domain error, 3 precision or series
 truncation error, 4 a mathematical invariant failed inside a computation
-(a RuntimeError).  Reports are byte-identical across runs with the same
+(an InvariantError).  Reports are byte-identical across runs with the same
 flags and seed.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 from . import charsum, gamma
 from .buium import p_derivation
-from .errors import PrecisionError
+from .errors import InvariantError, PrecisionError
 from .gfq import fq_make
 from .suites import CheckRecord, RunConfig, jsonable, run_suites
 from .witt_zq import frobenius_lift, parse_zq, teichmuller, zq_ring
@@ -342,7 +342,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

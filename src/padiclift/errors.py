@@ -7,3 +7,7 @@ class PrecisionError(ValueError):
 
 class TruncationError(PrecisionError):
     """A series evaluation failed to stabilize within its term cap."""
+
+
+class InvariantError(RuntimeError):
+    """A mathematical invariant failed inside a computation."""

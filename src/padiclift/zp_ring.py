@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import PrecisionError
+from .errors import InvariantError, PrecisionError
 from .gfq import is_prime
 from .residue import from_digits, to_digits
 
@@ -247,5 +247,5 @@ def buium_carry(x: PAdicInt, y: PAdicInt) -> PAdicInt:
     b = y.value % p**n
     num = a**p + b**p - (a + b) ** p
     if num % p:
-        raise RuntimeError("carry polynomial is not divisible by p")
+        raise InvariantError("carry polynomial is not divisible by p")
     return _unchecked(p, num // p % p ** (n - 1), n - 1)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from padiclift import charsum
+from padiclift import InvariantError, charsum
 from padiclift.cli import main
 
 
@@ -175,13 +175,23 @@ def test_fixtures_mismatch_names_first_record(tmp_path, capsys):
 
 def test_invariant_failure_exit_4(capsys, monkeypatch):
     def broken(q, m, precision=0):
-        raise RuntimeError("Jacobi-sum total is not rational")
+        raise InvariantError("Jacobi-sum total is not rational")
 
     monkeypatch.setattr(charsum, "count_fermat_jacobi", broken)
     rc, out, err = run(capsys, "fermat-count", "-q", "13", "-m", "4")
     assert rc == 4
     assert out == ""
     assert err == "error: Jacobi-sum total is not rational\n"
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, RecursionError, NotImplementedError])
+def test_other_runtime_errors_keep_their_traceback(monkeypatch, exc):
+    def broken(q, m, precision=0):
+        raise exc("a bug, not an invariant")
+
+    monkeypatch.setattr(charsum, "count_fermat_jacobi", broken)
+    with pytest.raises(exc):
+        main(["fermat-count", "-q", "13", "-m", "4"])
 
 
 def test_text_format(capsys):
