@@ -1,7 +1,7 @@
 """Exact truncated p-adic and Witt-vector arithmetic with Frobenius lifts,
 p-adic Gamma/Beta, character sums, and cocycle/coboundary verification."""
 
-from .errors import InvariantError, PrecisionError, TruncationError
+from .errors import InvariantError, PrecisionError
 from .gfq import FqElem, FqField, discrete_log, fq_make, frobenius
 from .zp_ring import (PAdicInt, buium_carry, carry_cocycle, from_integer,
                       parse_padic)

@@ -4,10 +4,13 @@ Multiplicative characters are Teichmuller-valued: chi_a(x) = tau(x)^a lands
 in Z_q, so Jacobi sums are computed as character convolutions at 1 in Z_q
 with no auxiliary cyclotomic tower.  Gauss sums need p-th roots of unity,
 which Z_p lacks; they live in the ramified ring Z_p[pi]/(pi^(p-1) + p),
-where the splitting series exp(pi X) exp(-pi X^p) evaluated at Teichmuller
-lifts yields a nontrivial additive character psi.  The two factor series
-diverge separately at these points: only the coefficients of the product
-series are integral, so evaluation must go through them.
+where Dwork's splitting function theta(X) = exp(pi X) exp(-pi X^p)
+evaluated at Teichmuller lifts yields a nontrivial additive character psi.
+The two factor series diverge separately at these points: only the
+coefficients lambda_m of the product series are integral, so evaluation
+must go through them.  Dwork's lemma, ord_p(lambda_m) >= m(p-1)/p^2, says
+how many to sum: every degree m >= N p^2/(p-1) vanishes mod p^N, so psi is
+one finite sum per (p, N), fixed in advance.
 
 Exponent convention: gauss_sum(a) = sum_x tau(x)^a psi(x), fixed so that
 jacobi_sum(a, b) is literally the multiplicative coboundary
@@ -34,14 +37,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvariantError, PrecisionError, TruncationError
+from .errors import InvariantError, PrecisionError
 from .gamma import gamma_p
 from .gfq import FqElem, FqField, fq_make, is_prime, prime_factors
 from .residue import mulmod, powmod
 from .witt_zq import ZqElem, teichmuller_int, zq_ring
 from .zp_ring import PAdicInt, scalar_residue
-
-SERIES_CAP_FACTOR = 64  # additive-character series may use at most 64*p terms
 
 
 def field_for_order(q: int) -> FqField:
@@ -180,9 +181,6 @@ class PiRing:
 
     def from_int(self, k) -> "PiRingElem":
         return self.element([k] + [0] * (self.degree - 1))
-
-    def from_padic(self, x: PAdicInt) -> "PiRingElem":
-        return self.from_int(x)
 
     def zero(self) -> "PiRingElem":
         return self.from_int(0)
@@ -325,22 +323,8 @@ class PiRingElem:
 # ---------------------------------------------------------------------------
 # the splitting series and additive characters
 
-@lru_cache(maxsize=None)
-def _fact_parts(k: int, p: int, mod: int) -> tuple[int, int]:
-    """k! = p^v * u with u a unit: returns (v, u mod p^N)."""
-    if k == 0:
-        return 0, 1
-    v, u = _fact_parts(k - 1, p, mod)
-    t = k
-    while t % p == 0:
-        t //= p
-        v += 1
-    return v, u * t % mod
-
-
-@lru_cache(maxsize=None)
-def _theta_coefficient(m: int, p: int, precision: int) -> "PiRingElem":
-    """Degree-m coefficient of exp(pi X) exp(-pi X^p), exactly.
+def dwork_theta(terms: int, p: int, precision: int) -> list[PiRingElem]:
+    """Coefficients 0..terms of exp(pi X) exp(-pi X^p), exactly, in the pi-ring.
 
     The term at (i, j), i + pj = m, is (-1)^j pi^(i+j) / (i! j!).  Writing
     pi^(i+j) = pi^rem (-p)^big, the p-power big always dominates the
@@ -351,82 +335,68 @@ def _theta_coefficient(m: int, p: int, precision: int) -> "PiRingElem":
     ring = pi_ring(p, precision)
     mod = ring.modulus
     d = p - 1
-    acc = [0] * d
-    j = 0
-    while p * j <= m:
-        i = m - p * j
-        big, rem = divmod(i + j, d)
-        vi, ui = _fact_parts(i, p, mod)
-        vj, uj = _fact_parts(j, p, mod)
-        v = vi + vj
-        if big < v:
-            raise InvariantError("series coefficient is not integral")
-        u = ui * uj % mod
-        s = pow(p, big - v, mod) * pow(u, -1, mod) % mod
-        if (j + big) % 2:
-            s = -s % mod
-        acc[rem] = (acc[rem] + s) % mod
-        j += 1
-    return ring.element(acc)
-
-
-def dwork_theta(terms: int, p: int, precision: int) -> list[PiRingElem]:
-    """Coefficients 0..terms of the splitting series, in the pi-ring."""
-    if p == 2:
-        raise ValueError("p=2 unsupported")
-    return [_theta_coefficient(m, p, precision) for m in range(terms + 1)]
+    facts = [(0, 1)]  # k! = p^v * u with u a unit: (v, u mod p^N)
+    for k in range(1, terms + 1):
+        v, u = facts[-1]
+        t = k
+        while t % p == 0:
+            t //= p
+            v += 1
+        facts.append((v, u * t % mod))
+    coeffs = []
+    for m in range(terms + 1):
+        acc = [0] * d
+        for j in range(m // p + 1):
+            i = m - p * j
+            big, rem = divmod(i + j, d)
+            (vi, ui), (vj, uj) = facts[i], facts[j]
+            if big < vi + vj:
+                raise InvariantError("series coefficient is not integral")
+            s = pow(p, big - vi - vj, mod) * pow(ui * uj, -1, mod) % mod
+            if (j + big) % 2:
+                s = -s
+            acc[rem] = (acc[rem] + s) % mod
+        coeffs.append(ring.element(acc))
+    return coeffs
 
 
 @lru_cache(maxsize=None)
-def _psi_table(p: int, precision: int, terms_hint: int):
-    """Stabilized psi(c) = theta(tau(c)) for all c in F_p.
+def _psi_table(p: int, precision: int):
+    """psi(c) = theta(tau(c)) for all c in F_p, and the highest degree summed.
 
-    Partial sums are extended until two consecutive checkpoints agree AND
-    psi(1) is a nontrivial p-th root of unity; the cap makes nontermination
-    impossible and turns a wrong pi-convention into a loud failure.  The
-    terms hint is part of the cache key, so the terms consumed do not
-    depend on which hints were asked for earlier.
+    Dwork's estimate ord_p(lambda_m) >= m(p-1)/p^2 on the coefficients of
+    theta (Koblitz, p-adic Numbers, p-adic Analysis, and Zeta-Functions,
+    ch. IV) makes every term of degree m >= M = ceil(N p^2/(p-1)) vanish
+    mod p^N, so the sum over degrees 0..M-1 is the exact value.  psi(1)
+    must still be a nontrivial p-th root of unity; a wrong pi-convention
+    fails that gate.
     """
     ring = pi_ring(p, precision)
     mod = ring.modulus
-    cap = SERIES_CAP_FACTOR * p
+    degree = -(-precision * p * p // (p - 1)) - 1
     taus = [teichmuller_int(c, p, precision) for c in range(p)]
     sums = [ring.zero()] * p
     tau_pow = [1] * p
+    for coef in dwork_theta(degree, p, precision):
+        for c in range(p):
+            sums[c] = sums[c] + coef * tau_pow[c]
+            tau_pow[c] = tau_pow[c] * taus[c] % mod
     one = ring.one()
-    k = 0
-    target = max(terms_hint, p)
-    prev = None
-    while True:
-        while k <= target:
-            coef = _theta_coefficient(k, p, precision)
-            for c in range(p):
-                sums[c] = sums[c] + coef * tau_pow[c]
-                tau_pow[c] = tau_pow[c] * taus[c] % mod
-            k += 1
-        snapshot = tuple(sums)
-        if snapshot == prev and sums[1] != one and sums[1] ** p == one:
-            return snapshot, k - 1
-        if target >= cap:
-            raise TruncationError("series truncation insufficient")
-        prev = snapshot
-        target = min(cap, target + p)
+    if sums[1] == one or sums[1] ** p != one:
+        raise InvariantError("psi(1) is not a nontrivial p-th root of unity")
+    return tuple(sums), degree
 
 
-def additive_character(c: int, p: int, precision: int, terms: int = 0) -> PiRingElem:
-    """psi(c): the splitting series evaluated at the Teichmuller lift of c.
-
-    terms is a starting hint; the series is extended until the value is
-    stable and the root-of-unity gates hold.
-    """
-    table, _ = _psi_table(p, precision, terms)
+def additive_character(c: int, p: int, precision: int) -> PiRingElem:
+    """psi(c): the splitting series evaluated at the Teichmuller lift of c."""
+    table, _ = _psi_table(p, precision)
     return table[c % p]
 
 
-def series_terms_used(p: int, precision: int, terms: int = 0) -> int:
-    """How many series terms the stabilized psi table for (p, N) consumed."""
-    _, used = _psi_table(p, precision, terms)
-    return used
+def series_terms_used(p: int, precision: int) -> int:
+    """The highest degree of the splitting series summed for psi at (p, N)."""
+    _, degree = _psi_table(p, precision)
+    return degree
 
 
 def fermat_precision(q: int, m: int) -> int:
@@ -442,7 +412,7 @@ def fermat_precision(q: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # Gauss sums
 
-def gauss_sum(a: int, p: int, precision: int, terms: int = 0) -> PiRingElem:
+def gauss_sum(a: int, p: int, precision: int) -> PiRingElem:
     """g(a) = sum over x in F_p^* of tau(x)^a psi(x), in the pi-ring.
 
     Prime-field case only.  With this exponent convention the Jacobi sum is
@@ -452,7 +422,7 @@ def gauss_sum(a: int, p: int, precision: int, terms: int = 0) -> PiRingElem:
         raise ValueError("p=2 unsupported")
     if not is_prime(p):
         raise ValueError("not prime")
-    table, _ = _psi_table(p, precision, terms)
+    table, _ = _psi_table(p, precision)
     mod = p**precision
     a %= p - 1
     acc = pi_ring(p, precision).zero()
@@ -462,8 +432,7 @@ def gauss_sum(a: int, p: int, precision: int, terms: int = 0) -> PiRingElem:
     return acc
 
 
-def gauss_coboundary(a: int, b: int, p: int, precision: int,
-                     terms: int = 0) -> PiRingElem:
+def gauss_coboundary(a: int, b: int, p: int, precision: int) -> PiRingElem:
     """g(a) g(b) / g(a+b), returned at the requested precision.
 
     g(a+b) has positive pi-valuation, so there is no ring inverse; the
@@ -477,9 +446,9 @@ def gauss_coboundary(a: int, b: int, p: int, precision: int,
     if a == 0 or b == 0 or (a + b) % d == 0:
         raise ValueError("exponents and their sum must be nonzero mod p-1")
     work = precision + 1
-    ga = gauss_sum(a, p, work, terms)
-    gb = gauss_sum(b, p, work, terms)
-    gneg = gauss_sum(-(a + b) % d, p, work, terms)
+    ga = gauss_sum(a, p, work)
+    gb = gauss_sum(b, p, work)
+    gneg = gauss_sum(-(a + b) % d, p, work)
     prod = ga * gb * gneg
     if (a + b) % 2:
         prod = -prod  # chi_{a+b}(-1) = (-1)^(a+b)
@@ -494,8 +463,7 @@ class GrossKoblitzReport:
     passed: bool
 
 
-def gross_koblitz_check(a: int, p: int, precision: int,
-                        terms: int = 0) -> GrossKoblitzReport:
+def gross_koblitz_check(a: int, p: int, precision: int) -> GrossKoblitzReport:
     """Check sum_x tau(x)^(-a) psi(x) = -pi^a Gamma_p(a / (p-1)).
 
     a/(p-1) is the p-adic integer a * (p-1)^(-1); both sides are computed
@@ -504,10 +472,10 @@ def gross_koblitz_check(a: int, p: int, precision: int,
     d = p - 1
     if not 0 < a < d:
         raise ValueError("exponent must satisfy 0 < a < p-1")
-    lhs = gauss_sum(-a % d, p, precision, terms)
+    lhs = gauss_sum(-a % d, p, precision)
     ring = pi_ring(p, precision)
     arg = PAdicInt.from_integer(a * pow(d, -1, ring.modulus), p, precision)
-    rhs = -(ring.pi() ** a * ring.from_padic(gamma_p(arg)))
+    rhs = -(ring.pi() ** a * ring.from_int(gamma_p(arg)))
     return GrossKoblitzReport(a, lhs, rhs, lhs == rhs)
 
 

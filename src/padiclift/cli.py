@@ -2,10 +2,9 @@
 
 Machine-readable output (json, csv, or text key=value rows) goes to stdout;
 a one-line human summary goes to stderr.  Exit codes: 0 all good, 1 a
-verification failed, 2 usage or domain error, 3 precision or series
-truncation error, 4 a mathematical invariant failed inside a computation
-(an InvariantError).  Reports are byte-identical across runs with the same
-flags and seed.
+verification failed, 2 usage or domain error, 3 precision error, 4 a
+mathematical invariant failed inside a computation (an InvariantError).
+Reports are byte-identical across runs with the same flags and seed.
 """
 
 from __future__ import annotations
@@ -142,8 +141,8 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    v = charsum.gauss_sum(args.a, args.p, args.N, args.K)
-    used = charsum.series_terms_used(args.p, args.N, args.K)
+    v = charsum.gauss_sum(args.a, args.p, args.N)
+    used = charsum.series_terms_used(args.p, args.N)
     _emit(args.format, [{"op": "gauss_sum", "a": args.a, "K": used, **jsonable(v)}])
     print(f"gauss_sum({args.a}) at p={args.p}, N={args.N}: pi-coeffs "
           f"{list(v.coeffs)}", file=sys.stderr)
@@ -152,11 +151,11 @@ def cmd_gauss(args) -> int:
 
 def cmd_gk(args) -> int:
     exps = [args.a] if args.a is not None else list(range(1, args.p - 1))
-    used = charsum.series_terms_used(args.p, args.N, args.K)
+    used = charsum.series_terms_used(args.p, args.N)
     rows = []
     ok = True
     for a in exps:
-        rep = charsum.gross_koblitz_check(a, args.p, args.N, args.K)
+        rep = charsum.gross_koblitz_check(a, args.p, args.N)
         ok = ok and rep.passed
         rows.append({"op": "gross_koblitz_check", "a": a, "K": used,
                      "passed": rep.passed,
@@ -197,12 +196,13 @@ def _first_difference(expected, actual: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig(p=args.p, n=args.n, precision=args.N, terms=args.K,
+    cfg = RunConfig(p=args.p, n=args.n, precision=args.N,
                     seed=args.seed, count=args.count, suite=args.suite)
     records = run_suites(cfg)
     report = {
         "config": {"suite": cfg.suite, "p": cfg.p, "n": cfg.n, "N": cfg.precision,
-                   "K": cfg.terms, "seed": cfg.seed, "count": cfg.count},
+                   # "K" was the series-term hint; pinned reports keep the field
+                   "K": 0, "seed": cfg.seed, "count": cfg.count},
         "records": [asdict(r) for r in records],
         "passed": all(r.passed for r in records),
     }
@@ -242,15 +242,13 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, *, p=True, n=False, N=True, K=False):
+def _add_common(sp, *, p=True, n=False, N=True):
     if p:
         sp.add_argument("-p", type=int, required=True, help="prime")
     if n:
         sp.add_argument("-n", type=int, default=1, help="extension degree")
     if N:
         sp.add_argument("-N", type=int, required=True, help="p-adic precision")
-    if K:
-        sp.add_argument("-K", type=int, default=0, help="series term hint")
     sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
 
@@ -296,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_jacobi)
 
     sp = sub.add_parser("gauss", help="Gauss sum in the pi-ring")
-    _add_common(sp, K=True)
+    _add_common(sp)
     sp.add_argument("-a", type=int, required=True)
     sp.set_defaults(handler=cmd_gauss)
 
     sp = sub.add_parser("gk-check", aliases=["gk"],
                         help="Gross-Koblitz cross-check")
-    _add_common(sp, K=True)
+    _add_common(sp)
     sp.add_argument("-a", type=int, help="single exponent; default all 0<a<p-1")
     sp.set_defaults(handler=cmd_gk)
 
@@ -320,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-p", type=int)
     sp.add_argument("-n", type=int)
     sp.add_argument("-N", type=int)
-    sp.add_argument("-K", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=200,
                     help="random cases per seeded sweep")

@@ -37,7 +37,6 @@ class RunConfig:
     p: int | None = None
     n: int | None = None
     precision: int | None = None
-    terms: int = 0
     seed: int = 0
     count: int = 200
     suite: str = "all"
@@ -263,7 +262,6 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     col = _Collector("charsum", records)
     ps = [cfg.p] if cfg.p else [5, 7]
-    terms = cfg.terms
 
     for p in ps:
         N = cfg.precision or 3
@@ -271,18 +269,18 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
         one = ring.one()
 
         def gate_cases(p=p, N=N, ring=ring, one=one):
-            psi1 = charsum.additive_character(1, p, N, terms)
+            psi1 = charsum.additive_character(1, p, N)
             yield {"p": p, "gate": "psi(1) != 1"}, psi1 != one, psi1
             yield {"p": p, "gate": "psi(1)^p == 1"}, psi1**p == one, psi1**p
             total = ring.zero()
             for c in range(p):
-                total = total + charsum.additive_character(c, p, N, terms)
+                total = total + charsum.additive_character(c, p, N)
             yield {"p": p, "gate": "sum psi == 0"}, total == ring.zero(), total
             for a in range(p):
                 for b in range(p):
-                    got = charsum.additive_character(a, p, N, terms) \
-                        * charsum.additive_character(b, p, N, terms)
-                    want = charsum.additive_character(a + b, p, N, terms)
+                    got = charsum.additive_character(a, p, N) \
+                        * charsum.additive_character(b, p, N)
+                    want = charsum.additive_character(a + b, p, N)
                     yield {"p": p, "gate": "psi additive", "pair": [a, b]}, \
                         got == want, got - want
 
@@ -290,8 +288,8 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
 
         def norm_cases(p=p, N=N, ring=ring):
             for a in range(1, p - 1):
-                lhs = charsum.gauss_sum(a, p, N, terms) \
-                    * charsum.gauss_sum(-a, p, N, terms)
+                lhs = charsum.gauss_sum(a, p, N) \
+                    * charsum.gauss_sum(-a, p, N)
                 rhs = ring.from_int(p if a % 2 == 0 else -p)
                 yield {"p": p, "a": a}, lhs == rhs, lhs - rhs
 
@@ -306,7 +304,7 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
                 for b in range(1, d):
                     if (a + b) % d == 0:
                         continue
-                    cob = charsum.gauss_coboundary(a, b, p, Ncob, terms)
+                    cob = charsum.gauss_coboundary(a, b, p, Ncob)
                     jac = jacobi_sum(a, b, field, Ncob)
                     emb = pi_ring(p, Ncob).from_int(jac.residues[0])
                     yield {"p": p, "a": a, "b": b}, cob == emb, cob - emb
@@ -316,7 +314,7 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
 
         def gk_cases(p=p, N=N):
             for a in range(1, p - 1):
-                rep = charsum.gross_koblitz_check(a, p, N, terms)
+                rep = charsum.gross_koblitz_check(a, p, N)
                 yield {"p": p, "a": a}, rep.passed, rep.lhs - rep.rhs
 
         col.run("gross_koblitz_check", {"p": p, "N": N}, gk_cases())

@@ -21,7 +21,7 @@ from functools import lru_cache
 from .errors import PrecisionError
 from .gfq import FqElem, FqField, fq_make
 from .residue import mulmod, powmod, to_digits
-from .zp_ring import PAdicInt, int_exact, scalar_residue
+from .zp_ring import PAdicInt, int_exact, parse_fields, scalar_residue
 
 
 @lru_cache(maxsize=None)
@@ -41,6 +41,8 @@ class ZqRing:
         self.p = field.p
         self.n = field.n
         self.modulus = field.p**precision
+        # unread by the ring arithmetic (which reduces by field.modulus); the
+        # zq-lift bench workload counts the from_integer calls it makes
         self.lifted_modulus = tuple(
             PAdicInt.from_integer(c, field.p, precision) for c in field.modulus
         )
@@ -216,17 +218,7 @@ class ZqElem:
 
 def parse_zq(text: str) -> ZqElem:
     """Parse "p=3;n=2;N=4;coeffs=[...|...]" against the canonical field."""
-    parts = text.strip().split(";")
-    if len(parts) != 4:
-        raise ValueError("expected four ';'-separated fields")
-    fields = {}
-    for part in parts:
-        key, eq, val = part.partition("=")
-        if not eq:
-            raise ValueError(f"malformed field {part!r}")
-        fields[key] = val
-    if set(fields) != {"p", "n", "N", "coeffs"}:
-        raise ValueError("expected fields p, n, N, coeffs")
+    fields = parse_fields(text, ("p", "n", "N", "coeffs"))
     p = int_exact(fields["p"])
     n = int_exact(fields["n"])
     prec = int_exact(fields["N"])

@@ -32,6 +32,22 @@ def int_exact(token: str) -> int:
     return int(token)
 
 
+def parse_fields(text: str, keys: tuple[str, ...]) -> dict[str, str]:
+    """The "key=value" fields of a ';'-separated text form; exactly keys."""
+    parts = text.strip().split(";")
+    if len(parts) != len(keys):
+        raise ValueError(f"expected {len(keys)} ';'-separated fields")
+    fields = {}
+    for part in parts:
+        key, eq, val = part.partition("=")
+        if not eq:
+            raise ValueError(f"malformed field {part!r}")
+        fields[key] = val
+    if set(fields) != set(keys):
+        raise ValueError(f"expected fields {', '.join(keys)}")
+    return fields
+
+
 def carry_cocycle(x: int, y: int, p: int) -> int:
     """Carry out of adding two digits: 1 if x + y >= p else 0.
 
@@ -210,17 +226,7 @@ def scalar_residue(x, p: int, precision: int) -> int:
 
 def parse_padic(text: str) -> PAdicInt:
     """Parse the canonical text form "p=5;N=3;digits=2,1,0" (exact grammar)."""
-    parts = text.strip().split(";")
-    if len(parts) != 3:
-        raise ValueError("expected three ';'-separated fields")
-    fields = {}
-    for part in parts:
-        key, eq, val = part.partition("=")
-        if not eq:
-            raise ValueError(f"malformed field {part!r}")
-        fields[key] = val
-    if set(fields) != {"p", "N", "digits"}:
-        raise ValueError("expected fields p, N, digits")
+    fields = parse_fields(text, ("p", "N", "digits"))
     p = int_exact(fields["p"])
     n = int_exact(fields["N"])
     digits = [int_exact(d) for d in fields["digits"].split(",")]

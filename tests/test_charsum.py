@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import padiclift.charsum as charsum
+import padiclift.cli as cli
 from padiclift.charsum import (MultChar, additive_character, char_convolution,
                                count_fermat_brute, count_fermat_jacobi,
                                dwork_theta, field_for_order, gauss_coboundary,
                                gauss_sum, gross_koblitz_check, jacobi_sum,
                                pi_ring)
-from padiclift.errors import PrecisionError, TruncationError
+from padiclift.errors import InvariantError, PrecisionError
 from padiclift.gfq import fq_make, prime_factors
 from padiclift.witt_zq import teichmuller, zq_ring
 
@@ -185,19 +186,19 @@ def test_jacobi_valuation_under_embedding():
     # because 1 + 1 stays below p - 1, while the (3,3) conjugate is a unit
     jac = jacobi_sum(1, 1, F5, 2)
     assert jac.coeffs[0].value == 10
-    assert pi_ring(5, 2).from_padic(jac.coeffs[0]).pi_valuation() == 4
+    assert pi_ring(5, 2).from_int(jac.coeffs[0]).pi_valuation() == 4
     jac33 = jacobi_sum(3, 3, F5, 2)
-    assert pi_ring(5, 2).from_padic(jac33.coeffs[0]).pi_valuation() == 0
+    assert pi_ring(5, 2).from_int(jac33.coeffs[0]).pi_valuation() == 0
 
 
 def test_pi_ring_scalar_guard():
     R = pi_ring(5, 3)
     from padiclift.zp_ring import from_integer
-    assert R.from_padic(from_integer(7, 5, 3)) == R.from_int(7)
+    assert R.from_int(from_integer(7, 5, 3)) == R.from_int(7)
     with pytest.raises(PrecisionError):
-        R.from_padic(from_integer(7, 5, 2))
+        R.from_int(from_integer(7, 5, 2))
     with pytest.raises(ValueError, match="prime mismatch"):
-        R.from_padic(from_integer(7, 3, 3))
+        R.from_int(from_integer(7, 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +229,55 @@ def test_theta_coefficients_stay_integral():
 
 
 def test_series_terms_used_reported():
-    used = charsum.series_terms_used(5, 3)
-    assert used >= 5 and used <= 64 * 5
+    # the highest degree summed: M - 1, M = ceil(N p^2 / (p-1))
+    assert charsum.series_terms_used(5, 3) == 18
+    assert charsum.series_terms_used(7, 3) == 24
+    assert charsum.series_terms_used(13, 5) == 70
 
 
-def test_series_terms_do_not_depend_on_earlier_hints():
+def _dwork_degree_bound(p, N):
+    """M = ceil(N p^2 / (p-1)): every theta coefficient from M up is 0 mod p^N."""
+    return -(-N * p * p // (p - 1))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_theta_coefficients_meet_dworks_bound(p):
+    # ord_p(lambda_m) >= m(p-1)/p^2, in pi-units v_pi = (p-1) ord_p
+    for N in (1, 2, 3, 5, 8):
+        M = _dwork_degree_bound(p, N)
+        for m, coef in enumerate(dwork_theta(3 * M, p, N)):
+            v = coef.pi_valuation()
+            assert v is None or v * p * p >= m * (p - 1) ** 2, (p, N, m)
+            if m >= M:
+                assert v is None, (p, N, m)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_psi_table_equals_a_longer_plain_sum(p):
+    # oracle: theta(tau(c)) summed term by term to twice Dwork's degree bound
+    for N in (1, 2, 3, 5, 8):
+        ring, mod = pi_ring(p, N), p**N
+        coeffs = dwork_theta(2 * _dwork_degree_bound(p, N) - 1, p, N)
+        for c in range(p):
+            tau = pow(c, p ** (N - 1), mod)
+            want = ring.zero()
+            for m, coef in enumerate(coeffs):
+                want = want + coef * pow(tau, m, mod)
+            assert additive_character(c, p, N) == want, (p, N, c)
+
+
+def test_psi_gate_raises_invariant_error(monkeypatch, capsys):
+    # a theta with only its constant term makes psi trivial: psi(1) == 1
+    monkeypatch.setattr(charsum, "dwork_theta",
+                        lambda terms, p, N: [pi_ring(p, N).one()])
     charsum._psi_table.cache_clear()
-    fresh = charsum.series_terms_used(7, 3, 300)
-    charsum._psi_table.cache_clear()
-    assert charsum.series_terms_used(7, 3, 0) == 28
-    assert charsum.series_terms_used(7, 3, 300) == fresh == 307
+    try:
+        with pytest.raises(InvariantError, match="nontrivial p-th root of unity"):
+            additive_character(1, 5, 3)
+        assert cli.main(["gauss", "-p", "5", "-N", "3", "-a", "1"]) == 4
+        assert capsys.readouterr().err.startswith("error: psi(1)")
+    finally:
+        charsum._psi_table.cache_clear()
 
 
 def test_wrong_pi_convention_is_not_integral():
@@ -278,14 +318,6 @@ def test_additive_character_is_additive(p):
                 == additive_character(a + b, p, N)
 
 
-def test_series_truncation_error(monkeypatch):
-    monkeypatch.setattr(charsum, "SERIES_CAP_FACTOR", 1)
-    charsum._psi_table.cache_clear()
-    with pytest.raises(TruncationError, match="series truncation insufficient"):
-        additive_character(1, 11, 2)
-    charsum._psi_table.cache_clear()
-
-
 # ---------------------------------------------------------------------------
 # Gauss sums
 
@@ -313,7 +345,7 @@ def test_gauss_coboundary_equals_jacobi(p):
                 continue
             cob = gauss_coboundary(a, b, p, 4)
             jac = jacobi_sum(a, b, field, 4)
-            assert cob == R.from_padic(jac.coeffs[0])
+            assert cob == R.from_int(jac.coeffs[0])
 
 
 def test_gauss_coboundary_symmetry_and_guards():

@@ -130,6 +130,17 @@ def test_usage_error_exit_2(capsys):
         main(["no-such-command"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["gauss", "-p", "5", "-N", "3", "-a", "1", "-K", "3"],
+    ["gk-check", "-p", "5", "-N", "3", "-K", "3"],
+    ["verify", "--suite", "charsum", "-K", "3"],
+])
+def test_series_term_hint_is_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_precision_error_exit_3(capsys):
     rc, _, err = run(capsys, "fermat-count", "-q", "13", "-m", "4", "-N", "2")
     assert rc == 3

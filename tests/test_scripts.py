@@ -1,0 +1,21 @@
+"""Smoke test: every demo script runs with its default arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script", ["fermat_counts.py", "gamma_table.py",
+                                    "gross_koblitz_demo.py"])
+def test_script_runs_with_defaults(script):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

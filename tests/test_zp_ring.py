@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from padiclift.errors import PrecisionError
 from padiclift.zp_ring import (PAdicInt, buium_carry, carry_cocycle,
-                               from_integer, parse_padic)
+                               from_integer, parse_fields, parse_padic)
 
 
 def test_from_integer_examples():
@@ -139,6 +139,13 @@ def test_text_form_round_trip():
 def test_text_round_trip_property(p, raw):
     x = PAdicInt(p, [d % p for d in raw])
     assert parse_padic(x.to_text()) == x
+
+
+def test_parse_fields_rejections():
+    assert parse_fields(" a=1;b=2 ", ("b", "a")) == {"a": "1", "b": "2"}
+    for bad in ("a=1", "a=1;b=2;c=3", "a=1;b2", "a=1;a=2", "a=1;c=2"):
+        with pytest.raises(ValueError):
+            parse_fields(bad, ("a", "b"))
 
 
 def test_parse_rejects_inner_whitespace():
