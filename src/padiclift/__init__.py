@@ -3,8 +3,8 @@ p-adic Gamma/Beta, character sums, and cocycle/coboundary verification."""
 
 from .errors import InvariantError, PrecisionError
 from .gfq import FqElem, FqField, discrete_log, fq_make, frobenius
-from .zp_ring import (PAdicInt, buium_carry, carry_cocycle, from_integer,
-                      parse_padic)
+from .zp_ring import (PAdicInt, buium_carry, carry_cocycle, cocycle_sum,
+                      from_integer, parse_padic)
 from .witt_zq import (ZqElem, ZqRing, frobenius_lift, from_teich_digits,
                       parse_zq, reduce_mod_p, teich_digits, teichmuller,
                       teichmuller_int, zq_ring)

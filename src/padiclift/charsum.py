@@ -298,13 +298,13 @@ class PiRingElem:
         if any(c % self.ring.p for c in self.coeffs):
             raise ValueError("not divisible")
         lower = self.ring.with_precision(self.ring.precision - 1)
-        return lower.element([c // self.ring.p for c in self.coeffs])
+        return PiRingElem(lower, tuple(c // self.ring.p for c in self.coeffs))
 
     def truncate(self, precision: int) -> "PiRingElem":
         if not 1 <= precision <= self.ring.precision:
             raise PrecisionError("cannot truncate to that precision")
         lower = self.ring.with_precision(precision)
-        return lower.element(self.coeffs)
+        return PiRingElem(lower, tuple(c % lower.modulus for c in self.coeffs))
 
     def __eq__(self, other):
         if isinstance(other, (int, PAdicInt)):

@@ -12,9 +12,9 @@ forms the whole product polynomial, and the unpacked coefficients are
 folded back through f (D. Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).
 
-Base-p digits exist only at the text/JSON boundary and in the carry walk
-of PAdicInt addition: to_digits and from_digits convert between a residue
-mod p^N and its N little-endian digits.
+Base-p digits exist only at the text/JSON boundary and in zp_ring's
+cocycle_sum: to_digits and from_digits convert between a residue mod p^N
+and its N little-endian digits.
 """
 
 from __future__ import annotations

@@ -112,13 +112,6 @@ class ZqElem:
         self.ring = ring
         self.residues = residues
 
-    @property
-    def coeffs(self) -> tuple[PAdicInt, ...]:
-        """The coefficients as PAdicInts at ring precision (a read-only view)."""
-        ring = self.ring
-        return tuple(PAdicInt.from_integer(c, ring.p, ring.precision)
-                     for c in self.residues)
-
     def _coerce(self, other):
         if isinstance(other, ZqElem):
             if other.ring != self.ring:

@@ -1,4 +1,4 @@
-"""Truncated arithmetic in Z/p^N with explicit base-p digits and carries.
+"""Truncated arithmetic in Z/p^N, and its sum built digit by digit.
 
 A PAdicInt stores its residue as one int value in [0, p^N) together with
 the precision N, so the value is known exactly mod p^N.  Its little-endian
@@ -6,10 +6,10 @@ base-p digits are a read-only view (digits).  Binary operations propagate
 the minimum precision of their operands, and exact division by p costs one
 digit of precision.
 
-Addition walks the digits schoolbook-style, and every carry it emits is a
-value of carry_cocycle: the carry function is exactly the 2-cocycle that
-glues Z/p^2 out of two copies of Z/p, which several verification suites
-check exhaustively.  Every other operation works on the int value.
+Every operation works on the int value.  The digits and their carries
+appear in one named operation, cocycle_sum: the schoolbook sum whose every
+carry is a value of carry_cocycle, the 2-cocycle that glues Z/p^2 out of
+two copies of Z/p.  The carry suite checks it against + exhaustively.
 
 Canonical text form (CLI interchange): "p=5;N=3;digits=2,1,0".
 """
@@ -108,17 +108,8 @@ class PAdicInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.p
-        out = []
-        carry = 0
-        for a, b in zip(self.digits, o.digits):
-            s = (a + b) % p
-            c1 = carry_cocycle(a, b, p)
-            t = (s + carry) % p
-            c2 = carry_cocycle(s, carry, p)
-            out.append(t)
-            carry = c1 + c2  # never both: a+b+carry < 2p
-        return _unchecked(p, from_digits(out, p), len(out))
+        n = min(self.precision, o.precision)
+        return _unchecked(self.p, (self.value + o.value) % self.p**n, n)
 
     __radd__ = __add__
 
@@ -202,6 +193,24 @@ def _unchecked(p: int, value: int, precision: int) -> PAdicInt:
     x.value = value
     x.precision = precision
     return x
+
+
+def cocycle_sum(x: PAdicInt, y: PAdicInt) -> PAdicInt:
+    """The cocycle-twisted sum that presents Z/p^N as an iterated extension
+    of F_p: digits add in F_p and every carry is a value of carry_cocycle.
+    It equals x + y at the smaller precision.
+    """
+    if x.p != y.p:
+        raise ValueError("prime mismatch")
+    p = x.p
+    out = []
+    carry = 0
+    for a, b in zip(x.digits, y.digits):
+        s = (a + b) % p
+        out.append((s + carry) % p)
+        # never both 1: a + b + carry < 2p
+        carry = carry_cocycle(a, b, p) + carry_cocycle(s, carry, p)
+    return _unchecked(p, from_digits(out, p), len(out))
 
 
 def from_integer(k: int, p: int, precision: int) -> PAdicInt:

@@ -65,11 +65,11 @@ def test_unit_inverse_involution():
 
 
 def test_teichmuller_values():
-    assert teichmuller(F5.from_int(2), 2).coeffs[0] == 7
+    assert teichmuller(F5.from_int(2), 2).residues[0] == 7
     assert teichmuller(F5.zero(), 3) == zq_ring(F5, 3).zero()
     assert teichmuller(F5.one(), 3) == zq_ring(F5, 3).one()
     F3 = fq_make(3, 1)
-    assert teichmuller(F3.from_int(2), 3).coeffs[0] == 26  # = -1 mod 27
+    assert teichmuller(F3.from_int(2), 3).residues[0] == 26  # = -1 mod 27
     assert teichmuller_int(2, 5, 2) == 7
     assert teichmuller_int(4, 5, 2) == 24
 

@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from padiclift.errors import PrecisionError
 from padiclift.zp_ring import (PAdicInt, buium_carry, carry_cocycle,
-                               from_integer, parse_fields, parse_padic)
+                               cocycle_sum, from_integer, parse_fields,
+                               parse_padic)
 
 
 def test_from_integer_examples():
@@ -15,12 +16,40 @@ def test_from_integer_examples():
 def test_add_examples():
     # single-digit inputs padded to two digits: the star product lands the
     # carry in the next coefficient
-    assert (from_integer(1, 2, 2) + from_integer(1, 2, 2)).digits == (0, 1)
-    x = PAdicInt(5, [2, 1])
-    assert (x + PAdicInt(5, [0, 0])).digits == (2, 1)
-    assert (PAdicInt(5, [4, 4]) + PAdicInt(5, [1, 0])).digits == (0, 0)
+    examples = [
+        (from_integer(1, 2, 2), from_integer(1, 2, 2), (0, 1)),
+        (PAdicInt(5, [2, 1]), PAdicInt(5, [0, 0]), (2, 1)),
+        (PAdicInt(5, [4, 4]), PAdicInt(5, [1, 0]), (0, 0)),
+    ]
+    for x, y, digits in examples:
+        assert (x + y).digits == digits
+        assert cocycle_sum(x, y).digits == digits
     with pytest.raises(ValueError, match="prime mismatch"):
         PAdicInt(5, [1]) + PAdicInt(3, [1])
+    with pytest.raises(ValueError, match="prime mismatch"):
+        cocycle_sum(PAdicInt(5, [1]), PAdicInt(3, [1]))
+
+
+@given(st.sampled_from([2, 3, 5, 13]), st.integers(1, 12), st.integers(1, 12),
+       st.integers(), st.integers())
+def test_cocycle_sum_agrees_with_integer_addition(p, m, n, j, k):
+    # the oracle is int addition at the smaller precision; st.integers()
+    # draws negative and many-word ints, and each case runs at mixed
+    # precisions (m >= n) and at equal ones
+    n = min(m, n)
+    for x, y in [(from_integer(j, p, m), from_integer(k, p, n)),
+                 (from_integer(j, p, n), from_integer(k, p, n))]:
+        got = cocycle_sum(x, y)
+        assert (got.p, got.precision, got.value) == (p, n, (j + k) % p**n)
+        assert got == x + y == cocycle_sum(y, x)
+
+
+def test_cocycle_sum_large_and_negative_examples():
+    big = 3**200 + 5
+    x, y = from_integer(big, 3, 40), from_integer(-big, 3, 40)
+    assert cocycle_sum(x, y) == 0
+    assert cocycle_sum(from_integer(-1, 2, 64), from_integer(1, 2, 64)) == 0
+    assert cocycle_sum(from_integer(-1, 13, 3), from_integer(-1, 13, 5)).digits == (11, 12, 12)
 
 
 def test_mul_and_neg_examples():
