@@ -26,8 +26,8 @@ def main() -> None:
     for a in range(1, args.p - 1):
         rep = gross_koblitz_check(a, args.p, args.N)
         mark = "ok" if rep.passed else "MISMATCH"
-        print(f"a={a}: gauss side  {list(rep.lhs.coeffs)}")
-        print(f"     gamma side  {list(rep.rhs.coeffs)}   [{mark}]")
+        print(f"a={a}: gauss side  {list(rep.lhs.residues)}")
+        print(f"     gamma side  {list(rep.rhs.residues)}   [{mark}]")
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@
 Multiplicative characters are Teichmuller-valued: chi_a(x) = tau(x)^a lands
 in Z_q, so Jacobi sums are computed as character convolutions at 1 in Z_q
 with no auxiliary cyclotomic tower.  Gauss sums need p-th roots of unity,
-which Z_p lacks; they live in the ramified ring Z_p[pi]/(pi^(p-1) + p),
-where Dwork's splitting function theta(X) = exp(pi X) exp(-pi X^p)
-evaluated at Teichmuller lifts yields a nontrivial additive character psi.
+which Z_p lacks; they live in the ramified ring Z_p[pi]/(pi^(p-1) + p)
+(PiRing, like ZqRing a quotient.QuotientRing over Z/p^N), where Dwork's
+splitting function theta(X) = exp(pi X) exp(-pi X^p) evaluated at
+Teichmuller lifts yields a nontrivial additive character psi.
 The two factor series diverge separately at these points: only the
 coefficients lambda_m of the product series are integral, so evaluation
 must go through them.  Dwork's lemma, ord_p(lambda_m) >= m(p-1)/p^2, says
@@ -40,9 +41,9 @@ from functools import lru_cache
 from .errors import InvariantError, PrecisionError
 from .gamma import gamma_p
 from .gfq import FqElem, FqField, fq_make, is_prime, prime_factors
-from .residue import mulmod, powmod
+from .quotient import QuotientElem, QuotientRing
 from .witt_zq import ZqElem, teichmuller_int, zq_ring
-from .zp_ring import PAdicInt, scalar_residue
+from .zp_ring import PAdicInt
 
 
 def field_for_order(q: int) -> FqField:
@@ -151,7 +152,54 @@ def pi_ring(p: int, precision: int) -> "PiRing":
     return PiRing(p, precision)
 
 
-class PiRing:
+class PiRingElem(QuotientElem):
+    """sum residues[i] * pi^i with coefficients in Z/p^N."""
+
+    __slots__ = ()
+
+    # tracer shims, see ZqElem: one function object per span name
+    def __add__(self, other):
+        return QuotientElem.__add__(self, other)
+
+    def __sub__(self, other):
+        return QuotientElem.__sub__(self, other)
+
+    def __mul__(self, other):
+        return QuotientElem.__mul__(self, other)
+
+    def __pow__(self, e: int):
+        return QuotientElem.__pow__(self, e)
+
+    def unit_inverse(self) -> "PiRingElem":
+        return QuotientElem.unit_inverse(self)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def is_unit(self) -> bool:
+        return self.residues[0] % self.ring.p != 0
+
+    def pi_valuation(self) -> int | None:
+        """v_pi in units of 1/(p-1) of the p-adic valuation: v_pi(p) = p-1.
+
+        The basis terms c_i pi^i have pairwise distinct valuations mod p-1,
+        so the minimum over coordinates is exact.  None for the zero
+        vector; values at or beyond (p-1)*N are not distinguishable from it.
+        """
+        best = None
+        for i, c in enumerate(self.residues):
+            if c:
+                v = 0
+                while c % self.ring.p == 0:
+                    c //= self.ring.p
+                    v += 1
+                cand = i + self.ring.n * v
+                if best is None or cand < best:
+                    best = cand
+        return best
+
+
+class PiRing(QuotientRing):
     """Z_p[pi]/(pi^(p-1) + p) truncated at coefficient modulus p^N.
 
     Elements are length-(p-1) vectors over Z/p^N; multiplication folds
@@ -159,37 +207,19 @@ class PiRing:
     measured in units of 1/(p-1) of the p-adic one.
     """
 
+    element_type = PiRingElem
+
     def __init__(self, p: int, precision: int):
         if p == 2:
             raise ValueError("p=2 unsupported")
         if not is_prime(p):
             raise ValueError("not prime")
-        if precision < 1:
-            raise PrecisionError("precision must be >= 1")
-        self.p = p
-        self.precision = precision
-        self.modulus = p**precision
-        self.degree = p - 1
-        self.relation = (p,) + (0,) * (p - 2) + (1,)  # pi^(p-1) + p
-
-    def element(self, coeffs) -> "PiRingElem":
-        """Coefficients are ints or PAdicInts, coerced by scalar_residue."""
-        coeffs = tuple(scalar_residue(c, self.p, self.precision) for c in coeffs)
-        if len(coeffs) != self.degree:
-            raise ValueError(f"expected {self.degree} coefficients")
-        return PiRingElem(self, coeffs)
-
-    def from_int(self, k) -> "PiRingElem":
-        return self.element([k] + [0] * (self.degree - 1))
-
-    def zero(self) -> "PiRingElem":
-        return self.from_int(0)
-
-    def one(self) -> "PiRingElem":
-        return self.from_int(1)
+        super().__init__(p, precision, (p,) + (0,) * (p - 2) + (1,))  # pi^(p-1) + p
+        # all p^((p-1)N) elements but the p^((p-1)N - 1) in the ideal (pi)
+        self.units = (p - 1) * p ** (self.n * precision - 1)
 
     def pi(self) -> "PiRingElem":
-        return self.element([0, 1] + [0] * (self.degree - 2))
+        return self.element([0, 1] + [0] * (self.n - 2))
 
     def with_precision(self, precision: int) -> "PiRing":
         return pi_ring(self.p, precision)
@@ -204,120 +234,6 @@ class PiRing:
 
     def __repr__(self):
         return f"PiRing(p={self.p}, N={self.precision})"
-
-
-class PiRingElem:
-    """sum coeffs[i] * pi^i with coefficients in Z/p^N."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: PiRing, coeffs: tuple):
-        self.ring = ring
-        self.coeffs = coeffs
-
-    def _coerce(self, other):
-        if isinstance(other, PiRingElem):
-            if other.ring != self.ring:
-                raise ValueError("ring mismatch")
-            return other
-        if isinstance(other, (int, PAdicInt)):
-            return self.ring.from_int(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        mod = self.ring.modulus
-        return PiRingElem(self.ring, tuple((a + b) % mod for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        mod = self.ring.modulus
-        return PiRingElem(self.ring, tuple((a - b) % mod for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        mod = self.ring.modulus
-        return PiRingElem(self.ring, tuple(-a % mod for a in self.coeffs))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        ring = self.ring
-        return PiRingElem(ring, mulmod(self.coeffs, o.coeffs, ring.relation, ring.modulus))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.unit_inverse() ** (-e)
-        ring = self.ring
-        return PiRingElem(ring, powmod(self.coeffs, e, ring.relation, ring.modulus))
-
-    def is_unit(self) -> bool:
-        return self.coeffs[0] % self.ring.p != 0
-
-    def pi_valuation(self) -> int | None:
-        """v_pi in units of 1/(p-1) of the p-adic valuation: v_pi(p) = p-1.
-
-        The basis terms c_i pi^i have pairwise distinct valuations mod p-1,
-        so the minimum over coordinates is exact.  None for the zero
-        vector; values at or beyond (p-1)*N are not distinguishable from it.
-        """
-        best = None
-        for i, c in enumerate(self.coeffs):
-            if c:
-                v = 0
-                while c % self.ring.p == 0:
-                    c //= self.ring.p
-                    v += 1
-                cand = i + self.ring.degree * v
-                if best is None or cand < best:
-                    best = cand
-        return best
-
-    def unit_inverse(self) -> "PiRingElem":
-        """x^(|units| - 1): the unit group has (p - 1) p^((p-1)N - 1) elements."""
-        if not self.is_unit():
-            raise ValueError("not a unit")
-        p = self.ring.p
-        return self ** ((p - 1) * p ** (self.ring.degree * self.ring.precision - 1) - 1)
-
-    def div_exact_by_p(self) -> "PiRingElem":
-        """Coefficient-wise exact division by p; drops one digit of precision."""
-        if self.ring.precision == 1:
-            raise PrecisionError("precision exhausted")
-        if any(c % self.ring.p for c in self.coeffs):
-            raise ValueError("not divisible")
-        lower = self.ring.with_precision(self.ring.precision - 1)
-        return PiRingElem(lower, tuple(c // self.ring.p for c in self.coeffs))
-
-    def truncate(self, precision: int) -> "PiRingElem":
-        if not 1 <= precision <= self.ring.precision:
-            raise PrecisionError("cannot truncate to that precision")
-        lower = self.ring.with_precision(precision)
-        return PiRingElem(lower, tuple(c % lower.modulus for c in self.coeffs))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, PAdicInt)):
-            other = self._coerce(other)
-        if not isinstance(other, PiRingElem):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
-
-    def __repr__(self):
-        return f"PiRingElem({list(self.coeffs)} in {self.ring!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +334,7 @@ def gauss_sum(a: int, p: int, precision: int) -> PiRingElem:
     Prime-field case only.  With this exponent convention the Jacobi sum is
     exactly the multiplicative coboundary of g (see gauss_coboundary).
     """
-    if p == 2:
-        raise ValueError("p=2 unsupported")
-    if not is_prime(p):
-        raise ValueError("not prime")
-    table, _ = _psi_table(p, precision)
+    table, _ = _psi_table(p, precision)  # pi_ring rejects p = 2 and non-primes
     mod = p**precision
     a %= p - 1
     acc = pi_ring(p, precision).zero()

@@ -52,14 +52,12 @@ def _emit(fmt: str, rows: list[dict]) -> None:
 
 def _parse_element(args):
     """Build a Z_q element from --elem text or -x (integer / comma coeffs)."""
-    if args.elem:
-        return parse_zq(args.elem)
-    ring = zq_ring(fq_make(args.p, args.n), args.N)
-    raw = args.x
+    raw = args.elem or args.x
     if raw is None:
         raise ValueError("provide -x or --elem")
-    if ";" in raw:
-        return parse_zq(raw)
+    if args.elem or ";" in raw:
+        return parse_zq(raw)  # the text fixes p, n and N
+    ring = zq_ring(fq_make(args.p, args.n), args.N)
     if "," in raw:
         return ring.element([int(c) for c in raw.split(",")])
     return ring.from_int(int(raw))
@@ -145,7 +143,7 @@ def cmd_gauss(args) -> int:
     used = charsum.series_terms_used(args.p, args.N)
     _emit(args.format, [{"op": "gauss_sum", "a": args.a, "K": used, **jsonable(v)}])
     print(f"gauss_sum({args.a}) at p={args.p}, N={args.N}: pi-coeffs "
-          f"{list(v.coeffs)}", file=sys.stderr)
+          f"{list(v.residues)}", file=sys.stderr)
     return 0
 
 

@@ -1,0 +1,146 @@
+"""The quotient rings (Z/p^N)[X]/(relation) shared by Z_q and the pi-ring.
+
+Z_q = W(F_q) mod p^N (relation: the field modulus) and the ramified ring
+Z_p[pi]/(pi^(p-1) + p) are both F_q or F_p deformed over Z/p^N, so their
+elements are the same object: a length-n tuple of int residues mod p^N,
+multiplied and powered through the residue kernel.  QuotientRing holds the
+ring data (p, precision, n, modulus = p^N, relation, and the order of the
+unit group); QuotientElem holds the arithmetic, coercion, equality, exact
+division by p and truncation.  A subclass supplies is_unit and
+with_precision, and names its element class as element_type.
+
+Scalars follow scalar_residue: an int is reduced, a PAdicInt must carry at
+least the ring's precision.  Elements of two different quotient-ring
+classes never mix (binary operators return NotImplemented); elements of
+two rings of one class raise "ring mismatch".
+"""
+
+from __future__ import annotations
+
+from .errors import PrecisionError
+from .residue import mulmod, powmod
+from .zp_ring import PAdicInt, scalar_residue
+
+
+class QuotientRing:
+    """(Z/p^N)[X]/(relation), relation monic of degree n, lowest term first."""
+
+    element_type: type
+    units: int  # order of the unit group, set by the subclass
+
+    def __init__(self, p: int, precision: int, relation: tuple):
+        if precision < 1:
+            raise PrecisionError("precision must be >= 1")
+        self.p = p
+        self.precision = precision
+        self.modulus = p**precision
+        self.relation = relation
+        self.n = len(relation) - 1
+
+    def element(self, coeffs):
+        """Coefficients are ints or PAdicInts, coerced by scalar_residue."""
+        out = tuple(scalar_residue(c, self.p, self.precision) for c in coeffs)
+        if len(out) != self.n:
+            raise ValueError(f"expected {self.n} coefficients, got {len(out)}")
+        return self.element_type(self, out)
+
+    def from_int(self, k):
+        return self.element([k] + [0] * (self.n - 1))
+
+    def zero(self):
+        return self.from_int(0)
+
+    def one(self):
+        return self.from_int(1)
+
+
+class QuotientElem:
+    """Element of a QuotientRing: length-n tuple of int residues mod p^N."""
+
+    __slots__ = ("ring", "residues")
+
+    def __init__(self, ring: QuotientRing, residues: tuple):
+        self.ring = ring
+        self.residues = residues
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            if other.ring != self.ring:
+                raise ValueError("ring mismatch")
+            return other
+        if isinstance(other, (int, PAdicInt)):
+            return self.ring.from_int(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        mod = self.ring.modulus
+        return type(self)(self.ring, tuple((a + b) % mod for a, b in zip(self.residues, o.residues)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        mod = self.ring.modulus
+        return type(self)(self.ring, tuple((a - b) % mod for a, b in zip(self.residues, o.residues)))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        mod = self.ring.modulus
+        return type(self)(self.ring, tuple(-a % mod for a in self.residues))
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        ring = self.ring
+        return type(self)(ring, mulmod(self.residues, o.residues, ring.relation, ring.modulus))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.unit_inverse() ** (-e)
+        ring = self.ring
+        return type(self)(ring, powmod(self.residues, e, ring.relation, ring.modulus))
+
+    def unit_inverse(self):
+        """x^(|units| - 1), by Lagrange in the finite unit group."""
+        if not self.is_unit():
+            raise ValueError("not a unit")
+        return self ** (self.ring.units - 1)
+
+    def div_exact_by_p(self):
+        """Coefficient-wise exact division by p; drops one digit of precision."""
+        ring = self.ring
+        if ring.precision == 1:
+            raise PrecisionError("precision exhausted")
+        if any(c % ring.p for c in self.residues):
+            raise ValueError("not divisible")
+        lower = ring.with_precision(ring.precision - 1)
+        return type(self)(lower, tuple(c // ring.p for c in self.residues))
+
+    def truncate(self, precision: int):
+        if not 1 <= precision <= self.ring.precision:
+            raise PrecisionError("cannot truncate to that precision")
+        lower = self.ring.with_precision(precision)
+        return type(self)(lower, tuple(c % lower.modulus for c in self.residues))
+
+    def __eq__(self, other):
+        if isinstance(other, (int, PAdicInt)):
+            other = self._coerce(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.ring == other.ring and self.residues == other.residues
+
+    def __hash__(self):
+        return hash((self.ring, self.residues))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self.residues)} in {self.ring!r})"

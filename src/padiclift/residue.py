@@ -2,7 +2,8 @@
 
 F_q (m = p, f the field modulus), Z_q (m = p^N, f the lifted field modulus)
 and the pi-ring (m = p^N, f = X^(p-1) + p) are all this ring shape, so they
-share one multiplication and one power.  An element is a length-n tuple of
+share one multiplication and one power: gfq calls them for F_q, and
+quotient.QuotientElem, the base of the Z_q and pi-ring elements.  An element is a length-n tuple of
 coefficients in [0, m), lowest degree first, with n = deg f; f is given as
 its n + 1 integer coefficients, lowest first, ending in 1.
 

@@ -1,10 +1,11 @@
 """Truncated unramified extensions Z_q = W(F_q) mod p^N.
 
-A ZqRing is (Z/p^N)[t] modulo the trivially lifted field modulus, and a
-ZqElem stores its coefficients as plain int residues mod p^N, so ring
-arithmetic is the shared residue-ring kernel (residue.mulmod / powmod).
-The Witt-vector structure is recovered on top of it: teichmuller computes
-the unique root-of-unity lift as one exact power q^k of the naive lift,
+A ZqRing is (Z/p^N)[t] modulo the trivially lifted field modulus, a
+quotient.QuotientRing whose ZqElem elements store their coefficients as
+plain int residues mod p^N; ring arithmetic, coercion, equality, exact
+division by p and truncation come from that base.  The Witt-vector
+structure is recovered on top of it: teichmuller computes the unique
+root-of-unity lift as one exact power q^k of the naive lift,
 teich_digits peels an element into its Teichmuller digit expansion
 x = sum tau(x_i) p^i, and frobenius_lift transports Frobenius digit-wise
 through that expansion, which makes it a ring endomorphism reducing to
@@ -20,8 +21,9 @@ from functools import lru_cache
 
 from .errors import PrecisionError
 from .gfq import FqElem, FqField, fq_make
-from .residue import mulmod, powmod, to_digits
-from .zp_ring import PAdicInt, int_exact, parse_fields, scalar_residue
+from .quotient import QuotientElem, QuotientRing
+from .residue import to_digits
+from .zp_ring import PAdicInt, int_exact, parse_fields
 
 
 @lru_cache(maxsize=None)
@@ -30,40 +32,52 @@ def zq_ring(field: FqField, precision: int) -> "ZqRing":
     return ZqRing(field, precision)
 
 
-class ZqRing:
+class ZqElem(QuotientElem):
+    """Element of a ZqRing: length-n tuple of int residues mod p^N."""
+
+    __slots__ = ()
+
+    # Tracer shims: bench/spans.py finds each traced operator in its class's
+    # own namespace and wraps it by identity, so ZqElem binds the base
+    # functions and PiRingElem delegates to them; the benchmark refresh
+    # (ROADMAP item 1) deletes both.
+    __add__ = __radd__ = QuotientElem.__add__
+    __sub__ = QuotientElem.__sub__
+    __neg__ = QuotientElem.__neg__
+    __mul__ = __rmul__ = QuotientElem.__mul__
+    __pow__ = QuotientElem.__pow__
+    unit_inverse = QuotientElem.unit_inverse
+    div_exact_by_p = QuotientElem.div_exact_by_p
+    truncate = QuotientElem.truncate
+
+    def reduce_mod_p(self) -> FqElem:
+        return self.ring.field.element(self.residues)
+
+    def is_unit(self) -> bool:
+        return not self.reduce_mod_p().is_zero()
+
+    def to_text(self) -> str:
+        ring = self.ring
+        blocks = "|".join(",".join(str(d) for d in to_digits(c, ring.p, ring.precision))
+                          for c in self.residues)
+        return f"p={ring.p};n={ring.n};N={ring.precision};coeffs=[{blocks}]"
+
+
+class ZqRing(QuotientRing):
     """(Z/p^N)[t] / (lifted modulus), polynomial basis over int residues."""
 
+    element_type = ZqElem
+
     def __init__(self, field: FqField, precision: int):
-        if precision < 1:
-            raise PrecisionError("precision must be >= 1")
+        super().__init__(field.p, precision, field.modulus)
         self.field = field
-        self.precision = precision
-        self.p = field.p
-        self.n = field.n
-        self.modulus = field.p**precision
+        self.units = (field.q - 1) * field.q ** (precision - 1)  # |residue field^*| q^(N-1)
         # unread by the ring arithmetic (which reduces by field.modulus); the
         # zq-lift bench workload counts the from_integer calls it makes
         self.lifted_modulus = tuple(
             PAdicInt.from_integer(c, field.p, precision) for c in field.modulus
         )
         self._teich: dict[tuple, ZqElem] = {}
-
-    # -- constructors ------------------------------------------------------
-    def element(self, coeffs) -> "ZqElem":
-        """Coefficients are ints or PAdicInts, coerced by scalar_residue."""
-        out = tuple(scalar_residue(c, self.p, self.precision) for c in coeffs)
-        if len(out) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(out)}")
-        return ZqElem(self, out)
-
-    def from_int(self, k) -> "ZqElem":
-        return self.element([k] + [0] * (self.n - 1))
-
-    def zero(self) -> "ZqElem":
-        return self.from_int(0)
-
-    def one(self) -> "ZqElem":
-        return self.from_int(1)
 
     def naive_lift(self, v: FqElem) -> "ZqElem":
         """Coefficient-wise lift of a field element, digits re-read mod p^N."""
@@ -101,112 +115,6 @@ class ZqRing:
 
     def __repr__(self):
         return f"ZqRing(q={self.field.q}, N={self.precision})"
-
-
-class ZqElem:
-    """Element of a ZqRing: length-n tuple of int residues mod p^N."""
-
-    __slots__ = ("ring", "residues")
-
-    def __init__(self, ring: ZqRing, residues: tuple):
-        self.ring = ring
-        self.residues = residues
-
-    def _coerce(self, other):
-        if isinstance(other, ZqElem):
-            if other.ring != self.ring:
-                raise ValueError("ring mismatch")
-            return other
-        if isinstance(other, (int, PAdicInt)):
-            return self.ring.from_int(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        mod = self.ring.modulus
-        return ZqElem(self.ring, tuple((a + b) % mod for a, b in zip(self.residues, o.residues)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        mod = self.ring.modulus
-        return ZqElem(self.ring, tuple((a - b) % mod for a, b in zip(self.residues, o.residues)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        mod = self.ring.modulus
-        return ZqElem(self.ring, tuple(-a % mod for a in self.residues))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        ring = self.ring
-        return ZqElem(ring, mulmod(self.residues, o.residues, ring.field.modulus, ring.modulus))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.unit_inverse() ** (-e)
-        ring = self.ring
-        return ZqElem(ring, powmod(self.residues, e, ring.field.modulus, ring.modulus))
-
-    # -- structure ----------------------------------------------------------
-    def reduce_mod_p(self) -> FqElem:
-        return self.ring.field.element(self.residues)
-
-    def is_unit(self) -> bool:
-        return not self.reduce_mod_p().is_zero()
-
-    def unit_inverse(self) -> "ZqElem":
-        """x^(|units| - 1): the unit group has (q - 1) q^(N-1) elements."""
-        if not self.is_unit():
-            raise ValueError("not a unit")
-        q = self.ring.field.q
-        return self ** ((q - 1) * q ** (self.ring.precision - 1) - 1)
-
-    def div_exact_by_p(self) -> "ZqElem":
-        """Coefficient-wise exact division by p; drops one digit of precision."""
-        ring = self.ring
-        if ring.precision == 1:
-            raise PrecisionError("precision exhausted")
-        if any(c % ring.p for c in self.residues):
-            raise ValueError("not divisible")
-        lower = ring.with_precision(ring.precision - 1)
-        return ZqElem(lower, tuple(c // ring.p for c in self.residues))
-
-    def truncate(self, precision: int) -> "ZqElem":
-        if not 1 <= precision <= self.ring.precision:
-            raise PrecisionError("cannot truncate to that precision")
-        lower = self.ring.with_precision(precision)
-        return ZqElem(lower, tuple(c % lower.modulus for c in self.residues))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if not isinstance(other, ZqElem):
-            return NotImplemented
-        return self.ring == other.ring and self.residues == other.residues
-
-    def __hash__(self):
-        return hash((self.ring, self.residues))
-
-    def __repr__(self):
-        return f"ZqElem({list(self.residues)} in {self.ring!r})"
-
-    def to_text(self) -> str:
-        ring = self.ring
-        blocks = "|".join(",".join(str(d) for d in to_digits(c, ring.p, ring.precision))
-                          for c in self.residues)
-        return f"p={ring.p};n={ring.n};N={ring.precision};coeffs=[{blocks}]"
 
 
 def parse_zq(text: str) -> ZqElem:

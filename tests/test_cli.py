@@ -238,3 +238,14 @@ def test_missing_value_flags(capsys):
     assert rc == 2 and "provide" in err
     rc, _, err = run(capsys, "frobenius", "-p", "3", "-n", "2", "-N", "2")
     assert rc == 2 and "provide" in err
+
+
+def test_canonical_text_ignores_the_ring_flags(capsys):
+    # the text fixes p, n and N; -p 4 must not be tried as a field
+    text = "p=3;n=2;N=4;coeffs=[1,0,0,0|0,1,0,0]"
+    rc, out, err = run(capsys, "frobenius", "-p", "4", "-N", "4", "-x", text)
+    assert rc == 0, err
+    rc, want, _ = run(capsys, "frobenius", "-p", "3", "-n", "2", "-N", "4", "-x", text)
+    assert rc == 0 and out == want
+    rc, _, err = run(capsys, "delta", "-p", "4", "-N", "4", "-x", "1,2")
+    assert rc == 2 and "not prime" in err

@@ -1,0 +1,61 @@
+"""The semantics Z_q and the pi-ring share through their quotient-ring base."""
+
+import pytest
+
+from padiclift.charsum import pi_ring
+from padiclift.errors import PrecisionError
+from padiclift.gfq import fq_make
+from padiclift.witt_zq import zq_ring
+from padiclift.zp_ring import PAdicInt, from_integer
+
+
+@pytest.mark.parametrize("ring", [zq_ring(fq_make(3, 2), 3), pi_ring(5, 3)],
+                         ids=["zq", "pi"])
+def test_shared_quotient_semantics(ring):
+    p, N, mod = ring.p, ring.precision, ring.modulus
+    other = zq_ring(fq_make(3, 2), 3) if ring.n == 4 else pi_ring(5, 3)
+    x = ring.element([7] + [1] * (ring.n - 1))
+
+    # scalar coercion: ints are reduced, PAdicInts must carry N digits of p
+    assert ring.from_int(mod + 2) == ring.from_int(2)
+    assert x + from_integer(5, p, N + 1) == x + 5
+    with pytest.raises(PrecisionError):
+        x + from_integer(5, p, N - 1)
+    with pytest.raises(ValueError, match="prime mismatch"):
+        x * PAdicInt.from_integer(5, 7, N)
+    with pytest.raises(ValueError, match=f"expected {ring.n} coefficients, got 1"):
+        ring.element([1])
+
+    # one ring class: precisions must agree; two classes: no coercion
+    with pytest.raises(ValueError, match="ring mismatch"):
+        x + ring.with_precision(N + 1).one()
+    with pytest.raises(TypeError):
+        x + other.one()
+    assert x != other.one()
+
+    # equality with ints and PAdicInts, and hashing
+    assert ring.from_int(-1) == mod - 1
+    assert ring.from_int(4) == from_integer(4, p, N)
+    assert ring.from_int(4) != from_integer(5, p, N)
+    y = ring.element(list(x.residues))
+    assert y == x and y is not x and hash(y) == hash(x)
+    assert x - 3 == -(3 - x)
+
+    # exact division by p and truncation
+    assert (x * p).div_exact_by_p() == x.truncate(N - 1)
+    with pytest.raises(ValueError, match="not divisible"):
+        x.div_exact_by_p()
+    with pytest.raises(PrecisionError, match="precision exhausted"):
+        ring.with_precision(1).from_int(p).div_exact_by_p()
+    with pytest.raises(PrecisionError):
+        x.truncate(N + 1)
+    with pytest.raises(PrecisionError):
+        x.truncate(0)
+    assert x.truncate(1).ring is ring.with_precision(1)
+
+    # inverse through the order of the unit group
+    assert x.is_unit()
+    assert x * x.unit_inverse() == 1
+    assert x**-2 * x**2 == ring.one()
+    with pytest.raises(ValueError, match="not a unit"):
+        (x * p).unit_inverse()
