@@ -7,6 +7,17 @@ p^4 instead of assuming.  beta_p(a, b) = gamma_p(a) gamma_p(b) /
 gamma_p(a+b) is always a unit and coincides bit-for-bit with the generic
 multiplicative 2-coboundary of gamma_p.
 
+The product is never walked factor by factor.  By continuity m may first
+be reduced mod p^N.  The p-1 units of each block of p consecutive integers
+multiply to F_0(x) = prod_{0<i<p} (xp + i), whose x^s coefficient is
+divisible by p^s, so mod p^N the polynomial truncated to degree < N is
+exact.  The blocks of p^(l+1) integers multiply to F_{l+1}(x) =
+prod_{d<p} F_l(xp + d), which keeps that divisibility and the same
+truncation.  The product below m is then one Horner evaluation of F_l per
+unit of the l-th base-p digit of m // p, times fewer than p tail factors:
+at most (p-1)(N-1) evaluations of degree < N.  The N-1 levels of each
+(p, N) are built once and kept in a bounded cache (_LEVEL_KEYS keys).
+
 p = 2 is rejected throughout: its continuity modulus differs and nothing
 here needs it.
 """
@@ -14,11 +25,13 @@ here needs it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
+from .errors import PrecisionError
 from .gfq import is_prime
 from .zp_ring import PAdicInt
 
-LOOP_CAP = 10**7  # direct product evaluation stays desk-scale
+_LEVEL_KEYS = 32  # (p, N) pairs whose block polynomials stay cached
 
 
 @dataclass(frozen=True)
@@ -37,21 +50,74 @@ def _check_p(p: int) -> None:
         raise ValueError("not prime")
 
 
+def _mul_trunc(f: list, g: list, mod: int) -> list:
+    """f * g truncated to the common length, coefficients mod p^N."""
+    n = len(f)
+    out = [0] * n
+    for i, fi in enumerate(f):
+        if fi:
+            for j in range(n - i):
+                out[i + j] += fi * g[j]
+    return [c % mod for c in out]
+
+
+def _next_level(f: list, p: int, mod: int) -> list:
+    """prod_{d<p} f(xp + d), truncated to len(f) coefficients."""
+    n = len(f)
+    scale = [pow(p, s, mod) for s in range(n)]
+    g = list(f)  # f(x + d), starting at d = 0
+    acc = [1] + [0] * (n - 1)
+    for _ in range(p):
+        acc = _mul_trunc(acc, [c * t % mod for c, t in zip(g, scale)], mod)
+        for i in range(n - 1):  # Taylor shift g(x) -> g(x + 1)
+            for j in range(n - 2, i - 1, -1):
+                g[j] += g[j + 1]
+        g = [c % mod for c in g]
+    return acc
+
+
+@lru_cache(maxsize=_LEVEL_KEYS)
+def _block_levels(p: int, precision: int) -> tuple:
+    """F_0, ..., F_{N-2} mod p^N, lowest coefficient first, degree < N."""
+    mod = p**precision
+    f = [1] + [0] * (precision - 1)
+    for i in range(1, p):  # times (i + p x)
+        f = [(i * c + p * b) % mod for c, b in zip(f, [0] + f)]
+    levels = [f]
+    for _ in range(precision - 2):
+        levels.append(_next_level(levels[-1], p, mod))
+    return tuple(tuple(f) for f in levels)
+
+
 def gamma_p_integer(m: int, p: int, precision: int) -> PAdicInt:
     """Gamma_p(m) = (-1)^m * prod_{0<j<m, p!|j} j, reduced mod p^N.
 
-    Gamma_p(0) = 1 by the empty-product convention.
+    Gamma_p(0) = 1 by the empty-product convention.  Any m >= 0 is
+    accepted: m is first reduced mod p^N, exact by continuity, and the
+    product is evaluated through the cached block polynomials of (p, N)
+    (see the module docstring), so the cost grows with p and N, not m.
     """
     _check_p(p)
     if m < 0:
         raise ValueError("argument must be >= 0")
-    if m > LOOP_CAP:
-        raise ValueError("argument exceeds the product loop cap")
+    if precision < 1:
+        raise PrecisionError("precision must be >= 1")
     mod = p**precision
+    m %= mod
+    k = m // p
     acc = 1
-    for j in range(1, m):
-        if j % p:
-            acc = acc * j % mod
+    for i in range(k * p + 1, m):
+        acc = acc * i % mod
+    # blocks below k * p: level l covers its digit's worth of p^l-blocks
+    for f in _block_levels(p, precision):
+        if not k:
+            break
+        k, digit = divmod(k, p)
+        for x in range(k * p, k * p + digit):
+            v = 0
+            for c in reversed(f):
+                v = (v * x + c) % mod
+            acc = acc * v % mod
     if m % 2:
         acc = -acc % mod
     return PAdicInt.from_integer(acc, p, precision)
@@ -63,8 +129,6 @@ def gamma_p(x: PAdicInt) -> PAdicInt:
     Well-defined at precision N because of the continuity property; the
     canonical representative in [0, p^N) is the lift actually used.
     """
-    if x.modulus > LOOP_CAP:
-        raise ValueError("precision exceeds the product loop cap")
     return gamma_p_integer(x.value, x.p, x.precision)
 
 

@@ -12,7 +12,9 @@ with_precision, and names its element class as element_type.
 Scalars follow scalar_residue: an int is reduced, a PAdicInt must carry at
 least the ring's precision.  Elements of two different quotient-ring
 classes never mix (binary operators return NotImplemented); elements of
-two rings of one class raise "ring mismatch".
+two rings of one class raise "ring mismatch".  An element equals the int
+or PAdicInt scalars that coerce to it, and a scalar element hashes as its
+residue, as they do; a scalar that cannot coerce compares unequal.
 """
 
 from __future__ import annotations
@@ -134,12 +136,18 @@ class QuotientElem:
 
     def __eq__(self, other):
         if isinstance(other, (int, PAdicInt)):
-            other = self._coerce(other)
+            try:
+                other = self._coerce(other)
+            except ValueError:  # another prime, or too few digits
+                return False
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.ring == other.ring and self.residues == other.residues
 
     def __hash__(self):
+        # a scalar hashes as its residue, like the int and PAdicInt it equals
+        if not any(self.residues[1:]):
+            return hash(self.residues[0])
         return hash((self.ring, self.residues))
 
     def __repr__(self):

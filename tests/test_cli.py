@@ -94,6 +94,29 @@ def test_gk_check(capsys):
     assert json.loads(out)["passed"]
 
 
+@pytest.mark.parametrize("p,N,digest", [
+    (7, 8, "33c24f12d47c9fbb346552001abb9c45fd46517993199a5e3c1261e40ce3c58f"),
+    (13, 5, "59aa9a91de690353cb809459e387abf50ac5257d1b55e941e142575b5c12fab4"),
+], ids=["(7,8)", "(13,5)"])
+def test_gk_check_stdout_is_pinned(capsys, p, N, digest):
+    # the benchmark's two Gross-Koblitz cases, byte for byte
+    rc, out, _ = run(capsys, "gk-check", "-p", str(p), "-N", str(N))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_gamma_arguments_are_uncapped(capsys):
+    rc, out, _ = run(capsys, "gk-check", "-p", "31", "-N", "5")
+    assert rc == 0
+    rows = json.loads(out)
+    assert len(rows) == 29 and all(r["passed"] for r in rows)
+    rc, out, _ = run(capsys, "gamma", "-p", "5", "-N", "2",
+                     "--sweep", "10000000:10000003")
+    assert rc == 0
+    # 10^7 = 0 mod 25: Gamma_5 at 0, 1, 2 is 1, -1, 1
+    assert [r["digits"] for r in json.loads(out)] == [[1, 0], [4, 4], [1, 0]]
+
+
 def test_verify_suite(capsys):
     rc, out, err = run(capsys, "verify", "--suite", "carry", "-p", "7")
     assert rc == 0

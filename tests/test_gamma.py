@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from padiclift.cohomo import MULTIPLICATIVE, GroupValuedMap, coboundary2
 from padiclift.gamma import (beta_p, functional_equation_check, gamma_p,
@@ -30,8 +30,58 @@ def test_validation():
         gamma_p_integer(-1, 5, 2)
     with pytest.raises(ValueError, match="not prime"):
         gamma_p_integer(3, 9, 2)
-    with pytest.raises(ValueError, match="loop cap"):
-        gamma_p(from_integer(1, 5, 11))  # 5^11 > 10^7
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        gamma_p_integer(3, 5, 0)
+
+
+def test_no_argument_cap():
+    # 5^11 > 10^7, the old product loop's limit
+    assert gamma_p(from_integer(1, 5, 11)) == -1
+    assert gamma_p_integer(10**7 + 1, 5, 2) == -1  # 10^7 + 1 = 1 mod 25
+
+
+def _direct_product(m, p, N):
+    """The defining product, one factor at a time: the differential oracle."""
+    mod = p**N
+    acc = 1
+    for j in range(1, m):
+        if j % p:
+            acc = acc * j % mod
+    return -acc % mod if m % 2 else acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 5), st.data())
+def test_block_product_matches_direct_product(p, N, data):
+    m = data.draw(st.integers(0, min(p**(N + 2), 5 * 10**4) - 1))
+    assert gamma_p_integer(m, p, N).value == _direct_product(m, p, N)
+
+
+@pytest.mark.parametrize("p,N", [(3, 1), (3, 3), (3, 4), (5, 1), (5, 3), (5, 5),
+                                 (7, 2), (11, 3), (13, 2)])
+def test_block_product_edges(p, N):
+    # block and level boundaries, and arguments at and above p^N
+    edges = {0, 1, p - 1, p, p + 1, 2 * p**N - 1, 3 * p**N + p + 2}
+    for k in range(2, N + 3):
+        edges |= {p**k - 1, p**k, p**k + 1}
+    for m in sorted(edges):
+        assert gamma_p_integer(m, p, N).value == _direct_product(m, p, N), m
+
+
+@pytest.mark.parametrize("p,N", [(5, 12), (7, 10), (3, 30)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_deep_levels_keep_the_laws(p, N, data):
+    # no direct product is affordable here; every level is reached
+    mod = p**N
+    k = data.draw(st.integers(1, N))
+    m = data.draw(st.integers(0, 2 * mod))
+    t = data.draw(st.integers(1, mod))
+    assert (gamma_p_integer(m, p, N).value
+            - gamma_p_integer(m + t * p**k, p, N).value) % p**k == 0
+    x = from_integer(data.draw(st.integers(0, mod - 1)), p, N)
+    assert functional_equation_check(x).passed
+    assert gamma_p(x) * gamma_p(1 - x) == REFLECTION_SIGNS[p][x.value % p]
 
 
 def test_gamma_p_of_quarter():

@@ -39,6 +39,9 @@ def test_shared_quotient_semantics(ring):
     assert ring.from_int(4) != from_integer(5, p, N)
     y = ring.element(list(x.residues))
     assert y == x and y is not x and hash(y) == hash(x)
+    assert len({ring.from_int(4), 4, from_integer(4, p, N)}) == 1
+    assert ring.from_int(4) != from_integer(4, p, N - 1)
+    assert ring.from_int(4) != PAdicInt.from_integer(4, 7, N)
     assert x - 3 == -(3 - x)
 
     # exact division by p and truncation
