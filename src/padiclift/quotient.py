@@ -98,10 +98,14 @@ class QuotientElem:
         return type(self)(self.ring, tuple(-a % mod for a in self.residues))
 
     def __mul__(self, other):
+        ring = self.ring
+        if isinstance(other, (int, PAdicInt)):  # a scalar scales coefficient-wise
+            c = scalar_residue(other, ring.p, ring.precision)
+            mod = ring.modulus
+            return type(self)(ring, tuple(a * c % mod for a in self.residues))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ring = self.ring
         return type(self)(ring, mulmod(self.residues, o.residues, ring.relation, ring.modulus))
 
     __rmul__ = __mul__

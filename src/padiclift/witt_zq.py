@@ -7,9 +7,14 @@ division by p and truncation come from that base.  The Witt-vector
 structure is recovered on top of it: teichmuller computes the unique
 root-of-unity lift as one exact power q^k of the naive lift,
 teich_digits peels an element into its Teichmuller digit expansion
-x = sum tau(x_i) p^i, and frobenius_lift transports Frobenius digit-wise
-through that expansion, which makes it a ring endomorphism reducing to
-x -> x^p mod p.
+x = sum tau(x_i) p^i, and frobenius_lift applies the canonical Frobenius
+phi, the ring endomorphism with phi(tau(v)) = tau(v^p), reducing to
+x -> x^p mod p.  Since phi fixes Z/p^N, phi(sum x_i t^i) = sum x_i phi(t)^i:
+frobenius_lift is the product of the coefficient vector with the n x n
+matrix over Z/p^N whose columns are phi(t)^0, ..., phi(t)^(n-1).  Each ring
+builds the columns once, taking phi(t) through the digit expansion of t
+(phi(sum tau(t_i) p^i) = sum tau(t_i^p) p^i); that digit-wise route stays
+as _frobenius_digitwise, the oracle of the tests.
 
 Canonical text form (CLI interchange): "p=3;n=2;N=4;coeffs=[1,0,2,1|0,0,1,2]"
 with one little-endian digit vector per polynomial coefficient.
@@ -17,7 +22,7 @@ with one little-endian digit vector per polynomial coefficient.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import PrecisionError
 from .gfq import FqElem, FqField, fq_make
@@ -87,6 +92,15 @@ class ZqRing(QuotientRing):
 
     def with_precision(self, precision: int) -> "ZqRing":
         return zq_ring(self.field, precision)
+
+    @cached_property
+    def frobenius_columns(self) -> tuple[tuple[int, ...], ...]:
+        """phi(t)^0, ..., phi(t)^(n-1) as residue tuples, for n > 1."""
+        phi_t = _frobenius_digitwise(self.element([0, 1] + [0] * (self.n - 2)))
+        columns = [self.one()]
+        while len(columns) < self.n:
+            columns.append(columns[-1] * phi_t)
+        return tuple(c.residues for c in columns)
 
     # -- Teichmuller --------------------------------------------------------
     def teichmuller(self, v: FqElem) -> "ZqElem":
@@ -184,14 +198,24 @@ def from_teich_digits(digits, ring: ZqRing) -> ZqElem:
     return acc
 
 
-def frobenius_lift(x: ZqElem) -> ZqElem:
-    """The canonical Frobenius: p-th power transported through the digits.
+def _frobenius_digitwise(x: ZqElem) -> ZqElem:
+    """phi(sum tau(x_i) p^i) = sum tau(x_i^p) p^i, through the digits of x."""
+    return from_teich_digits([v.frobenius() for v in teich_digits(x)], x.ring)
 
-    phi(sum tau(x_i) p^i) = sum tau(x_i^p) p^i.  It is a ring endomorphism,
-    reduces to x -> x^p mod p, and iterating it n times is the identity.
+
+def frobenius_lift(x: ZqElem) -> ZqElem:
+    """The canonical Frobenius phi(x) = sum x_i phi(t)^i, a matrix product.
+
+    phi is the ring endomorphism with phi(tau(v)) = tau(v^p): it fixes
+    Z/p^N, reduces to x -> x^p mod p, and iterating it n times is the
+    identity.  The columns phi(t)^i come from ZqRing.frobenius_columns.
     """
     ring = x.ring
     if ring.n == 1:
         return x  # Galois group of the trivial extension
-    digits = teich_digits(x)
-    return from_teich_digits([v.frobenius() for v in digits], ring)
+    acc = [0] * ring.n
+    for c, column in zip(x.residues, ring.frobenius_columns):
+        if c:
+            acc = [a + c * v for a, v in zip(acc, column)]
+    mod = ring.modulus
+    return ZqElem(ring, tuple(a % mod for a in acc))

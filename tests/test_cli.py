@@ -134,6 +134,21 @@ def test_verify_all_seed0_stdout_is_pinned(capsys):
         "2d4142838f451e7499f51acb115a5a5599789a56bcea3453c676658f6b973eff"
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("frobenius -p 2 -n 8 -N 12 -x 5,7,1,0,3,9,2,4",
+     "149f5adc1f02b495e4a5d562c21c2c56b79ef8573c717fde4edeac42a945abc8"),
+    ("delta -p 3 -n 2 -N 4 -x 5,7",
+     "f39070ce117896b4bfe755b5fc4efda081a5dbf763503c309baf57af202f952b"),
+    ("verify --suite buium -p 3 -n 6 -N 10 --count 4 --seed 0",
+     "afeb79316f49964ee72e905dd45825928137dbb16032831e9d1aebd5569edb15"),
+], ids=["frobenius", "delta", "verify-buium"])
+def test_frobenius_stdout_is_pinned(capsys, argv, digest):
+    # taken with the digit-wise Frobenius, before it became a matrix
+    rc, out, _ = run(capsys, *argv.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_determinism(capsys):
     args = ("verify", "--suite", "gamma", "--seed", "9", "--count", "20")
     rc1, out1, _ = run(capsys, *args)

@@ -1,6 +1,7 @@
 """The semantics Z_q and the pi-ring share through their quotient-ring base."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padiclift.charsum import pi_ring
 from padiclift.errors import PrecisionError
@@ -62,3 +63,24 @@ def test_shared_quotient_semantics(ring):
     assert x**-2 * x**2 == ring.one()
     with pytest.raises(ValueError, match="not a unit"):
         (x * p).unit_inverse()
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["zq", "pi"]), st.integers(-10**30, 10**30),
+       st.lists(st.integers(0, 10**6), min_size=6, max_size=6), st.integers(0, 3))
+def test_scalar_products_scale_coefficient_wise(kind, k, coeffs, extra):
+    ring = zq_ring(fq_make(3, 2), 4) if kind == "zq" else pi_ring(5, 3)
+    p, N = ring.p, ring.precision
+    x = ring.element(coeffs[:ring.n])
+    assert k * x == ring.from_int(k) * x == x * k
+    assert (k * x).residues == tuple(k * c % ring.modulus for c in x.residues)
+    s = from_integer(k % p ** (N + extra), p, N + extra)
+    assert s * x == ring.from_int(s) * x == x * s == k * x
+    with pytest.raises(PrecisionError):
+        x * from_integer(k % p**N, p, N - 1)
+    with pytest.raises(PrecisionError):
+        from_integer(k % p**N, p, N - 1) * x
+    with pytest.raises(ValueError, match="prime mismatch"):
+        x * PAdicInt.from_integer(k % 7**N, 7, N)
+    with pytest.raises(ValueError, match="prime mismatch"):
+        PAdicInt.from_integer(k % 7**N, 7, N) * x

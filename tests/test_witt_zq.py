@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padiclift.errors import PrecisionError
-from padiclift.gfq import fq_make
-from padiclift.witt_zq import (frobenius_lift, from_teich_digits, parse_zq,
-                               reduce_mod_p, teich_digits, teichmuller,
-                               teichmuller_int, zq_ring)
+from padiclift.gfq import Q_CAP, fq_make
+from padiclift.witt_zq import (_frobenius_digitwise, frobenius_lift,
+                               from_teich_digits, parse_zq, reduce_mod_p,
+                               teich_digits, teichmuller, teichmuller_int,
+                               zq_ring)
 from padiclift.zp_ring import PAdicInt
 
 
@@ -203,3 +204,60 @@ def test_truncate_and_div_exact():
     assert x.truncate(2) == zq_ring(F9, 2).element([0, 0])
     with pytest.raises(ValueError, match="not divisible"):
         ring.element([1, 3]).div_exact_by_p()
+
+
+# -- the matrix Frobenius against the digit-wise route -----------------------
+
+@st.composite
+def zq_residues(draw):
+    """A ring with p in {2,3,5,7}, n in 1..8, N in 1..12, q <= Q_CAP and
+    q^N <= 2^100, and the coefficient residues of one of its elements."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, max(k for k in range(1, 9) if p**k <= Q_CAP)))
+    N = draw(st.integers(1, max(k for k in range(1, 13) if p ** (n * k) <= 2**100)))
+    ring = zq_ring(fq_make(p, n), N)
+    residues = draw(st.lists(st.integers(0, ring.modulus - 1), min_size=n, max_size=n))
+    return ring, residues
+
+
+@settings(max_examples=200, deadline=None)
+@given(zq_residues())
+def test_frobenius_matrix_matches_digitwise(case):
+    ring, residues = case
+    x = ring.element(residues)
+    assert frobenius_lift(x) == _frobenius_digitwise(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(zq_residues(), st.integers(0, 11))
+def test_frobenius_matrix_on_lower_precision_rings(case, drop):
+    # rings reached by exact division and truncation build their own columns
+    ring, residues = case
+    x = ring.element(residues)
+    if ring.precision > 1:
+        y = (x * ring.p).div_exact_by_p()
+        assert y.ring is ring.with_precision(ring.precision - 1)
+        assert frobenius_lift(y) == _frobenius_digitwise(y)
+    z = x.truncate(max(1, ring.precision - drop))
+    assert frobenius_lift(z) == _frobenius_digitwise(z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(zq_residues(), st.integers(0, 3))
+def test_frobenius_matrix_on_padic_coefficients(case, extra):
+    ring, residues = case
+    p, N = ring.p, ring.precision
+    x = ring.element([PAdicInt.from_integer(c, p, N + extra) for c in residues])
+    assert x == ring.element(residues)
+    assert frobenius_lift(x) == _frobenius_digitwise(x)
+
+
+def test_frobenius_columns_are_powers_of_phi_t():
+    ring = zq_ring(fq_make(2, 8), 12)
+    t = ring.element([0, 1] + [0] * 6)
+    columns = ring.frobenius_columns
+    assert len(columns) == 8 and columns[0] == ring.one().residues
+    for i, column in enumerate(columns):
+        assert column == (_frobenius_digitwise(t) ** i).residues
+    assert zq_ring(fq_make(2, 8), 11).frobenius_columns == tuple(
+        tuple(c % 2**11 for c in column) for column in columns)
