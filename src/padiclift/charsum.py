@@ -6,12 +6,14 @@ with no auxiliary cyclotomic tower.  Gauss sums need p-th roots of unity,
 which Z_p lacks; they live in the ramified ring Z_p[pi]/(pi^(p-1) + p)
 (PiRing, like ZqRing a quotient.QuotientRing over Z/p^N), where Dwork's
 splitting function theta(X) = exp(pi X) exp(-pi X^p) evaluated at
-Teichmuller lifts yields a nontrivial additive character psi.
+Teichmuller lifts yields a nontrivial additive character psi: psi(c) =
+sum_m tau(c)^m lambda_m, one weighted sum of the coefficient vectors per c.
 The two factor series diverge separately at these points: only the
 coefficients lambda_m of the product series are integral, so evaluation
 must go through them.  Dwork's lemma, ord_p(lambda_m) >= m(p-1)/p^2, says
 how many to sum: every degree m >= N p^2/(p-1) vanishes mod p^N, so psi is
-one finite sum per (p, N), fixed in advance.
+one finite sum per (p, N), fixed in advance.  A Gauss sum is likewise one
+weighted sum of the psi(x) vectors with weights tau(x)^a.
 
 Exponent convention: gauss_sum(a) = sum_x tau(x)^a psi(x), fixed so that
 jacobi_sum(a, b) is literally the multiplicative coboundary
@@ -21,8 +23,8 @@ then evaluates the sum at the negated exponent.
 Jacobi sums avoid per-element characters: with x = g^k and 1 - x = g^Z[k]
 (the field's Zech logarithms), J(a, b) = sum over 0 < k < q-1 of
 tau(g)^(ak + bZ[k]), so one pass tallies exponents and each power of a
-Teichmuller lift is scaled by its tally.  char_convolution keeps the direct
-definition.
+Teichmuller lift is scaled by its tally, in one weighted sum.
+char_convolution keeps the direct definition.
 
 Fermat counting is a dual-route check: the brute route counts the fibres
 of x -> x^m in F_q with field arithmetic only, and the Jacobi route forms
@@ -34,9 +36,11 @@ whose precision precondition rules out silent wraparound.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 from .errors import InvariantError, PrecisionError
 from .gamma import gamma_p
@@ -133,15 +137,8 @@ def jacobi_sum(a: int, b: int, field: FqField, precision: int) -> ZqElem:
     for k in range(1, q1):
         counts[(a * k + b * zech[k]) % order] += 1
     zeta = MultChar(field, d).eval(field.generator, precision)
-    ring = zeta.ring
-    acc = [0] * ring.n  # sum of counts[j] * zeta^j, on the residues
-    power = ring.one()
-    for c in counts:
-        if c:
-            for i, zi in enumerate(power.residues):
-                acc[i] += c * zi
-        power = power * zeta
-    return ZqElem(ring, tuple(v % ring.modulus for v in acc))
+    powers = accumulate(repeat(zeta), operator.mul, initial=zeta.ring.one())
+    return zeta.ring.weighted_sum((c, z.residues) for c, z in zip(counts, powers))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +269,7 @@ def dwork_theta(terms: int, p: int, precision: int) -> list[PiRingElem]:
             if (j + big) % 2:
                 s = -s
             acc[rem] = (acc[rem] + s) % mod
-        coeffs.append(ring.element(acc))
+        coeffs.append(PiRingElem(ring, tuple(acc)))
     return coeffs
 
 
@@ -290,13 +287,12 @@ def _psi_table(p: int, precision: int):
     ring = pi_ring(p, precision)
     mod = ring.modulus
     degree = -(-precision * p * p // (p - 1)) - 1
-    taus = [teichmuller_int(c, p, precision) for c in range(p)]
-    sums = [ring.zero()] * p
-    tau_pow = [1] * p
-    for coef in dwork_theta(degree, p, precision):
-        for c in range(p):
-            sums[c] = sums[c] + coef * tau_pow[c]
-            tau_pow[c] = tau_pow[c] * taus[c] % mod
+    lambdas = [coef.residues for coef in dwork_theta(degree, p, precision)]
+    sums = []
+    for c in range(p):
+        tau = teichmuller_int(c, p, precision)
+        tau_pows = accumulate(repeat(tau), lambda t, u: t * u % mod, initial=1)
+        sums.append(ring.weighted_sum(zip(tau_pows, lambdas)))
     one = ring.one()
     if sums[1] == one or sums[1] ** p != one:
         raise InvariantError("psi(1) is not a nontrivial p-th root of unity")
@@ -337,11 +333,9 @@ def gauss_sum(a: int, p: int, precision: int) -> PiRingElem:
     table, _ = _psi_table(p, precision)  # pi_ring rejects p = 2 and non-primes
     mod = p**precision
     a %= p - 1
-    acc = pi_ring(p, precision).zero()
-    for x in range(1, p):
-        scalar = pow(teichmuller_int(x, p, precision), a, mod)
-        acc = acc + table[x] * scalar
-    return acc
+    return pi_ring(p, precision).weighted_sum(
+        (pow(teichmuller_int(x, p, precision), a, mod), table[x].residues)
+        for x in range(1, p))
 
 
 def gauss_coboundary(a: int, b: int, p: int, precision: int) -> PiRingElem:

@@ -13,9 +13,10 @@ multiply to F_0(x) = prod_{0<i<p} (xp + i), whose x^s coefficient is
 divisible by p^s, so mod p^N the polynomial truncated to degree < N is
 exact.  The blocks of p^(l+1) integers multiply to F_{l+1}(x) =
 prod_{d<p} F_l(xp + d), which keeps that divisibility and the same
-truncation.  The product below m is then one Horner evaluation of F_l per
-unit of the l-th base-p digit of m // p, times fewer than p tail factors:
-at most (p-1)(N-1) evaluations of degree < N.  The N-1 levels of each
+truncation; the truncated products are residue.mulmod in (Z/p^N)[x]/(x^N).
+The product below m is then one Horner evaluation of F_l per unit of the
+l-th base-p digit of m // p, times fewer than p tail factors: at most
+(p-1)(N-1) evaluations of degree < N.  The N-1 levels of each
 (p, N) are built once and kept in a bounded cache (_LEVEL_KEYS keys).
 
 p = 2 is rejected throughout: its continuity modulus differs and nothing
@@ -29,6 +30,7 @@ from functools import lru_cache
 
 from .errors import PrecisionError
 from .gfq import is_prime
+from .residue import mulmod
 from .zp_ring import PAdicInt
 
 _LEVEL_KEYS = 32  # (p, N) pairs whose block polynomials stay cached
@@ -50,25 +52,15 @@ def _check_p(p: int) -> None:
         raise ValueError("not prime")
 
 
-def _mul_trunc(f: list, g: list, mod: int) -> list:
-    """f * g truncated to the common length, coefficients mod p^N."""
-    n = len(f)
-    out = [0] * n
-    for i, fi in enumerate(f):
-        if fi:
-            for j in range(n - i):
-                out[i + j] += fi * g[j]
-    return [c % mod for c in out]
-
-
-def _next_level(f: list, p: int, mod: int) -> list:
+def _next_level(f: list, p: int, mod: int) -> tuple:
     """prod_{d<p} f(xp + d), truncated to len(f) coefficients."""
     n = len(f)
+    truncation = (0,) * n + (1,)  # the relation x^n: nothing folds back
     scale = [pow(p, s, mod) for s in range(n)]
     g = list(f)  # f(x + d), starting at d = 0
-    acc = [1] + [0] * (n - 1)
+    acc = (1,) + (0,) * (n - 1)
     for _ in range(p):
-        acc = _mul_trunc(acc, [c * t % mod for c, t in zip(g, scale)], mod)
+        acc = mulmod(acc, tuple(c * t % mod for c, t in zip(g, scale)), truncation, mod)
         for i in range(n - 1):  # Taylor shift g(x) -> g(x + 1)
             for j in range(n - 2, i - 1, -1):
                 g[j] += g[j + 1]

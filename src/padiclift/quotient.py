@@ -5,9 +5,10 @@ Z_p[pi]/(pi^(p-1) + p) are both F_q or F_p deformed over Z/p^N, so their
 elements are the same object: a length-n tuple of int residues mod p^N,
 multiplied and powered through the residue kernel.  QuotientRing holds the
 ring data (p, precision, n, modulus = p^N, relation, and the order of the
-unit group); QuotientElem holds the arithmetic, coercion, equality, exact
-division by p and truncation.  A subclass supplies is_unit and
-with_precision, and names its element class as element_type.
+unit group) and forms int-weighted sums of residue vectors, reduced mod
+p^N once, for the linear maps built on the ring; QuotientElem holds the
+arithmetic, coercion, equality, exact division by p and truncation.  A subclass supplies is_unit and with_precision, and names its
+element class as element_type.
 
 Scalars follow scalar_residue: an int is reduced, a PAdicInt must carry at
 least the ring's precision.  Elements of two different quotient-ring
@@ -51,6 +52,19 @@ class QuotientRing:
 
     def zero(self):
         return self.from_int(0)
+
+    def weighted_sum(self, terms):
+        """sum c * v over pairs (int weight c, length-n residue tuple v).
+
+        The sum runs on plain ints and is reduced mod p^N once; weights may
+        be any ints, and a zero weight skips its vector.
+        """
+        acc = [0] * self.n
+        for c, v in terms:
+            if c:
+                acc = [a + c * x for a, x in zip(acc, v, strict=True)]
+        mod = self.modulus
+        return self.element_type(self, tuple(a % mod for a in acc))
 
     def one(self):
         return self.from_int(1)

@@ -1,11 +1,13 @@
 """Arithmetic in (Z/m)[X]/(f), f monic, on tuples of plain int residues.
 
-F_q (m = p, f the field modulus), Z_q (m = p^N, f the lifted field modulus)
-and the pi-ring (m = p^N, f = X^(p-1) + p) are all this ring shape, so they
-share one multiplication and one power: gfq calls them for F_q, and
-quotient.QuotientElem, the base of the Z_q and pi-ring elements.  An element is a length-n tuple of
-coefficients in [0, m), lowest degree first, with n = deg f; f is given as
-its n + 1 integer coefficients, lowest first, ending in 1.
+F_q (m = p, f the field modulus), Z_q (m = p^N, f the lifted field modulus),
+the pi-ring (m = p^N, f = X^(p-1) + p) and the truncated polynomials of
+gamma's block products (m = p^N, f = X^N, where nothing folds back) are all
+this ring shape, so they share one multiplication and one power: gfq calls
+them for F_q, gamma for its truncated products, and quotient.QuotientElem,
+the base of the Z_q and pi-ring elements.  An element is a length-n tuple
+of coefficients in [0, m), lowest degree first, with n = deg f; f is given
+as its n + 1 integer coefficients, lowest first, ending in 1.
 
 Multiplication is Kronecker substitution: both factors are packed into one
 int with slots wide enough for any product coefficient, one bigint multiply

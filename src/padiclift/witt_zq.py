@@ -190,12 +190,8 @@ def from_teich_digits(digits, ring: ZqRing) -> ZqElem:
     """Reassemble sum tau(digits[i]) * p^i at ring precision."""
     if len(digits) > ring.precision:
         raise PrecisionError("more digits than the ring precision")
-    acc = ring.zero()
-    scale = 1
-    for v in digits:
-        acc = acc + ring.teichmuller(v) * scale
-        scale *= ring.p
-    return acc
+    return ring.weighted_sum((ring.p**i, ring.teichmuller(v).residues)
+                             for i, v in enumerate(digits))
 
 
 def _frobenius_digitwise(x: ZqElem) -> ZqElem:
@@ -213,9 +209,4 @@ def frobenius_lift(x: ZqElem) -> ZqElem:
     ring = x.ring
     if ring.n == 1:
         return x  # Galois group of the trivial extension
-    acc = [0] * ring.n
-    for c, column in zip(x.residues, ring.frobenius_columns):
-        if c:
-            acc = [a + c * v for a, v in zip(acc, column)]
-    mod = ring.modulus
-    return ZqElem(ring, tuple(a % mod for a in acc))
+    return ring.weighted_sum(zip(x.residues, ring.frobenius_columns))

@@ -326,6 +326,20 @@ def test_gauss_sum_trivial_character():
         assert gauss_sum(0, p, 3) == -pi_ring(p, 3).one()
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_gauss_sum_matches_element_sum(p):
+    # oracle: sum over x != 0 of psi(x) tau(x)^a with pi-ring operations
+    for N in (1, 3, 5):
+        ring = pi_ring(p, N)
+        for a in range(p - 1):
+            want = ring.zero()
+            for x in range(1, p):
+                tau = ring.from_int(pow(x, p ** (N - 1), p**N))
+                want = want + additive_character(x, p, N) * tau**a
+            assert gauss_sum(a, p, N) == want, (p, N, a)
+            assert gauss_sum(a + p - 1, p, N) == want
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_gauss_norm_relation(p):
     R = pi_ring(p, 3)

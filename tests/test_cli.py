@@ -97,9 +97,10 @@ def test_gk_check(capsys):
 @pytest.mark.parametrize("p,N,digest", [
     (7, 8, "33c24f12d47c9fbb346552001abb9c45fd46517993199a5e3c1261e40ce3c58f"),
     (13, 5, "59aa9a91de690353cb809459e387abf50ac5257d1b55e941e142575b5c12fab4"),
-], ids=["(7,8)", "(13,5)"])
+    (53, 6, "bb60c6bb4494f04f3701383b435d1e6d66c46ef5564fcc08368253ca7fde611d"),
+], ids=["(7,8)", "(13,5)", "(53,6)"])
 def test_gk_check_stdout_is_pinned(capsys, p, N, digest):
-    # the benchmark's two Gross-Koblitz cases, byte for byte
+    # the benchmark's two Gross-Koblitz cases and a large p, byte for byte
     rc, out, _ = run(capsys, "gk-check", "-p", str(p), "-N", str(N))
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -84,3 +84,25 @@ def test_scalar_products_scale_coefficient_wise(kind, k, coeffs, extra):
         x * PAdicInt.from_integer(k % 7**N, 7, N)
     with pytest.raises(ValueError, match="prime mismatch"):
         PAdicInt.from_integer(k % 7**N, 7, N) * x
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["zq", "pi"]), st.data())
+def test_weighted_sum_matches_element_sum(kind, data):
+    ring = zq_ring(fq_make(3, 2), 4) if kind == "zq" else pi_ring(5, 3)
+    weights = st.one_of(st.just(0), st.integers(-10**12, 10**12),
+                        st.integers(ring.modulus, 10**30))
+    vectors = st.lists(st.integers(0, ring.modulus - 1), min_size=ring.n, max_size=ring.n)
+    terms = data.draw(st.lists(st.tuples(weights, vectors.map(tuple)), max_size=6))
+    want = ring.zero()
+    for c, v in terms:
+        want = want + c * ring.element(v)
+    got = ring.weighted_sum(terms)
+    assert type(got) is ring.element_type and got.ring is ring
+    assert got == want and got.residues == want.residues
+    assert ring.weighted_sum(iter(terms)) == want
+    assert ring.weighted_sum([]) == ring.zero()
+    for bad in ((1,) * (ring.n - 1), (1,) * (ring.n + 1)):  # zip(strict=True)
+        with pytest.raises(ValueError):
+            ring.weighted_sum(terms + [(1, bad)])
+

@@ -50,7 +50,15 @@ def pi_shape(draw):
     return (p,) + (0,) * (p - 2) + (1,), p ** draw(st.integers(1, 6))
 
 
-SHAPES = st.one_of(fq_shape(), zq_shape(), pi_shape())
+@st.composite
+def truncation_shape(draw):
+    # (Z/p^k)[x]/(x^n), the truncated products of gamma's block polynomials
+    n = draw(st.integers(1, 8))
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    return (0,) * n + (1,), p ** draw(st.integers(1, 8))
+
+
+SHAPES = st.one_of(fq_shape(), zq_shape(), pi_shape(), truncation_shape())
 
 
 @st.composite
