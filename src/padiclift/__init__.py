@@ -13,7 +13,7 @@ from .buium import (LawReport, fermat_quotient, p_derivation, ring_carry,
 from .gamma import (beta_p, functional_equation_check, gamma_p,
                     gamma_p_integer)
 from .charsum import (MultChar, PiRing, PiRingElem, additive_character,
-                      char_convolution, char_eval, count_fermat_brute,
+                      char_convolution, count_fermat_brute,
                       count_fermat_jacobi, dwork_theta, fermat_precision,
                       field_for_order, gauss_coboundary, gauss_sum,
                       gross_koblitz_check, jacobi_sum, pi_ring,

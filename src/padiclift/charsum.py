@@ -6,14 +6,14 @@ with no auxiliary cyclotomic tower.  Gauss sums need p-th roots of unity,
 which Z_p lacks; they live in the ramified ring Z_p[pi]/(pi^(p-1) + p)
 (PiRing, like ZqRing a quotient.QuotientRing over Z/p^N), where Dwork's
 splitting function theta(X) = exp(pi X) exp(-pi X^p) evaluated at
-Teichmuller lifts yields a nontrivial additive character psi: psi(c) =
-sum_m tau(c)^m lambda_m, one weighted sum of the coefficient vectors per c.
-The two factor series diverge separately at these points: only the
-coefficients lambda_m of the product series are integral, so evaluation
-must go through them.  Dwork's lemma, ord_p(lambda_m) >= m(p-1)/p^2, says
-how many to sum: every degree m >= N p^2/(p-1) vanishes mod p^N, so psi is
-one finite sum per (p, N), fixed in advance.  A Gauss sum is likewise one
-weighted sum of the psi(x) vectors with weights tau(x)^a.
+Teichmuller lifts yields a nontrivial additive character psi.  Only the
+coefficients lambda_m of the product series are integral (the two factor
+series diverge separately at these points), and Dwork's lemma,
+ord_p(lambda_m) >= m(p-1)/p^2, makes every degree m >= N p^2/(p-1) vanish
+mod p^N.  Each lambda_m is a Z_p multiple of pi^(m mod p-1), since
+i + j = m - (p-1) j for its terms (i, j), and tau(c)^(p-1) = 1 for c != 0,
+so psi(c) = sum_j S_j tau(c)^j pi^j with p-1 constants S_j fixed per
+(p, N), and a Gauss sum is one pi-monomial.
 
 Exponent convention: gauss_sum(a) = sum_x tau(x)^a psi(x), fixed so that
 jacobi_sum(a, b) is literally the multiplicative coboundary
@@ -99,10 +99,6 @@ class MultChar:
 
     def __repr__(self):
         return f"MultChar(exponent={self.exponent} over F_{self.field.q})"
-
-
-def char_eval(chi: MultChar, x: FqElem, precision: int) -> ZqElem:
-    return chi.eval(x, precision)
 
 
 def char_convolution(chi: MultChar, chi2: MultChar, z: FqElem,
@@ -274,41 +270,40 @@ def dwork_theta(terms: int, p: int, precision: int) -> list[PiRingElem]:
 
 
 @lru_cache(maxsize=None)
-def _psi_table(p: int, precision: int):
-    """psi(c) = theta(tau(c)) for all c in F_p, and the highest degree summed.
+def _dwork_constants(p: int, precision: int) -> tuple[int, ...]:
+    """S_j = sum over m = j mod p-1 of the j-th coordinate of lambda_m.
 
-    Dwork's estimate ord_p(lambda_m) >= m(p-1)/p^2 on the coefficients of
-    theta (Koblitz, p-adic Numbers, p-adic Analysis, and Zeta-Functions,
-    ch. IV) makes every term of degree m >= M = ceil(N p^2/(p-1)) vanish
-    mod p^N, so the sum over degrees 0..M-1 is the exact value.  psi(1)
-    must still be a nontrivial p-th root of unity; a wrong pi-convention
-    fails that gate.
+    Exact mod p^N by Dwork's estimate (Koblitz, p-adic Numbers, p-adic
+    Analysis, and Zeta-Functions, ch. IV; Robert, A Course in p-adic
+    Analysis, ch. 7).  psi(1), the element with residues S, must still be a
+    nontrivial p-th root of unity; a wrong pi-convention fails that gate.
     """
     ring = pi_ring(p, precision)
-    mod = ring.modulus
-    degree = -(-precision * p * p // (p - 1)) - 1
-    lambdas = [coef.residues for coef in dwork_theta(degree, p, precision)]
-    sums = []
-    for c in range(p):
-        tau = teichmuller_int(c, p, precision)
-        tau_pows = accumulate(repeat(tau), lambda t, u: t * u % mod, initial=1)
-        sums.append(ring.weighted_sum(zip(tau_pows, lambdas)))
-    one = ring.one()
-    if sums[1] == one or sums[1] ** p != one:
+    d = p - 1
+    consts = [0] * d
+    for m, coef in enumerate(dwork_theta(series_terms_used(p, precision), p, precision)):
+        consts[m % d] += coef.residues[m % d]
+    consts = tuple(s % ring.modulus for s in consts)
+    psi1, one = PiRingElem(ring, consts), ring.one()
+    if psi1 == one or psi1 ** p != one:
         raise InvariantError("psi(1) is not a nontrivial p-th root of unity")
-    return tuple(sums), degree
+    return consts
 
 
 def additive_character(c: int, p: int, precision: int) -> PiRingElem:
     """psi(c): the splitting series evaluated at the Teichmuller lift of c."""
-    table, _ = _psi_table(p, precision)
-    return table[c % p]
+    consts = _dwork_constants(p, precision)
+    ring = pi_ring(p, precision)
+    if c % p == 0:
+        return ring.one()  # theta(0) = lambda_0
+    mod, tau = ring.modulus, teichmuller_int(c, p, precision)
+    return PiRingElem(ring, tuple(s * pow(tau, j, mod) % mod for j, s in enumerate(consts)))
 
 
 def series_terms_used(p: int, precision: int) -> int:
     """The highest degree of the splitting series summed for psi at (p, N)."""
-    _, degree = _psi_table(p, precision)
-    return degree
+    pi_ring(p, precision)  # rejects p = 2, non-primes and N < 1 first
+    return -(-precision * p * p // (p - 1)) - 1
 
 
 def fermat_precision(q: int, m: int) -> int:
@@ -327,15 +322,16 @@ def fermat_precision(q: int, m: int) -> int:
 def gauss_sum(a: int, p: int, precision: int) -> PiRingElem:
     """g(a) = sum over x in F_p^* of tau(x)^a psi(x), in the pi-ring.
 
-    Prime-field case only.  With this exponent convention the Jacobi sum is
-    exactly the multiplicative coboundary of g (see gauss_coboundary).
+    Prime-field case only.  Summing psi(x) = sum_j S_j tau(x)^j pi^j over x
+    leaves only j = -a mod (p-1), so g(a) = (p-1) S_j pi^j.  With this
+    exponent convention the Jacobi sum is exactly the multiplicative
+    coboundary of g (see gauss_coboundary).
     """
-    table, _ = _psi_table(p, precision)  # pi_ring rejects p = 2 and non-primes
-    mod = p**precision
-    a %= p - 1
-    return pi_ring(p, precision).weighted_sum(
-        (pow(teichmuller_int(x, p, precision), a, mod), table[x].residues)
-        for x in range(1, p))
+    consts = _dwork_constants(p, precision)
+    j = -a % (p - 1)
+    residues = [0] * (p - 1)
+    residues[j] = (p - 1) * consts[j] % p**precision
+    return PiRingElem(pi_ring(p, precision), tuple(residues))
 
 
 def gauss_coboundary(a: int, b: int, p: int, precision: int) -> PiRingElem:

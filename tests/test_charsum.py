@@ -248,6 +248,9 @@ def test_theta_coefficients_meet_dworks_bound(p):
         for m, coef in enumerate(dwork_theta(3 * M, p, N)):
             v = coef.pi_valuation()
             assert v is None or v * p * p >= m * (p - 1) ** 2, (p, N, m)
+            # lambda_m is a Z_p multiple of pi^(m mod p-1)
+            assert not any(c for i, c in enumerate(coef.residues)
+                           if i != m % (p - 1)), (p, N, m)
             if m >= M:
                 assert v is None, (p, N, m)
 
@@ -270,14 +273,14 @@ def test_psi_gate_raises_invariant_error(monkeypatch, capsys):
     # a theta with only its constant term makes psi trivial: psi(1) == 1
     monkeypatch.setattr(charsum, "dwork_theta",
                         lambda terms, p, N: [pi_ring(p, N).one()])
-    charsum._psi_table.cache_clear()
+    charsum._dwork_constants.cache_clear()
     try:
         with pytest.raises(InvariantError, match="nontrivial p-th root of unity"):
             additive_character(1, 5, 3)
         assert cli.main(["gauss", "-p", "5", "-N", "3", "-a", "1"]) == 4
         assert capsys.readouterr().err.startswith("error: psi(1)")
     finally:
-        charsum._psi_table.cache_clear()
+        charsum._dwork_constants.cache_clear()
 
 
 def test_wrong_pi_convention_is_not_integral():
@@ -336,7 +339,11 @@ def test_gauss_sum_matches_element_sum(p):
             for x in range(1, p):
                 tau = ring.from_int(pow(x, p ** (N - 1), p**N))
                 want = want + additive_character(x, p, N) * tau**a
-            assert gauss_sum(a, p, N) == want, (p, N, a)
+            g = gauss_sum(a, p, N)
+            assert g == want, (p, N, a)
+            # a monomial in pi, at the exponent -a mod p-1
+            assert not any(c for i, c in enumerate(g.residues)
+                           if i != -a % (p - 1)), (p, N, a)
             assert gauss_sum(a + p - 1, p, N) == want
 
 

@@ -169,6 +169,21 @@ def test_usage_error_exit_2(capsys):
         main(["no-such-command"])
 
 
+@pytest.mark.parametrize("cmd", [["gk-check"], ["gauss", "-a", "1"]])
+@pytest.mark.parametrize("p,N,code,message", [
+    (1, 3, 2, "not prime"),
+    (4, 3, 2, "not prime"),
+    (2, 3, 2, "p=2 unsupported"),
+    (5, 0, 3, "precision must be >= 1"),
+])
+def test_series_inputs_are_validated_first(capsys, cmd, p, N, code, message):
+    # the ring rejects these before the series degree is ever formed
+    rc, out, err = run(capsys, *cmd, "-p", str(p), "-N", str(N))
+    assert rc == code
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("argv", [
     ["gauss", "-p", "5", "-N", "3", "-a", "1", "-K", "3"],
     ["gk-check", "-p", "5", "-N", "3", "-K", "3"],
