@@ -377,7 +377,8 @@ def gross_koblitz_check(a: int, p: int, precision: int) -> GrossKoblitzReport:
     lhs = gauss_sum(-a % d, p, precision)
     ring = pi_ring(p, precision)
     arg = PAdicInt.from_integer(a * pow(d, -1, ring.modulus), p, precision)
-    rhs = -(ring.pi() ** a * ring.from_int(gamma_p(arg)))
+    pi_a = ring.element([0] * a + [1] + [0] * (d - 1 - a))  # basis vector, as a < p-1
+    rhs = -(pi_a * gamma_p(arg))
     return GrossKoblitzReport(a, lhs, rhs, lhs == rhs)
 
 

@@ -13,11 +13,13 @@ Multiplication is Kronecker substitution: both factors are packed into one
 int with slots wide enough for any product coefficient, one bigint multiply
 forms the whole product polynomial, and the unpacked coefficients are
 folded back through f (D. Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).
+multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).  At
+n = 1 the ring (Z/m)[X]/(X + f_0) is Z/m itself, so a product is one int
+product mod m and a power is pow(a_0, e, m).
 
-Base-p digits exist only at the text/JSON boundary and in zp_ring's
-cocycle_sum: to_digits and from_digits convert between a residue mod p^N
-and its N little-endian digits.
+Base-p digits exist only at the text/JSON boundary: to_digits and
+from_digits convert between a residue mod p^N and its N little-endian
+digits.  zp_ring's cocycle_sum reads its digits by divmod on the value.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from __future__ import annotations
 def mulmod(a: tuple, b: tuple, f: tuple, m: int) -> tuple:
     """a * b in (Z/m)[X]/(f); a and b hold residues in [0, m)."""
     n = len(a)
+    if n == 1:  # (Z/m)[X]/(X + f_0) is Z/m
+        return (a[0] * b[0] % m,)
     # a product coefficient is a sum of at most n terms, each <= (m-1)^2
     bits = (n * (m - 1) ** 2).bit_length()
     packed = _pack(a, bits)
@@ -55,6 +59,8 @@ def _pack(coeffs: tuple, bits: int) -> int:
 
 def powmod(a: tuple, e: int, f: tuple, m: int) -> tuple:
     """a^e in (Z/m)[X]/(f) for e >= 0, by left-to-right square and multiply."""
+    if len(a) == 1:
+        return (pow(a[0], e, m),)
     if e == 0:
         return (1,) + (0,) * (len(a) - 1)
     r = a

@@ -9,7 +9,9 @@ digit of precision.
 Every operation works on the int value.  The digits and their carries
 appear in one named operation, cocycle_sum: the schoolbook sum whose every
 carry is a value of carry_cocycle, the 2-cocycle that glues Z/p^2 out of
-two copies of Z/p.  The carry suite checks it against + exhaustively.
+two copies of Z/p.  It reads the digits by divmod on the two values and
+adds each output digit into an int at its place value p^i.  The carry
+suite checks it against + exhaustively.
 
 Canonical text form (CLI interchange): "p=5;N=3;digits=2,1,0".
 """
@@ -203,14 +205,18 @@ def cocycle_sum(x: PAdicInt, y: PAdicInt) -> PAdicInt:
     if x.p != y.p:
         raise ValueError("prime mismatch")
     p = x.p
-    out = []
-    carry = 0
-    for a, b in zip(x.digits, y.digits):
+    n = min(x.precision, y.precision)
+    u, v = x.value, y.value
+    total, place, carry = 0, 1, 0
+    for _ in range(n):
+        u, a = divmod(u, p)
+        v, b = divmod(v, p)
         s = (a + b) % p
-        out.append((s + carry) % p)
+        total += (s + carry) % p * place
+        place *= p
         # never both 1: a + b + carry < 2p
         carry = carry_cocycle(a, b, p) + carry_cocycle(s, carry, p)
-    return _unchecked(p, from_digits(out, p), len(out))
+    return _unchecked(p, total, n)
 
 
 def from_integer(k: int, p: int, precision: int) -> PAdicInt:

@@ -11,8 +11,10 @@ from padiclift.charsum import (MultChar, additive_character, char_convolution,
                                gauss_sum, gross_koblitz_check, jacobi_sum,
                                pi_ring)
 from padiclift.errors import InvariantError, PrecisionError
+from padiclift.gamma import gamma_p
 from padiclift.gfq import fq_make, prime_factors
 from padiclift.witt_zq import teichmuller, zq_ring
+from padiclift.zp_ring import PAdicInt
 
 
 F5 = fq_make(5, 1)
@@ -382,6 +384,17 @@ def test_gross_koblitz(p):
     for a in range(1, p - 1):
         rep = gross_koblitz_check(a, p, 3)
         assert rep.passed, (p, a)
+
+
+@pytest.mark.parametrize("p, n", [(7, 8), (13, 5)])
+def test_gross_koblitz_rhs_matches_pi_power_oracle(p, n):
+    # the right-hand side as it was first written: pi^a by repeated squaring,
+    # Gamma_p coerced to a ring element and multiplied through mulmod
+    ring = pi_ring(p, n)
+    for a in range(1, p - 1):
+        arg = PAdicInt.from_integer(a * pow(p - 1, -1, ring.modulus), p, n)
+        oracle = -(ring.pi() ** a * ring.from_int(gamma_p(arg)))
+        assert gross_koblitz_check(a, p, n).rhs == oracle, (p, n, a)
 
 
 def test_gross_koblitz_guards():

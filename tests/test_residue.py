@@ -1,6 +1,6 @@
 """The residue-ring kernel against a schoolbook reference kept only here."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padiclift.gfq import fq_make
 from padiclift.residue import from_digits, mulmod, powmod, to_digits
@@ -27,8 +27,9 @@ def schoolbook_powmod(a, e, f, m):
     return r
 
 
-# (p, n) of the canonical fields whose moduli the F_q and Z_q shapes use
-FQ_SHAPES = [(2, 2), (2, 5), (3, 2), (3, 4), (5, 3), (7, 1), (7, 2), (13, 1)]
+# (p, n) of the canonical fields whose moduli the F_q and Z_q shapes use;
+# n = 1 gives F_p and Z_p, where mulmod and powmod skip the Kronecker path
+FQ_SHAPES = [(2, 1), (2, 2), (2, 5), (3, 1), (3, 2), (3, 4), (5, 3), (7, 1), (7, 2), (13, 1)]
 ZQ_SHAPES = [(2, 8), (3, 6), (5, 3), (3, 2), (7, 2), (5, 1)]
 
 
@@ -68,8 +69,13 @@ def ring_elements(draw, count):
     return f, m, [tuple(draw(coeffs)) for _ in range(count)]
 
 
+# every degree-1 modulus is x, so F_p, Z_p and the truncation x^1 differ
+# only in m; the examples pin one of each whatever the draws
 @settings(max_examples=300)
 @given(ring_elements(2))
+@example(((0, 1), 2, [(1,), (1,)]))
+@example(((0, 1), 5**3, [(124,), (7,)]))
+@example(((0, 1), 3**4, [(80,), (80,)]))
 def test_mulmod_matches_schoolbook(case):
     f, m, (a, b) = case
     assert mulmod(a, b, f, m) == schoolbook_mulmod(a, b, f, m)
@@ -77,6 +83,9 @@ def test_mulmod_matches_schoolbook(case):
 
 @settings(max_examples=100)
 @given(ring_elements(1), st.integers(0, 40))
+@example(((0, 1), 5**3, [(124,)]), 0)
+@example(((0, 1), 5**3, [(124,)]), 40)
+@example(((1, 1, 1), 4, [(3, 2)]), 0)
 def test_powmod_matches_repeated_multiplication(case, e):
     f, m, (a,) = case
     assert powmod(a, e, f, m) == schoolbook_powmod(a, e, f, m)

@@ -44,6 +44,27 @@ def test_cocycle_sum_agrees_with_integer_addition(p, m, n, j, k):
         assert got == x + y == cocycle_sum(y, x)
 
 
+def tuple_walk_cocycle_sum(x, y):
+    """cocycle_sum as first written: digit tuples in, digit list out."""
+    p = x.p
+    out = []
+    carry = 0
+    for a, b in zip(x.digits, y.digits):
+        s = (a + b) % p
+        out.append((s + carry) % p)
+        carry = carry_cocycle(a, b, p) + carry_cocycle(s, carry, p)
+    return PAdicInt(p, out)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(1, 64), st.integers(1, 64),
+       st.integers(-13**64, 13**64), st.integers(-13**64, 13**64))
+def test_cocycle_sum_matches_tuple_walk(p, m, n, j, k):
+    # bounded draws fill all 64 digits, where st.integers() keeps to a few
+    x, y = from_integer(j, p, m), from_integer(k, p, n)
+    got, want = cocycle_sum(x, y), tuple_walk_cocycle_sum(x, y)
+    assert (got.p, got.value, got.precision) == (want.p, want.value, want.precision)
+
+
 def test_cocycle_sum_large_and_negative_examples():
     big = 3**200 + 5
     x, y = from_integer(big, 3, 40), from_integer(-big, 3, 40)
