@@ -34,8 +34,12 @@ def p_derivation(x: ZqElem) -> ZqElem:
     """delta(x) = (phi(x) - x^p) / p, at precision N - 1."""
     if x.ring.precision < 2:
         raise PrecisionError("insufficient precision")
-    p = x.ring.p
-    return (frobenius_lift(x) - x**p).div_exact_by_p()
+    return _delta(x, x**x.ring.p)
+
+
+def _delta(x: ZqElem, x_p: ZqElem) -> ZqElem:
+    """(phi(x) - x_p) / p, given x_p = x^p (which callers may reuse)."""
+    return (frobenius_lift(x) - x_p).div_exact_by_p()
 
 
 def ring_carry(x: ZqElem, y: ZqElem) -> ZqElem:
@@ -66,13 +70,13 @@ def verify_product_rule(x: ZqElem, y: ZqElem) -> LawReport:
     """delta(xy) against x^p delta(y) + delta(x) y^p + p delta(x) delta(y)."""
     if x.ring != y.ring:
         raise ValueError("ring mismatch")
+    p = x.ring.p
     n1 = x.ring.precision - 1
-    dx = p_derivation(x)
-    dy = p_derivation(y)
     lhs = p_derivation(x * y)
-    rhs = (x**x.ring.p).truncate(n1) * dy \
-        + dx * (y**x.ring.p).truncate(n1) \
-        + dx * dy * x.ring.p
+    x_p, y_p = x**p, y**p  # each power serves delta and the right-hand side
+    dx = _delta(x, x_p)
+    dy = _delta(y, y_p)
+    rhs = x_p.truncate(n1) * dy + dx * y_p.truncate(n1) + dx * dy * p
     residual = lhs - rhs
     return LawReport("product", lhs, rhs, residual, lhs == rhs)
 

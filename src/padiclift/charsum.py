@@ -401,12 +401,14 @@ def count_fermat_brute(q: int, m: int) -> int:
 def count_fermat_jacobi(q: int, m: int, precision: int = 0) -> int:
     """The same count through q + sum of Jacobi sums of order-m characters.
 
-    Each of the (m-1)^2 Jacobi sums is one O(q) pass over the Zech table,
-    summed in Z_q.  The double sum is a rational integer; it is recovered
-    from its residue by the symmetric-range lift, which needs p^N > 4 m^2 q
-    so the archimedean bound (m-1)^2 sqrt(q) can never wrap.  Individual
-    Jacobi sums need not be rational when n > 1, so the lift happens after
-    the whole sum is assembled.
+    The double sum runs over all (m-1)^2 pairs, but J(a, b) = J(b, a)
+    (substitute x -> 1 - x), so only the m(m-1)/2 sums with a <= b are
+    formed, each one O(q) pass over the Zech table, and each one with
+    a < b is weighted 2 in Z_q.  The double sum is a rational integer; it
+    is recovered from its residue by the symmetric-range lift, which needs
+    p^N > 4 m^2 q so the archimedean bound (m-1)^2 sqrt(q) can never wrap.
+    Individual Jacobi sums need not be rational when n > 1, so the lift
+    happens after the whole sum is assembled.
     """
     field = field_for_order(q)
     if (q - 1) % m:
@@ -417,10 +419,9 @@ def count_fermat_jacobi(q: int, m: int, precision: int = 0) -> int:
     if p**precision <= 4 * m * m * q:
         raise PrecisionError("cannot identify integer")
     step = (q - 1) // m
-    total = zq_ring(field, precision).zero()
-    for a in range(1, m):
-        for b in range(1, m):
-            total = total + jacobi_sum(a * step, b * step, field, precision)
+    total = zq_ring(field, precision).weighted_sum(
+        (1 if a == b else 2, jacobi_sum(a * step, b * step, field, precision).residues)
+        for a in range(1, m) for b in range(a, m))
     if any(total.residues[1:]):
         raise InvariantError("Jacobi-sum total is not rational")
     v = total.residues[0]

@@ -19,6 +19,13 @@ l-th base-p digit of m // p, times fewer than p tail factors: at most
 (p-1)(N-1) evaluations of degree < N.  The N-1 levels of each
 (p, N) are built once and kept in a bounded cache (_LEVEL_KEYS keys).
 
+The values themselves are memoized too: after validation gamma_p_integer
+reads a bounded least-recently-used cache (_VALUE_KEYS keys) keyed on
+(m mod p^N, p, N).  The verify sweeps ask for the same few hundred
+residues thousands of times (the functional equation, the continuity
+classes and the Beta coboundary and cocycle all revisit them), and every
+compared value still comes from the same pure function.
+
 p = 2 is rejected throughout: its continuity modulus differs and nothing
 here needs it.
 """
@@ -34,6 +41,7 @@ from .residue import mulmod
 from .zp_ring import PAdicInt
 
 _LEVEL_KEYS = 32  # (p, N) pairs whose block polynomials stay cached
+_VALUE_KEYS = 1024  # (m mod p^N, p, N) triples whose Gamma_p values stay cached
 
 
 @dataclass(frozen=True)
@@ -86,16 +94,21 @@ def gamma_p_integer(m: int, p: int, precision: int) -> PAdicInt:
 
     Gamma_p(0) = 1 by the empty-product convention.  Any m >= 0 is
     accepted: m is first reduced mod p^N, exact by continuity, and the
-    product is evaluated through the cached block polynomials of (p, N)
-    (see the module docstring), so the cost grows with p and N, not m.
+    value is read from the memo of _gamma_residue (see the module
+    docstring), so the cost grows with p and N, not m.
     """
     _check_p(p)
     if m < 0:
         raise ValueError("argument must be >= 0")
     if precision < 1:
         raise PrecisionError("precision must be >= 1")
+    return _gamma_residue(m % p**precision, p, precision)
+
+
+@lru_cache(maxsize=_VALUE_KEYS)
+def _gamma_residue(m: int, p: int, precision: int) -> PAdicInt:
+    """Gamma_p(m) for 0 <= m < p^N, through the block polynomials of (p, N)."""
     mod = p**precision
-    m %= mod
     k = m // p
     acc = 1
     for i in range(k * p + 1, m):

@@ -81,7 +81,8 @@ class QuotientElem:
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
-            if other.ring != self.ring:
+            # rings come from cached constructors: identity settles most
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("ring mismatch")
             return other
         if isinstance(other, (int, PAdicInt)):
@@ -160,7 +161,8 @@ class QuotientElem:
                 return False
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.ring == other.ring and self.residues == other.residues
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self.residues == other.residues)
 
     def __hash__(self):
         # a scalar hashes as its residue, like the int and PAdicInt it equals

@@ -167,11 +167,13 @@ class PAdicInt:
 
     # -- misc ------------------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        if not isinstance(other, PAdicInt):
-            return NotImplemented
-        return (self.p, self.value, self.precision) == (other.p, other.value, other.precision)
+        if type(other) is not PAdicInt:  # the exact type first: the hot path
+            if isinstance(other, int):
+                return self.value == other % self.modulus
+            if not isinstance(other, PAdicInt):
+                return NotImplemented
+        return (self.value == other.value and self.p == other.p
+                and self.precision == other.precision)
 
     def __hash__(self):
         # equal to the hash of the int in [0, p^N) that compares equal

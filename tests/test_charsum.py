@@ -107,6 +107,15 @@ def test_jacobi_norm_relation_extension_field():
             == ring25.from_int(25)
 
 
+@pytest.mark.parametrize("q", [13, 25, 27])
+def test_jacobi_sum_is_symmetric(q):
+    # J(a, b) = J(b, a) by x -> 1 - x; count_fermat_jacobi forms only a <= b
+    field = field_for_order(q)
+    for a in range(q - 1):
+        for b in range(a + 1, q - 1):
+            assert jacobi_sum(a, b, field, 3) == jacobi_sum(b, a, field, 3), (a, b)
+
+
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49])
 def test_jacobi_sum_matches_convolution(q):
     # the Zech-table sum against the direct definition for every exponent

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padiclift import gamma
 from padiclift.cohomo import MULTIPLICATIVE, GroupValuedMap, coboundary2
 from padiclift.gamma import (beta_p, functional_equation_check, gamma_p,
                              gamma_p_integer)
@@ -32,6 +33,33 @@ def test_validation():
         gamma_p_integer(3, 9, 2)
     with pytest.raises(ValueError, match="precision must be >= 1"):
         gamma_p_integer(3, 5, 0)
+
+
+@pytest.mark.parametrize("p,N", [(3, 4), (5, 3), (7, 3)])
+def test_value_memo_matches_uncached_values(p, N):
+    uncached = gamma._gamma_residue.__wrapped__
+    mod = p**N
+    for m in range(mod):
+        got = gamma_p_integer(m, p, N)
+        want = uncached(m, p, N)
+        assert (got.p, got.value, got.precision) == (p, want.value, N), m
+        assert gamma_p_integer(m + mod, p, N) == got, m
+
+
+def test_value_memo_is_bounded_and_keeps_validation():
+    for m in range(7**4):
+        gamma_p_integer(m, 7, 4)
+    info = gamma._gamma_residue.cache_info()
+    assert info.maxsize == gamma._VALUE_KEYS
+    assert info.currsize <= gamma._VALUE_KEYS
+    # a warm memo must not let invalid arguments through
+    gamma_p_integer(24, 5, 2)
+    with pytest.raises(ValueError, match="p=2 unsupported"):
+        gamma_p_integer(3, 2, 4)
+    with pytest.raises(ValueError, match=">= 0"):
+        gamma_p_integer(-1, 5, 2)  # -1 = 24 mod 25, whose value is cached
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        gamma_p_integer(24, 5, 0)
 
 
 def test_no_argument_cap():
