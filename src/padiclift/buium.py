@@ -14,20 +14,14 @@ failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvariantError, PrecisionError
 from .witt_zq import ZqElem, frobenius_lift
 from .zp_ring import PAdicInt
 
 
-@dataclass(frozen=True)
-class LawReport:
-    law: str
-    lhs: ZqElem
-    rhs: ZqElem
-    residual: ZqElem
-    passed: bool
+LawReport = namedtuple("LawReport", "law lhs rhs residual passed")
 
 
 def p_derivation(x: ZqElem) -> ZqElem:

@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import accumulate, repeat
 
@@ -357,12 +356,7 @@ def gauss_coboundary(a: int, b: int, p: int, precision: int) -> PiRingElem:
     return prod.div_exact_by_p()
 
 
-@dataclass(frozen=True)
-class GrossKoblitzReport:
-    exponent: int
-    lhs: PiRingElem
-    rhs: PiRingElem
-    passed: bool
+GrossKoblitzReport = namedtuple("GrossKoblitzReport", "exponent lhs rhs passed")
 
 
 def gross_koblitz_check(a: int, p: int, precision: int) -> GrossKoblitzReport:
@@ -385,15 +379,21 @@ def gross_koblitz_check(a: int, p: int, precision: int) -> GrossKoblitzReport:
 # ---------------------------------------------------------------------------
 # Fermat curve point counts
 
+def _fermat_field(q: int, m: int) -> FqField:
+    """F_q, once the exponent m is checked to be a positive divisor of q-1."""
+    field = field_for_order(q)
+    if m < 1 or (q - 1) % m:
+        raise ValueError("m must be >= 1 and divide q-1")
+    return field
+
+
 def count_fermat_brute(q: int, m: int) -> int:
     """Affine solutions of x^m + y^m = 1 in F_q^2: sum of c(u) c(1-u).
 
     c(u) counts the x with x^m = u; field arithmetic only, no logs and no
     Teichmuller lifts, so this route shares nothing with the Jacobi one.
     """
-    field = field_for_order(q)
-    if (q - 1) % m:
-        raise ValueError("m must divide q-1")
+    field = _fermat_field(q, m)
     fibres = Counter(x**m for x in field.elements())
     return sum(c * fibres[1 - u] for u, c in fibres.items())
 
@@ -410,9 +410,7 @@ def count_fermat_jacobi(q: int, m: int, precision: int = 0) -> int:
     Individual Jacobi sums need not be rational when n > 1, so the lift
     happens after the whole sum is assembled.
     """
-    field = field_for_order(q)
-    if (q - 1) % m:
-        raise ValueError("m must divide q-1")
+    field = _fermat_field(q, m)
     p = field.p
     if precision == 0:
         precision = fermat_precision(q, m)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from . import charsum, gamma
 from .buium import p_derivation
@@ -201,13 +200,13 @@ def cmd_verify(args) -> int:
         "config": {"suite": cfg.suite, "p": cfg.p, "n": cfg.n, "N": cfg.precision,
                    # "K" was the series-term hint; pinned reports keep the field
                    "K": 0, "seed": cfg.seed, "count": cfg.count},
-        "records": [asdict(r) for r in records],
+        "records": [r._asdict() for r in records],
         "passed": all(r.passed for r in records),
     }
     if args.format == "json":
         print(_dumps(report))
     else:
-        _emit(args.format, [asdict(r) for r in records])
+        _emit(args.format, [r._asdict() for r in records])
 
     by_suite: dict[str, list[CheckRecord]] = {}
     for r in records:

@@ -6,12 +6,14 @@ the Gauss-sum coboundary are all instances over different abelian groups.
 Maps are wrapped with a flavor tag; additive values combine with + and
 multiplicative values with *, in which case every evaluated value must be
 a unit of its ring.
+
+GroupValuedMap and CocycleReport are immutable named tuples: their fields
+read by name, and a report serialises through _asdict() in field order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from collections import namedtuple
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -21,8 +23,7 @@ def _default_combine(a, b):
     return a + b
 
 
-@dataclass(frozen=True)
-class GroupValuedMap:
+class GroupValuedMap(namedtuple("GroupValuedMap", "fn flavor name combine")):
     """A 1- or 2-argument map into a commutative monoid of values.
 
     combine is the group law on *arguments* (defaults to +).  In
@@ -30,14 +31,12 @@ class GroupValuedMap:
     unit_inverse/inverse method.
     """
 
-    fn: Callable
-    flavor: str
-    name: str = "f"
-    combine: Callable = field(default=_default_combine)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.flavor not in (ADDITIVE, MULTIPLICATIVE):
+    def __new__(cls, fn, flavor, name="f", combine=_default_combine):
+        if flavor not in (ADDITIVE, MULTIPLICATIVE):
             raise ValueError("flavor must be additive or multiplicative")
+        return super().__new__(cls, fn, flavor, name, combine)
 
     def value(self, *args):
         v = self.fn(*args)
@@ -60,14 +59,7 @@ def _is_unit(v) -> bool:
     return v != 0  # plain numbers
 
 
-@dataclass(frozen=True)
-class CocycleReport:
-    name: str
-    inputs: tuple
-    lhs: Any
-    rhs: Any
-    residual: Any
-    passed: bool
+CocycleReport = namedtuple("CocycleReport", "name inputs lhs rhs residual passed")
 
 
 def coboundary2(f: GroupValuedMap, a, b):

@@ -32,7 +32,7 @@ here needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import PrecisionError
@@ -44,13 +44,7 @@ _LEVEL_KEYS = 32  # (p, N) pairs whose block polynomials stay cached
 _VALUE_KEYS = 1024  # (m mod p^N, p, N) triples whose Gamma_p values stay cached
 
 
-@dataclass(frozen=True)
-class EquationReport:
-    argument: PAdicInt
-    lhs: PAdicInt
-    rhs: PAdicInt
-    branch: str
-    passed: bool
+EquationReport = namedtuple("EquationReport", "argument lhs rhs branch passed")
 
 
 def _check_p(p: int) -> None:

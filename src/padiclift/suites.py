@@ -6,15 +6,22 @@ emitted individually with its inputs and residual so a red run is
 diagnosable from the report alone.  All randomness flows through the
 counter-based stream in rng.py, seeded per sampling suite with fixed
 offsets, so a (config, seed) pair reproduces byte-identical reports.
+
+RunConfig and CheckRecord are named tuples, like the reports the checks
+return; jsonable turns any of them into a dict in field order.  A RunConfig
+field left at None selects the suite's default; any value given, 0 too, is
+used as given, so a bad -p, -n or -N fails in the ring it reaches instead
+of running the default under the wrong label.  p must be prime and count
+at least 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass, fields as dc_fields
+from collections import namedtuple
 
 from . import buium, charsum, cohomo, gamma
 from .charsum import PiRingElem, jacobi_sum, pi_ring
-from .gfq import FqElem, fq_make
+from .gfq import FqElem, fq_make, is_prime
 from .residue import to_digits
 from .rng import CounterRng
 from .witt_zq import ZqElem, ZqRing, zq_ring
@@ -33,25 +40,16 @@ SUITE_SEED_OFFSET = {
 }
 
 
-@dataclass
-class RunConfig:
-    p: int | None = None
-    n: int | None = None
-    precision: int | None = None
-    seed: int = 0
-    count: int = 200
-    suite: str = "all"
+RunConfig = namedtuple("RunConfig", "p n precision seed count suite",
+                       defaults=(None, None, None, 0, 200, "all"))
+
+CheckRecord = namedtuple("CheckRecord", "suite op inputs passed checks failures residual",
+                         defaults=(1, 0, None))
 
 
-@dataclass
-class CheckRecord:
-    suite: str
-    op: str
-    inputs: dict
-    passed: bool
-    checks: int = 1
-    failures: int = 0
-    residual: object = None
+def _given(value, default):
+    """A RunConfig field, or the suite's default when it was left at None."""
+    return default if value is None else value
 
 
 def jsonable(v):
@@ -68,8 +66,8 @@ def jsonable(v):
                               for c in v.residues]}
     if isinstance(v, FqElem):
         return {"p": v.field.p, "n": v.field.n, "coeffs": list(v.coeffs)}
-    if is_dataclass(v) and not isinstance(v, type):
-        return {f.name: jsonable(getattr(v, f.name)) for f in dc_fields(v)}
+    if hasattr(v, "_asdict"):  # a report or record, before the tuple branch
+        return {k: jsonable(x) for k, x in v._asdict().items()}
     if isinstance(v, (list, tuple)):
         return [jsonable(x) for x in v]
     if isinstance(v, dict):
@@ -107,7 +105,7 @@ class _Collector:
 def run_carry_suite(cfg: RunConfig) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     col = _Collector("carry", records)
-    ps = [cfg.p] if cfg.p else [2, 3, 5, 7, 11, 13]
+    ps = [cfg.p] if cfg.p is not None else [2, 3, 5, 7, 11, 13]
 
     for p in ps:
         F = cohomo.GroupValuedMap(lambda a, b, p=p: carry_cocycle(a, b, p),
@@ -158,8 +156,8 @@ def run_buium_suite(cfg: RunConfig) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     col = _Collector("buium", records)
     rng = CounterRng(cfg.seed + SUITE_SEED_OFFSET["buium"])
-    if cfg.p:
-        configs = [(cfg.p, cfg.n or 1, cfg.precision or 4)]
+    if cfg.p is not None:
+        configs = [(cfg.p, _given(cfg.n, 1), _given(cfg.precision, 4))]
     else:
         configs = [(5, 1, 4), (3, 2, 4), (7, 1, 3)]
 
@@ -203,7 +201,7 @@ def run_buium_suite(cfg: RunConfig) -> list[CheckRecord]:
 def run_gamma_suite(cfg: RunConfig) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     col = _Collector("gamma", records)
-    ps = [cfg.p] if cfg.p else [3, 5, 7]
+    ps = [cfg.p] if cfg.p is not None else [3, 5, 7]
     rng = CounterRng(cfg.seed + SUITE_SEED_OFFSET["gamma"])
 
     for p in ps:
@@ -236,7 +234,7 @@ def run_gamma_suite(cfg: RunConfig) -> list[CheckRecord]:
                 continuity_cases())
 
     # Beta as the multiplicative coboundary of Gamma, plus its cocycle law
-    p, N = (cfg.p or 5), (cfg.precision or 3)
+    p, N = _given(cfg.p, 5), _given(cfg.precision, 3)
     gmap = cohomo.GroupValuedMap(gamma.gamma_p, cohomo.MULTIPLICATIVE, name="gamma_p")
 
     def beta_cases():
@@ -264,10 +262,10 @@ def run_gamma_suite(cfg: RunConfig) -> list[CheckRecord]:
 def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     col = _Collector("charsum", records)
-    ps = [cfg.p] if cfg.p else [5, 7]
+    ps = [cfg.p] if cfg.p is not None else [5, 7]
 
     for p in ps:
-        N = cfg.precision or 3
+        N = _given(cfg.precision, 3)
         ring = pi_ring(p, N)
         one = ring.one()
 
@@ -323,7 +321,7 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
         col.run("gross_koblitz_check", {"p": p, "N": N}, gk_cases())
 
     def jacobi_norm_cases():
-        for q in ([cfg.p] if cfg.p else [5, 7, 13]):
+        for q in ([cfg.p] if cfg.p is not None else [5, 7, 13]):
             field = charsum.field_for_order(q)
             N = 3
             d = q - 1
@@ -335,11 +333,11 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
                     rhs = zq_ring(field, N).from_int(q)
                     yield {"q": q, "a": a, "b": b}, lhs == rhs, lhs - rhs
 
-    col.run("jacobi_sum/norm_relation", {"q": cfg.p or [5, 7, 13]},
+    col.run("jacobi_sum/norm_relation", {"q": _given(cfg.p, [5, 7, 13])},
             jacobi_norm_cases())
 
     def fermat_cases():
-        chosen = [(cfg.p, 2)] if cfg.p else \
+        chosen = [(cfg.p, 2)] if cfg.p is not None else \
             [(5, 2), (5, 4), (7, 2), (7, 3), (13, 3), (13, 4)]
         for q, m in chosen:
             brute = charsum.count_fermat_brute(q, m)
@@ -362,6 +360,10 @@ SUITE_RUNNERS = {
 def run_suites(cfg: RunConfig) -> list[CheckRecord]:
     if cfg.suite != "all" and cfg.suite not in SUITE_RUNNERS:
         raise ValueError(f"unknown suite {cfg.suite!r}")
+    if cfg.p is not None and not is_prime(cfg.p):
+        raise ValueError("not prime")
+    if cfg.count < 1:
+        raise ValueError("count must be at least 1")
     records: list[CheckRecord] = []
     for name, runner in SUITE_RUNNERS.items():
         if cfg.suite in ("all", name):

@@ -455,9 +455,10 @@ def test_count_fermat_at_3_to_the_9():
 
 
 def test_count_fermat_guards():
-    with pytest.raises(ValueError, match="divide"):
-        count_fermat_brute(5, 3)
-    with pytest.raises(ValueError, match="divide"):
-        count_fermat_jacobi(5, 3)
+    for m in (3, 0, -2):  # -2 divides q-1 = 4 but is no exponent
+        with pytest.raises(ValueError, match="divide"):
+            count_fermat_brute(5, m)
+        with pytest.raises(ValueError, match="divide"):
+            count_fermat_jacobi(5, m)
     with pytest.raises(PrecisionError, match="cannot identify integer"):
         count_fermat_jacobi(13, 4, 2)  # 13^2 < 4 * 16 * 13

@@ -195,6 +195,31 @@ def test_series_term_hint_is_refused(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_fermat_exponent_below_one_is_a_usage_error(capsys, m):
+    rc, out, err = run(capsys, "fermat-count", "-q", "13", "-m", m)
+    assert (rc, out) == (2, "")
+    assert err == "error: m must be >= 1 and divide q-1\n"  # one line, no traceback
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    ("--suite buium -p 5 -n 0", 2, "extension degree must be >= 1"),
+    ("--suite buium -p 5 -N 0", 3, "precision must be >= 1"),
+    ("--suite gamma -N 0", 3, "precision must be >= 1"),
+    ("--suite charsum -N 0", 3, "precision must be >= 1"),
+    ("--suite carry -p 0", 2, "not prime"),
+    ("--suite carry -p 4", 2, "not prime"),
+    ("--suite buium --count 0", 2, "count must be at least 1"),
+    ("--suite gamma --count -3", 2, "count must be at least 1"),
+], ids=["n0", "N0-buium", "N0-gamma", "N0-charsum", "p0", "p4", "count0", "count-3"])
+def test_verify_uses_zero_as_given(capsys, argv, code, message):
+    # 0 is a value, not "use the default": it reaches the ring checks, and a
+    # sweep of no cases cannot pass
+    rc, out, err = run(capsys, "verify", *argv.split())
+    assert (rc, out) == (code, "")
+    assert err == f"error: {message}\n"
+
+
 def test_precision_error_exit_3(capsys):
     rc, _, err = run(capsys, "fermat-count", "-q", "13", "-m", "4", "-N", "2")
     assert rc == 3

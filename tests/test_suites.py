@@ -1,9 +1,20 @@
-"""The verify suites' failure path: a wrong case yields one detail record."""
+"""The verify suites' failure path, and the record types they pass around."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from padiclift import suites
-from padiclift.zp_ring import from_integer
+import pytest
+
+from padiclift import buium, charsum, cohomo, gamma, suites
+from padiclift.gfq import fq_make
+from padiclift.witt_zq import zq_ring
+from padiclift.zp_ring import carry_cocycle, from_integer
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _by_op(records, op):
@@ -59,3 +70,79 @@ def test_wrong_carry_on_one_triple_is_reported(monkeypatch):
     assert (rec.suite, rec.passed) == ("carry", False)
     assert rec.inputs == {"p": 3, "triple": [1, 1, 2]}  # triple 14 in base 3
     assert rec.residual in (1, -1)
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # the records are named tuples, so a cold `padiclift` start skips the
+    # dataclasses import and the inspect/ast/dis/tokenize chain behind it
+    probe = ("import sys; before = set(sys.modules); import padiclift.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "padiclift.cli" in added
+    assert not added & {"dataclasses", "inspect", "typing"}
+
+
+# each record type with its field names, as they were when it was a dataclass
+FIELDS = {
+    "LawReport": "law lhs rhs residual passed",
+    "EquationReport": "argument lhs rhs branch passed",
+    "GrossKoblitzReport": "exponent lhs rhs passed",
+    "CocycleReport": "name inputs lhs rhs residual passed",
+    "GroupValuedMap": "fn flavor name combine",
+    "RunConfig": "p n precision seed count suite",
+    "CheckRecord": "suite op inputs passed checks failures residual",
+}
+
+
+def _records():
+    """One value of each record type the package returns."""
+    ring = zq_ring(fq_make(3, 2), 3)
+    F = cohomo.GroupValuedMap(lambda a, b: carry_cocycle(a, b, 3), cohomo.ADDITIVE,
+                              name="carry_cocycle", combine=lambda a, b: (a + b) % 3)
+    return {
+        "LawReport": buium.verify_sum_rule(ring.element([1, 2]), ring.element([4, 5])),
+        "EquationReport": gamma.functional_equation_check(from_integer(4, 5, 3)),
+        "GrossKoblitzReport": charsum.gross_koblitz_check(1, 5, 3),
+        "CocycleReport": cohomo.cocycle2_check(F, 1, 2, 2),
+        "GroupValuedMap": F,
+        "RunConfig": suites.RunConfig(),
+        "CheckRecord": suites.CheckRecord("carry", "op", {}, True),
+    }
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_records_serialise_as_dicts_in_field_order(name):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    data = suites.jsonable(record)
+    assert isinstance(data, dict)
+    assert list(data) == FIELDS[name].split()
+    assert json.loads(json.dumps(data)) == data
+    with pytest.raises(AttributeError):
+        setattr(record, FIELDS[name].split()[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None  # no instance dict either
+
+
+def test_record_defaults_are_kept():
+    assert suites.RunConfig()._asdict() == {
+        "p": None, "n": None, "precision": None, "seed": 0, "count": 200, "suite": "all"}
+    assert suites.CheckRecord("s", "op", {}, True)._asdict() == {
+        "suite": "s", "op": "op", "inputs": {}, "passed": True,
+        "checks": 1, "failures": 0, "residual": None}
+    gm = cohomo.GroupValuedMap(gamma.gamma_p, cohomo.MULTIPLICATIVE)
+    assert gm.name == "f" and gm.combine(2, 3) == 5
+
+
+def test_failing_report_in_a_detail_record_is_a_dict():
+    # the gamma suite yields the whole EquationReport as a failing case's residual
+    rep = gamma.functional_equation_check(from_integer(4, 5, 3))
+    col = suites._Collector("gamma", [])
+    col.run("functional_equation", {}, [({"x": 4}, False, rep)])
+    aggregate, detail = col.records
+    assert (aggregate.failures, detail.residual["branch"]) == (1, rep.branch)
+    assert list(detail.residual) == ["argument", "lhs", "rhs", "branch", "passed"]
