@@ -42,7 +42,7 @@ def ring_carry(x: ZqElem, y: ZqElem) -> ZqElem:
     Z_q elements have no canonical integer lift, but the binomial
     coefficients still supply the factor of p, so the division stays exact.
     """
-    if x.ring != y.ring:
+    if x.ring is not y.ring:
         raise ValueError("ring mismatch")
     if x.ring.precision < 2:
         raise PrecisionError("insufficient precision")
@@ -52,7 +52,7 @@ def ring_carry(x: ZqElem, y: ZqElem) -> ZqElem:
 
 def verify_sum_rule(x: ZqElem, y: ZqElem) -> LawReport:
     """delta(x+y) against delta(x) + delta(y) + C_p(x, y), at precision N-1."""
-    if x.ring != y.ring:
+    if x.ring is not y.ring:
         raise ValueError("ring mismatch")
     lhs = p_derivation(x + y)
     rhs = p_derivation(x) + p_derivation(y) + ring_carry(x, y)
@@ -62,7 +62,7 @@ def verify_sum_rule(x: ZqElem, y: ZqElem) -> LawReport:
 
 def verify_product_rule(x: ZqElem, y: ZqElem) -> LawReport:
     """delta(xy) against x^p delta(y) + delta(x) y^p + p delta(x) delta(y)."""
-    if x.ring != y.ring:
+    if x.ring is not y.ring:
         raise ValueError("ring mismatch")
     p = x.ring.p
     n1 = x.ring.precision - 1

@@ -216,14 +216,6 @@ class PiRing(QuotientRing):
     def with_precision(self, precision: int) -> "PiRing":
         return pi_ring(self.p, precision)
 
-    def __eq__(self, other):
-        if not isinstance(other, PiRing):
-            return NotImplemented
-        return (self.p, self.precision) == (other.p, other.precision)
-
-    def __hash__(self):
-        return hash((self.p, self.precision))
-
     def __repr__(self):
         return f"PiRing(p={self.p}, N={self.precision})"
 

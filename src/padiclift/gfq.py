@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from .errors import InvariantError
 from .residue import from_digits, mulmod, powmod, to_digits
 
 Q_CAP = 1 << 20
@@ -151,7 +152,7 @@ class FqField:
             g = self.from_int(k)
             if self._is_generator(g):
                 return g
-        raise AssertionError("no generator found")  # impossible: F_q^* is cyclic
+        raise InvariantError("no generator found")  # impossible: F_q^* is cyclic
 
     # -- element constructors ------------------------------------------------
     def element(self, coeffs) -> "FqElem":
@@ -343,7 +344,7 @@ def fq_make(p: int, n: int) -> FqField:
         candidate = tail + (1,)
         if _is_irreducible(candidate, p):
             return FqField(p, n, candidate)
-    raise AssertionError("no irreducible polynomial found")  # cannot happen
+    raise InvariantError("no irreducible polynomial found")  # cannot happen
 
 
 def frobenius(x: FqElem) -> FqElem:

@@ -7,8 +7,12 @@ multiplied and powered through the residue kernel.  QuotientRing holds the
 ring data (p, precision, n, modulus = p^N, relation, and the order of the
 unit group) and forms int-weighted sums of residue vectors, reduced mod
 p^N once, for the linear maps built on the ring; QuotientElem holds the
-arithmetic, coercion, equality, exact division by p and truncation.  A subclass supplies is_unit and with_precision, and names its
-element class as element_type.
+arithmetic, coercion, equality, exact division by p and truncation.  A
+subclass supplies is_unit and with_precision, and names its element class
+as element_type.
+
+Rings compare by identity: the cached witt_zq.zq_ring and charsum.pi_ring
+build the one ring object per key, and with_precision goes through them.
 
 Scalars follow scalar_residue: an int is reduced, a PAdicInt must carry at
 least the ring's precision.  Elements of two different quotient-ring
@@ -81,8 +85,7 @@ class QuotientElem:
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
-            # rings come from cached constructors: identity settles most
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise ValueError("ring mismatch")
             return other
         if isinstance(other, (int, PAdicInt)):
@@ -161,8 +164,7 @@ class QuotientElem:
                 return False
         if not isinstance(other, type(self)):
             return NotImplemented
-        return ((self.ring is other.ring or self.ring == other.ring)
-                and self.residues == other.residues)
+        return self.ring is other.ring and self.residues == other.residues
 
     def __hash__(self):
         # a scalar hashes as its residue, like the int and PAdicInt it equals

@@ -11,8 +11,8 @@ RunConfig and CheckRecord are named tuples, like the reports the checks
 return; jsonable turns any of them into a dict in field order.  A RunConfig
 field left at None selects the suite's default; any value given, 0 too, is
 used as given, so a bad -p, -n or -N fails in the ring it reaches instead
-of running the default under the wrong label.  p must be prime and count
-at least 1.
+of running the default under the wrong label.  p must be prime, n is
+given only together with p, and count is at least 1.
 """
 
 from __future__ import annotations
@@ -236,6 +236,7 @@ def run_gamma_suite(cfg: RunConfig) -> list[CheckRecord]:
     # Beta as the multiplicative coboundary of Gamma, plus its cocycle law
     p, N = _given(cfg.p, 5), _given(cfg.precision, 3)
     gmap = cohomo.GroupValuedMap(gamma.gamma_p, cohomo.MULTIPLICATIVE, name="gamma_p")
+    bmap = cohomo.GroupValuedMap(gamma.beta_p, cohomo.MULTIPLICATIVE, name="beta_p")
 
     def beta_cases():
         for _ in range(cfg.count):
@@ -245,9 +246,7 @@ def run_gamma_suite(cfg: RunConfig) -> list[CheckRecord]:
             want = gamma.beta_p(a, b)
             got = cohomo.coboundary2(gmap, a, b)
             ok1 = want == got
-            rep = cohomo.cocycle2_check(
-                cohomo.GroupValuedMap(gamma.beta_p, cohomo.MULTIPLICATIVE,
-                                      name="beta_p"), a, b, c)
+            rep = cohomo.cocycle2_check(bmap, a, b, c)
             yield ({"p": p, "N": N, "a": a, "b": b, "c": c},
                    ok1 and rep.passed, rep.residual)
 
@@ -362,6 +361,8 @@ def run_suites(cfg: RunConfig) -> list[CheckRecord]:
         raise ValueError(f"unknown suite {cfg.suite!r}")
     if cfg.p is not None and not is_prime(cfg.p):
         raise ValueError("not prime")
+    if cfg.n is not None and cfg.p is None:  # only the buium suite reads n, beside p
+        raise ValueError("n is only read together with p")
     if cfg.count < 1:
         raise ValueError("count must be at least 1")
     records: list[CheckRecord] = []

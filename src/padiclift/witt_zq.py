@@ -45,7 +45,7 @@ class ZqElem(QuotientElem):
     # Tracer shims: bench/spans.py finds each traced operator in its class's
     # own namespace and wraps it by identity, so ZqElem binds the base
     # functions and PiRingElem delegates to them; the benchmark refresh
-    # (ROADMAP item 1) deletes both.
+    # (ROADMAP item 6) deletes both.
     __add__ = __radd__ = QuotientElem.__add__
     __sub__ = QuotientElem.__sub__
     __neg__ = QuotientElem.__neg__
@@ -118,14 +118,6 @@ class ZqRing(QuotientRing):
         x = self.naive_lift(v) ** (self.field.q**k)
         self._teich[v.coeffs] = x
         return x
-
-    def __eq__(self, other):
-        if not isinstance(other, ZqRing):
-            return NotImplemented
-        return self.field == other.field and self.precision == other.precision
-
-    def __hash__(self):
-        return hash((self.field, self.precision))
 
     def __repr__(self):
         return f"ZqRing(q={self.field.q}, N={self.precision})"

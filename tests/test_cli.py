@@ -211,7 +211,9 @@ def test_fermat_exponent_below_one_is_a_usage_error(capsys, m):
     ("--suite carry -p 4", 2, "not prime"),
     ("--suite buium --count 0", 2, "count must be at least 1"),
     ("--suite gamma --count -3", 2, "count must be at least 1"),
-], ids=["n0", "N0-buium", "N0-gamma", "N0-charsum", "p0", "p4", "count0", "count-3"])
+    ("--suite buium -n 3", 2, "n is only read together with p"),
+], ids=["n0", "N0-buium", "N0-gamma", "N0-charsum", "p0", "p4", "count0", "count-3",
+        "n-without-p"])
 def test_verify_uses_zero_as_given(capsys, argv, code, message):
     # 0 is a value, not "use the default": it reaches the ring checks, and a
     # sweep of no cases cannot pass

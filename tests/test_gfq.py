@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from padiclift import InvariantError, gfq
+from padiclift.cli import main
 from padiclift.gfq import FqField, discrete_log, fq_make, frobenius, is_prime, prime_factors
 from padiclift.rng import CounterRng
 
@@ -148,3 +150,23 @@ def test_zech_table(p, n):
 
 def test_is_prime_basics():
     assert [k for k in range(20) if is_prime(k)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+@pytest.mark.parametrize("p,n,owner,attr,fake,message", [
+    (3, 2, gfq, "_is_irreducible", lambda modulus, p: len(modulus) == 2,
+     "no irreducible polynomial found"),
+    (7, 1, FqField, "_is_generator", lambda self, g: False, "no generator found"),
+], ids=["modulus", "generator"])
+def test_failed_search_raises_invariant_error(monkeypatch, capsys, p, n, owner, attr,
+                                              fake, message):
+    # neither search can fail on a correct F_q; forced to, it is an invariant
+    # failure that exits 4 with one error line, not an AssertionError traceback
+    monkeypatch.setattr(owner, attr, fake)
+    fq_make.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match=message):
+            fq_make(p, n)
+        assert main(["teich", "-p", str(p), "-n", str(n), "-N", "2", "-v", "1"]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    finally:
+        fq_make.cache_clear()

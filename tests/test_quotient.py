@@ -57,6 +57,12 @@ def test_shared_quotient_semantics(ring):
         x.truncate(0)
     assert x.truncate(1).ring is ring.with_precision(1)
 
+    # one ring object per key, since rings compare by identity
+    assert (zq_ring(fq_make(3, 2), 3) if ring.n == 2 else pi_ring(5, 3)) is ring
+    assert ring.with_precision(N) is ring
+    y = x.truncate(N)
+    assert y.ring is ring and y == x and hash(y) == hash(x)
+
     # inverse through the order of the unit group
     assert x.is_unit()
     assert x * x.unit_inverse() == 1
