@@ -9,13 +9,22 @@ the base of the Z_q and pi-ring elements.  An element is a length-n tuple
 of coefficients in [0, m), lowest degree first, with n = deg f; f is given
 as its n + 1 integer coefficients, lowest first, ending in 1.
 
-Multiplication is Kronecker substitution: both factors are packed into one
-int with slots wide enough for any product coefficient, one bigint multiply
-forms the whole product polynomial, and the unpacked coefficients are
-folded back through f (D. Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).  At
-n = 1 the ring (Z/m)[X]/(X + f_0) is Z/m itself, so a product is one int
-product mod m and a power is pow(a_0, e, m).
+Multiplication is Kronecker substitution (D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+44, 2009): both factors are packed into one int, one bigint multiply forms
+the whole product polynomial, and the reduction mod f stays packed too.
+With g = X^n mod f = -(f_0, ..., f_(n-1)) of degree d, the product splits
+into its n low slots and n - 1 high slots; the first split = n - d high
+slots fold in one more bigint product with g, since X^j g(X) has degree
+< n for j < split, and each later high slot adds its coefficient times a
+packed wrap row X^(n+j) mod f.  The slots are w bits wide, with w the bit
+length of n (m-1)^2 (1 + (n-1)(m-1)), so no folded coefficient carries
+into the next slot, and each of the n result slots is reduced mod m once.
+g, split, w and the rows are built once per (f, m).  The pi-ring relation
+X^(p-1) + p has d = 0 and the truncation X^N has g = 0, so neither builds
+a row; dense F_q and Z_q moduli keep n - 2.  At n = 1 the ring
+(Z/m)[X]/(X + f_0) is Z/m itself, so a product is one int product mod m
+and a power is pow(a_0, e, m).
 
 Base-p digits exist only at the text/JSON boundary: to_digits and
 from_digits convert between a residue mod p^N and its N little-endian
@@ -24,33 +33,53 @@ digits.  zp_ring's cocycle_sum reads its digits by divmod on the value.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 def mulmod(a: tuple, b: tuple, f: tuple, m: int) -> tuple:
     """a * b in (Z/m)[X]/(f); a and b hold residues in [0, m)."""
-    n = len(a)
-    if n == 1:  # (Z/m)[X]/(X + f_0) is Z/m
+    if len(a) == 1:  # (Z/m)[X]/(X + f_0) is Z/m
         return (a[0] * b[0] % m,)
-    # a product coefficient is a sum of at most n terms, each <= (m-1)^2
-    bits = (n * (m - 1) ** 2).bit_length()
-    packed = _pack(a, bits)
-    packed *= packed if b is a else _pack(b, bits)
-    mask = (1 << bits) - 1
-    prod = []
-    for _ in range(2 * n - 1):
-        prod.append(packed & mask)
-        packed >>= bits
-    # X^k = -X^(k-n) (f_0 + ... + f_(n-1) X^(n-1)), from the top degree down
-    low = f[:n]
-    for k in range(2 * n - 2, n - 1, -1):
-        c = prod[k] % m
-        if c:
-            for i, fi in enumerate(low, k - n):
-                if fi:
-                    prod[i] -= c * fi
-    return tuple(c % m for c in prod[:n])
+    return _fold_mul(a, b, m, _folding(f, m))
 
 
-def _pack(coeffs: tuple, bits: int) -> int:
+@lru_cache(maxsize=64)  # bounded: fq_make tries many moduli per field
+def _folding(f: tuple, m: int) -> tuple:
+    """n, the slot width w, packed g = X^n mod f, split = n - deg g and the
+    packed wrap rows X^(n+j) mod f for split <= j <= n - 2; deg f >= 2."""
+    n = len(f) - 1
+    # a folded slot is a product slot, <= n (m-1)^2, plus at most one term
+    # per high slot, each <= n (m-1)^2 (m-1): w bits hold it with no carry
+    w = (n * (m - 1) ** 2 * (1 + (n - 1) * (m - 1))).bit_length()
+    g = [-c % m for c in f[:n]]
+    split = n - max((i for i, c in enumerate(g) if c), default=0)
+    row = ([0] * (split - 1) + g)[:n]  # X^(n+split-1) = X^(split-1) g, degree n - 1
+    rows = []
+    for _ in range(split, n - 1):  # row = X^(n+j) mod f
+        top = row[-1]
+        row = [(c + top * gi) % m for c, gi in zip([0] + row[:-1], g)]
+        rows.append(_pack(row, w))
+    return n, w, _pack(g, w), split, tuple(rows)
+
+
+def _fold_mul(a: tuple, b: tuple, m: int, folding: tuple) -> tuple:
+    """a * b reduced through the _folding data: O(n) bigint steps."""
+    n, w, g, split, rows = folding
+    packed = _pack(a, w)
+    packed *= packed if b is a else _pack(b, w)
+    high = packed >> n * w
+    acc = (packed & ((1 << n * w) - 1)) + (high & ((1 << split * w) - 1)) * g
+    mask = (1 << w) - 1
+    for j, row in enumerate(rows, split):
+        acc += (high >> j * w & mask) * row
+    out = []
+    for _ in range(n):
+        out.append((acc & mask) % m)
+        acc >>= w
+    return tuple(out)
+
+
+def _pack(coeffs, bits: int) -> int:
     packed = 0
     for c in reversed(coeffs):
         packed = (packed << bits) | c
@@ -63,11 +92,12 @@ def powmod(a: tuple, e: int, f: tuple, m: int) -> tuple:
         return (pow(a[0], e, m),)
     if e == 0:
         return (1,) + (0,) * (len(a) - 1)
+    folding = _folding(f, m)
     r = a
     for bit in bin(e)[3:]:
-        r = mulmod(r, r, f, m)
+        r = _fold_mul(r, r, m, folding)
         if bit == "1":
-            r = mulmod(r, a, f, m)
+            r = _fold_mul(r, a, m, folding)
     return r
 
 

@@ -58,12 +58,10 @@ def jsonable(v):
         return {"p": v.p, "n": 1, "N": v.precision, "digits": list(v.digits)}
     if isinstance(v, ZqElem):
         return {"p": v.ring.p, "n": v.ring.n, "N": v.ring.precision,
-                "coeffs": [list(to_digits(c, v.ring.p, v.ring.precision))
-                           for c in v.residues]}
+                "coeffs": _digit_lists(v)}
     if isinstance(v, PiRingElem):
         return {"p": v.ring.p, "n": 1, "N": v.ring.precision,
-                "pi_coeffs": [list(to_digits(c, v.ring.p, v.ring.precision))
-                              for c in v.residues]}
+                "pi_coeffs": _digit_lists(v)}
     if isinstance(v, FqElem):
         return {"p": v.field.p, "n": v.field.n, "coeffs": list(v.coeffs)}
     if hasattr(v, "_asdict"):  # a report or record, before the tuple branch
@@ -75,6 +73,13 @@ def jsonable(v):
     if isinstance(v, (int, str, bool)) or v is None:
         return v
     return repr(v)
+
+
+def _digit_lists(v) -> list:
+    """The base-p digits of each residue of a Z_q or pi-ring element."""
+    p, N = v.ring.p, v.ring.precision
+    # a pi-ring element at large p is mostly zero residues
+    return [list(to_digits(c, p, N)) if c else [0] * N for c in v.residues]
 
 
 class _Collector:
@@ -158,8 +163,9 @@ def run_buium_suite(cfg: RunConfig) -> list[CheckRecord]:
     rng = CounterRng(cfg.seed + SUITE_SEED_OFFSET["buium"])
     if cfg.p is not None:
         configs = [(cfg.p, _given(cfg.n, 1), _given(cfg.precision, 4))]
-    else:
-        configs = [(5, 1, 4), (3, 2, 4), (7, 1, 3)]
+    else:  # -N alone sets the precision of every default config
+        configs = [(p, n, _given(cfg.precision, N))
+                   for p, n, N in [(5, 1, 4), (3, 2, 4), (7, 1, 3)]]
 
     for p, n, N in configs:
         ring = zq_ring(fq_make(p, n), N)

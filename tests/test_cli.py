@@ -222,6 +222,23 @@ def test_verify_uses_zero_as_given(capsys, argv, code, message):
     assert err == f"error: {message}\n"
 
 
+def test_verify_buium_precision_alone_sets_every_default_config(capsys):
+    rc, out, _ = run(capsys, "verify", "--suite", "buium", "-N", "5", "--count", "3")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["config"]["N"] == 5
+    configs = {(r["inputs"]["p"], r["inputs"]["n"], r["inputs"]["N"])
+               for r in report["records"] if r["op"] == "verify_sum_rule"}
+    assert configs == {(5, 1, 5), (3, 2, 5), (7, 1, 5)}
+
+
+def test_verify_buium_precision_one_exits_3(capsys):
+    # delta(x) = (phi(x) - x^p) / p needs N >= 2
+    rc, out, err = run(capsys, "verify", "--suite", "buium", "-N", "1")
+    assert (rc, out) == (3, "")
+    assert err == "error: insufficient precision\n"  # one line, no traceback
+
+
 def test_precision_error_exit_3(capsys):
     rc, _, err = run(capsys, "fermat-count", "-q", "13", "-m", "4", "-N", "2")
     assert rc == 3
