@@ -363,7 +363,8 @@ def gross_koblitz_check(a: int, p: int, precision: int) -> GrossKoblitzReport:
     lhs = gauss_sum(-a % d, p, precision)
     ring = pi_ring(p, precision)
     arg = PAdicInt.from_integer(a * pow(d, -1, ring.modulus), p, precision)
-    pi_a = ring.element([0] * a + [1] + [0] * (d - 1 - a))  # basis vector, as a < p-1
+    # the a-th basis vector (a < p-1), already reduced, so no coordinate is coerced
+    pi_a = ring.element_type(ring, (0,) * a + (1,) + (0,) * (d - 1 - a))
     rhs = -(pi_a * gamma_p(arg))
     return GrossKoblitzReport(a, lhs, rhs, lhs == rhs)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import charsum, gamma
@@ -101,6 +102,7 @@ def cmd_gamma(args) -> int:
     rows = []
     if not args.sweep and args.x is None:
         raise ValueError("provide -x or --sweep")
+    p, N = args.p, args.N
     if args.sweep:
         lo, _, hi = args.sweep.partition(":")
         for m in range(int(lo), int(hi)):
@@ -109,10 +111,11 @@ def cmd_gamma(args) -> int:
     else:
         x = from_integer(int(args.x), args.p, args.N) if ";" not in args.x \
             else parse_padic(args.x)
+        p, N = x.p, x.precision  # canonical text fixes its own p and N
         v = gamma.gamma_p(x)
         rows.append({"op": "gamma_p", "x": jsonable(x), **jsonable(v)})
     _emit(args.format, rows)
-    print(f"gamma_p: {len(rows)} value(s) at p={args.p}, N={args.N}", file=sys.stderr)
+    print(f"gamma_p: {len(rows)} value(s) at p={p}, N={N}", file=sys.stderr)
     return 0
 
 
@@ -219,115 +222,100 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
 
     if args.fixtures:
-        import os
-        if os.path.exists(args.fixtures):
-            with open(args.fixtures, "r", encoding="utf-8") as fh:
-                expected = json.load(fh)
-            actual = json.loads(_dumps(report))
-            if expected != actual:
-                print(f"fixtures mismatch against {args.fixtures}: "
-                      f"{_first_difference(expected, actual)}", file=sys.stderr)
-                return 1
-            print(f"fixtures match {args.fixtures}", file=sys.stderr)
-        else:
-            with open(args.fixtures, "w", encoding="utf-8") as fh:
-                fh.write(_dumps(report) + "\n")
+        compare = os.path.exists(args.fixtures)
+        try:
+            with open(args.fixtures, "r" if compare else "w", encoding="utf-8") as fh:
+                if compare:
+                    expected = json.load(fh)
+                else:
+                    fh.write(_dumps(report) + "\n")
+        except OSError as exc:  # an unusable path is a usage error, not a failed check
+            raise ValueError(f"fixtures {args.fixtures}: {exc.strerror or exc}") from None
+        if not compare:
             print(f"fixtures written to {args.fixtures}", file=sys.stderr)
+        elif expected != (actual := json.loads(_dumps(report))):
+            print(f"fixtures mismatch against {args.fixtures}: "
+                  f"{_first_difference(expected, actual)}", file=sys.stderr)
+            return 1
+        else:
+            print(f"fixtures match {args.fixtures}", file=sys.stderr)
 
     return 0 if report["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, *, p=True, n=False, N=True):
-    if p:
-        sp.add_argument("-p", type=int, required=True, help="prime")
-    if n:
-        sp.add_argument("-n", type=int, default=1, help="extension degree")
-    if N:
-        sp.add_argument("-N", type=int, required=True, help="p-adic precision")
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+def _arg(*flags, **kwargs):
+    """One add_argument call, as data."""
+    return flags, kwargs
 
 
-def build_parser() -> argparse.ArgumentParser:
+_P = _arg("-p", type=int, required=True, help="prime")
+_n = _arg("-n", type=int, default=1, help="extension degree")
+_N = _arg("-N", type=int, required=True, help="p-adic precision")
+_FORMAT = _arg("--format", choices=("json", "csv", "text"), default="json")
+_A, _B = _arg("-a", type=int, required=True), _arg("-b", type=int, required=True)
+_ELEMENT = (_P, _n, _N, _FORMAT,
+            _arg("-x", help="element: integer, comma coeffs, or canonical text"),
+            _arg("--elem", help="canonical text form p=..;n=..;N=..;coeffs=[..]"))
+
+# (name, aliases, help, handler, arguments), in the order -h lists them
+COMMANDS = (
+    ("teich", (), "Teichmuller lift of a field element", cmd_teich,
+     (_P, _n, _N, _FORMAT,
+      _arg("-v", required=True, help="field element: integer or comma coeffs"))),
+    ("frobenius", (), "canonical Frobenius lift", cmd_frobenius, _ELEMENT),
+    ("delta", (), "p-derivation (phi(x) - x^p)/p", cmd_delta, _ELEMENT),
+    ("gamma", (), "Morita p-adic Gamma", cmd_gamma,
+     (_P, _N, _FORMAT, _arg("-x", help="argument: integer or canonical text"),
+      _arg("--sweep", help="emit a table for m in lo:hi"))),
+    ("beta", (), "p-adic Beta unit", cmd_beta, (_P, _N, _FORMAT, _A, _B)),
+    ("jacobi", (), "Jacobi sum as a character convolution", cmd_jacobi,
+     (_N, _FORMAT, _arg("-q", type=int, help="field order (prime power)"),
+      _arg("-p", type=int, help="prime (with -n)"), _arg("-n", type=int, default=1), _A, _B)),
+    ("gauss", (), "Gauss sum in the pi-ring", cmd_gauss, (_P, _N, _FORMAT, _A)),
+    ("gk-check", ("gk",), "Gross-Koblitz cross-check", cmd_gk,
+     (_P, _N, _FORMAT, _arg("-a", type=int, help="single exponent; default all 0<a<p-1"))),
+    ("fermat-count", ("fermat",), "Fermat curve point count, brute vs Jacobi", cmd_fermat,
+     (_arg("-q", type=int, required=True), _arg("-m", type=int, required=True),
+      _arg("-N", type=int, default=0, help="0 = auto precision"), _FORMAT)),
+    ("verify", (), "run verification suites", cmd_verify,
+     (_arg("--suite", default="all", choices=("carry", "buium", "gamma", "charsum", "all")),
+      _arg("-p", type=int), _arg("-n", type=int), _arg("-N", type=int),
+      _arg("--seed", type=int, default=0),
+      _arg("--count", type=int, default=200, help="random cases per seeded sweep"),
+      _arg("--fixtures", help="JSON regression file to write or compare"), _FORMAT)),
+)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv: only the subcommand argv[0] names, else all of them.
+
+    A process runs one subcommand, so building the other nine would be wasted.
+    """
     parser = argparse.ArgumentParser(
         prog="padiclift",
         description="Exact truncated p-adic arithmetic, Frobenius lifts, "
                     "p-adic Gamma/Beta, and character sums.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("teich", help="Teichmuller lift of a field element")
-    _add_common(sp, n=True)
-    sp.add_argument("-v", required=True, help="field element: integer or comma coeffs")
-    sp.set_defaults(handler=cmd_teich)
-
-    for name, handler, hint in (("frobenius", cmd_frobenius, "canonical Frobenius lift"),
-                                ("delta", cmd_delta, "p-derivation (phi(x) - x^p)/p")):
-        sp = sub.add_parser(name, help=hint)
-        _add_common(sp, n=True)
-        sp.add_argument("-x", help="element: integer, comma coeffs, or canonical text")
-        sp.add_argument("--elem", help="canonical text form p=..;n=..;N=..;coeffs=[..]")
+    first = argv[0] if argv else None
+    chosen = [c for c in COMMANDS if first == c[0] or first in c[1]]
+    # The usage line argparse prints on unrecognized arguments lists every name
+    # either way; on the full build a metavar would rename the "required:
+    # command" error, so it is only set on the one-subcommand build.
+    metavar = "{%s}" % ",".join(n for c in COMMANDS for n in (c[0], *c[1])) if chosen else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, aliases, hint, handler, arguments in chosen or COMMANDS:
+        sp = sub.add_parser(name, aliases=aliases, help=hint)
+        for flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
         sp.set_defaults(handler=handler)
-
-    sp = sub.add_parser("gamma", help="Morita p-adic Gamma")
-    _add_common(sp)
-    sp.add_argument("-x", help="argument: integer or canonical text")
-    sp.add_argument("--sweep", help="emit a table for m in lo:hi")
-    sp.set_defaults(handler=cmd_gamma)
-
-    sp = sub.add_parser("beta", help="p-adic Beta unit")
-    _add_common(sp)
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-b", type=int, required=True)
-    sp.set_defaults(handler=cmd_beta)
-
-    sp = sub.add_parser("jacobi", help="Jacobi sum as a character convolution")
-    _add_common(sp, p=False, n=False)
-    sp.add_argument("-q", type=int, help="field order (prime power)")
-    sp.add_argument("-p", type=int, help="prime (with -n)")
-    sp.add_argument("-n", type=int, default=1)
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-b", type=int, required=True)
-    sp.set_defaults(handler=cmd_jacobi)
-
-    sp = sub.add_parser("gauss", help="Gauss sum in the pi-ring")
-    _add_common(sp)
-    sp.add_argument("-a", type=int, required=True)
-    sp.set_defaults(handler=cmd_gauss)
-
-    sp = sub.add_parser("gk-check", aliases=["gk"],
-                        help="Gross-Koblitz cross-check")
-    _add_common(sp)
-    sp.add_argument("-a", type=int, help="single exponent; default all 0<a<p-1")
-    sp.set_defaults(handler=cmd_gk)
-
-    sp = sub.add_parser("fermat-count", aliases=["fermat"],
-                        help="Fermat curve point count, brute vs Jacobi")
-    sp.add_argument("-q", type=int, required=True)
-    sp.add_argument("-m", type=int, required=True)
-    sp.add_argument("-N", type=int, default=0, help="0 = auto precision")
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    sp.set_defaults(handler=cmd_fermat)
-
-    sp = sub.add_parser("verify", help="run verification suites")
-    sp.add_argument("--suite", default="all",
-                    choices=("carry", "buium", "gamma", "charsum", "all"))
-    sp.add_argument("-p", type=int)
-    sp.add_argument("-n", type=int)
-    sp.add_argument("-N", type=int)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=200,
-                    help="random cases per seeded sweep")
-    sp.add_argument("--fixtures", help="JSON regression file to write or compare")
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    sp.set_defaults(handler=cmd_verify)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except PrecisionError as exc:

@@ -176,9 +176,10 @@ class FqField:
         return FqElem(self, (1,) + (0,) * (self.n - 1))
 
     def elements(self):
-        """All q elements, in base-p integer order."""
-        for k in range(self.q):
-            yield self.from_int(k)
+        """All q elements, in base-p integer order: element k is from_int(k)."""
+        # product varies its last place fastest; coefficient 0 is the lowest digit
+        for digits in itertools.product(range(self.p), repeat=self.n):
+            yield FqElem(self, digits[::-1])
 
     # -- discrete and Zech logarithms ------------------------------------
     def _log_tables(self) -> None:

@@ -406,6 +406,18 @@ def test_gross_koblitz_rhs_matches_pi_power_oracle(p, n):
         assert gross_koblitz_check(a, p, n).rhs == oracle, (p, n, a)
 
 
+@pytest.mark.parametrize("p, n", [(7, 8), (13, 5)])
+def test_gross_koblitz_rhs_matches_coerced_basis_vector(p, n):
+    # pi^a is wrapped from an already reduced tuple; ring.element coerces
+    # every coordinate and is the oracle
+    ring = pi_ring(p, n)
+    for a in range(1, p - 1):
+        arg = PAdicInt.from_integer(a * pow(p - 1, -1, ring.modulus), p, n)
+        oracle = -(ring.element([0] * a + [1] + [0] * (p - 2 - a)) * gamma_p(arg))
+        rhs = gross_koblitz_check(a, p, n).rhs
+        assert (type(rhs), rhs.residues) == (type(oracle), oracle.residues), (p, n, a)
+
+
 def test_gross_koblitz_guards():
     with pytest.raises(ValueError):
         gross_koblitz_check(0, 5, 3)

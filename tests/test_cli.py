@@ -1,10 +1,13 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
 
 from padiclift import InvariantError, charsum
-from padiclift.cli import main
+from padiclift.cli import COMMANDS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -282,6 +285,18 @@ def test_fixtures_mismatch_names_first_record(tmp_path, capsys):
     assert "3 records in the fixture, 2 in the report" in err
 
 
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_unusable_fixtures_path_is_a_usage_error(tmp_path, capsys, where):
+    # exit 1 means a check failed; a path that can be neither read nor written
+    # exits 2 with one error line and no traceback
+    fx = tmp_path / "no-such-dir" / "carry.json" if where == "missing directory" else tmp_path
+    rc, out, err = run(capsys, "verify", "--suite", "carry", "-p", "3", "--fixtures", str(fx))
+    assert rc == 2 and json.loads(out)["passed"]
+    *summary, last = err.splitlines()
+    assert all(line.startswith("suite carry: ") for line in summary)
+    assert last.startswith(f"error: fixtures {fx}: ")
+
+
 def test_invariant_failure_exit_4(capsys, monkeypatch):
     def broken(q, m, precision=0):
         raise InvariantError("Jacobi-sum total is not rational")
@@ -321,6 +336,16 @@ def test_verify_other_formats(capsys):
     assert "passed=True" in out
 
 
+def test_gamma_summary_names_the_parsed_argument(capsys):
+    # canonical text fixes its own p and N; the -p/-N flags are not used
+    rc, out, err = run(capsys, "gamma", "-p", "7", "-N", "3", "-x", "p=5;N=2;digits=1,1")
+    assert rc == 0
+    assert json.loads(out)["p"] == 5
+    assert err == "gamma_p: 1 value(s) at p=5, N=2\n"
+    rc, _, err = run(capsys, "gamma", "-p", "7", "-N", "3", "--sweep", "0:2")
+    assert (rc, err) == (0, "gamma_p: 2 value(s) at p=7, N=3\n")
+
+
 def test_gamma_accepts_canonical_text(capsys):
     rc, out, _ = run(capsys, "gamma", "-p", "5", "-N", "3", "-x",
                      "p=5;N=3;digits=4,3,0")
@@ -347,3 +372,129 @@ def test_canonical_text_ignores_the_ring_flags(capsys):
     assert rc == 0 and out == want
     rc, _, err = run(capsys, "delta", "-p", "4", "-N", "4", "-x", "1,2")
     assert rc == 2 and "not prime" in err
+
+
+# Every argv the tests above pass to main, then missing and trailing
+# arguments, -h and an unknown command; -h on every name and no argv are added
+# below.
+CLI_CALLS = """
+teich -p 5 -N 2 -v 2
+teich -p 3 -n 2 -N 2 -v 0,1
+fermat-count -q 5 -m 2
+fermat -q 7 -m 3
+frobenius -p 3 -n 2 -N 4 -x 5,7
+frobenius --elem p=3;n=2;N=4;coeffs=[2,1,0,0|2,0,2,2] -p 3 -n 2 -N 4
+delta -p 5 -N 3 -x 2
+gamma -p 5 -N 2 -x 6
+gamma -p 5 -N 2 --sweep 0:10 --format csv
+beta -p 5 -N 3 -a 1 -b 1
+jacobi -q 5 -N 3 -a 2 -b 2
+gauss -p 5 -N 2 -a 0
+gk-check -p 5 -N 3
+gk -p 7 -N 3 -a 2
+gk-check -p 7 -N 8
+gk-check -p 13 -N 5
+gk-check -p 53 -N 6
+gk-check -p 31 -N 5
+gamma -p 5 -N 2 --sweep 10000000:10000003
+verify --suite carry -p 7
+verify --suite all --seed 0
+frobenius -p 2 -n 8 -N 12 -x 5,7,1,0,3,9,2,4
+delta -p 3 -n 2 -N 4 -x 5,7
+verify --suite buium -p 3 -n 6 -N 10 --count 4 --seed 0
+verify --suite gamma --seed 9 --count 20
+teich -p 4 -N 2 -v 1
+teich -p 5 -v 1
+no-such-command
+gk-check -p 1 -N 3
+gauss -a 1 -p 1 -N 3
+gk-check -p 4 -N 3
+gauss -a 1 -p 4 -N 3
+gk-check -p 2 -N 3
+gauss -a 1 -p 2 -N 3
+gk-check -p 5 -N 0
+gauss -a 1 -p 5 -N 0
+gauss -p 5 -N 3 -a 1 -K 3
+gk-check -p 5 -N 3 -K 3
+verify --suite charsum -K 3
+fermat-count -q 13 -m 0
+fermat-count -q 13 -m -2
+verify --suite buium -p 5 -n 0
+verify --suite buium -p 5 -N 0
+verify --suite gamma -N 0
+verify --suite charsum -N 0
+verify --suite carry -p 0
+verify --suite carry -p 4
+verify --suite buium --count 0
+verify --suite gamma --count -3
+verify --suite buium -n 3
+verify --suite buium -N 5 --count 3
+verify --suite buium -N 1
+fermat-count -q 13 -m 4 -N 2
+verify --suite carry -p 3 --fixtures carry.json
+fermat-count -q 13 -m 4
+beta -p 5 -N 2 -a 2 -b 3 --format text
+verify --suite carry -p 3 --format csv
+verify --suite carry -p 3 --format text
+gamma -p 7 -N 3 -x p=5;N=2;digits=1,1
+gamma -p 7 -N 3 --sweep 0:2
+gamma -p 5 -N 3 -x p=5;N=3;digits=4,3,0
+gamma -p 5 -N 3
+jacobi -N 3 -a 1 -b 1
+frobenius -p 3 -n 2 -N 2
+frobenius -p 4 -N 4 -x p=3;n=2;N=4;coeffs=[1,0,0,0|0,1,0,0]
+frobenius -p 3 -n 2 -N 4 -x p=3;n=2;N=4;coeffs=[1,0,0,0|0,1,0,0]
+delta -p 4 -N 4 -x 1,2
+gk-check -p 7
+beta -p 5 -N 3 -a 1
+fermat-count -q 13 -m 4 extra
+fermat -q
+verify --suite nope
+verify --bogus 1
+-h
+--help
+-h verify
+bogus
+"""
+NAMES = [n for name, aliases, *_ in COMMANDS for n in (name, *aliases)]
+CORPUS = [line.split() for line in CLI_CALLS.strip().splitlines()]
+CORPUS += [[n, "-h"] for n in NAMES] + [[]]
+
+
+def _parse(parser, argv):
+    """Namespace (None on exit), exit code, stdout and stderr of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+def _registered(parser):
+    """The command names, aliases included, that a parser has subparsers for."""
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_one_subcommand_build_parses_as_the_full_build(argv):
+    # the full build is the oracle: same Namespace, stdout, stderr and exit code
+    parser = build_parser(argv)
+    first = argv[0] if argv else None
+    names = next(([c[0], *c[1]] for c in COMMANDS if first in (c[0], *c[1])), NAMES)
+    assert _registered(parser) == names
+    assert _parse(parser, argv) == _parse(build_parser(), argv)
+
+
+def test_help_and_usage_errors_list_every_command(capsys):
+    assert len(COMMANDS) == 10 and _registered(build_parser()) == NAMES
+    seen = {}
+    for argv in (["-h"], ["bogus"], ["fermat-count", "-q", "13", "-m", "4", "extra"], []):
+        with pytest.raises(SystemExit):
+            main(argv)
+        seen[" ".join(argv)] = "".join(capsys.readouterr())
+        assert "{" + ",".join(NAMES) + "}" in seen[" ".join(argv)], argv
+    assert "(choose from " + ", ".join(map(repr, NAMES)) + ")" in seen["bogus"]
+    assert seen[""].endswith("error: the following arguments are required: command\n")

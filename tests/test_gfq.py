@@ -170,3 +170,11 @@ def test_failed_search_raises_invariant_error(monkeypatch, capsys, p, n, owner, 
         assert capsys.readouterr() == ("", f"error: {message}\n")
     finally:
         fq_make.cache_clear()
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (2, 4), (5, 3), (13, 2)])
+def test_elements_are_in_base_p_integer_order(p, n):
+    field = fq_make(p, n)
+    walked = list(field.elements())
+    assert walked == [field.from_int(k) for k in range(field.q)]
+    assert [x.coeffs for x in walked] == [field.from_int(k).coeffs for k in range(field.q)]
