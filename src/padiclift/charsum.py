@@ -42,9 +42,10 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 
 from .errors import InvariantError, PrecisionError
-from .gamma import gamma_p
-from .gfq import FqElem, FqField, fq_make, is_prime, prime_factors
+from .gamma import _check_p, gamma_p
+from .gfq import FqElem, FqField, fq_make
 from .quotient import QuotientElem, QuotientRing
+from .residue import prime_factors
 from .witt_zq import ZqElem, teichmuller_int, zq_ring
 from .zp_ring import PAdicInt
 
@@ -202,10 +203,7 @@ class PiRing(QuotientRing):
     element_type = PiRingElem
 
     def __init__(self, p: int, precision: int):
-        if p == 2:
-            raise ValueError("p=2 unsupported")
-        if not is_prime(p):
-            raise ValueError("not prime")
+        _check_p(p)
         super().__init__(p, precision, (p,) + (0,) * (p - 2) + (1,))  # pi^(p-1) + p
         # all p^((p-1)N) elements but the p^((p-1)N - 1) in the ideal (pi)
         self.units = (p - 1) * p ** (self.n * precision - 1)

@@ -231,6 +231,9 @@ def cmd_verify(args) -> int:
                     fh.write(_dumps(report) + "\n")
         except OSError as exc:  # an unusable path is a usage error, not a failed check
             raise ValueError(f"fixtures {args.fixtures}: {exc.strerror or exc}") from None
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"fixtures {args.fixtures}: could not be parsed as a "
+                             f"verify report: {exc}") from None
         if not compare:
             print(f"fixtures written to {args.fixtures}", file=sys.stderr)
         elif expected != (actual := json.loads(_dumps(report))):

@@ -36,8 +36,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import PrecisionError
-from .gfq import is_prime
-from .residue import mulmod
+from .residue import is_prime, mulmod
 from .zp_ring import PAdicInt
 
 _LEVEL_KEYS = 32  # (p, N) pairs whose block polynomials stay cached

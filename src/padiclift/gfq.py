@@ -1,11 +1,19 @@
 """Exact arithmetic in F_p and its extensions F_q, q = p^n.
 
 Elements live in the polynomial basis: an FqElem is a length-n coefficient
-vector over F_p reduced modulo a fixed monic irreducible polynomial.  The
-canonical field returned by fq_make uses the lexicographically smallest
-irreducible modulus (coefficients compared constant term first) and the
-smallest generator when coefficient vectors are read as base-p integers, so
-repeated runs always build the identical field.
+vector over F_p reduced modulo a fixed monic irreducible polynomial.  That
+is the shape of quotient.QuotientRing at precision 1, so an FqField is one,
+with the polynomial as its relation and q - 1 units, and FqElem adds to
+QuotientElem only what a field has beyond it: inverse and division,
+Frobenius and the discrete log.  An int scalar k is the constant k mod p;
+FqField.from_int(k) is the element whose coefficients are the base-p
+digits of k.  The primality helpers come from residue.
+
+The canonical field returned by fq_make uses the lexicographically
+smallest irreducible modulus (coefficients compared constant term first)
+and the smallest generator when coefficient vectors are read as base-p
+integers, so repeated runs always build the identical field, and fq_make
+caches it: fields compare by identity.
 
 Fields are capped at q <= 2^20: discrete logs and Zech logarithms are table
 lookups and several verification sweeps are exhaustive, so everything must
@@ -18,39 +26,10 @@ import itertools
 from functools import lru_cache
 
 from .errors import InvariantError
-from .residue import from_digits, mulmod, powmod, to_digits
+from .quotient import QuotientElem, QuotientRing
+from .residue import from_digits, is_prime, mulmod, powmod, prime_factors, to_digits
 
 Q_CAP = 1 << 20
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +80,72 @@ def _is_irreducible(modulus, p):
 
 # ---------------------------------------------------------------------------
 
-class FqField:
-    """The finite field F_{p^n} in polynomial basis.
+class FqElem(QuotientElem):
+    """An element of an FqField: length-n coefficient tuple over F_p."""
 
-    Immutable after construction; elements hold a reference back to it.
-    The modulus is validated to be monic irreducible and the generator to
-    have multiplicative order exactly q - 1.
+    __slots__ = ()
+
+    field = QuotientElem.ring
+    coeffs = QuotientElem.residues
+
+    # tracer shims, see ZqElem: one function object per span name
+    def __add__(self, other):
+        return QuotientElem.__add__(self, other)
+
+    def __sub__(self, other):
+        return QuotientElem.__sub__(self, other)
+
+    def __mul__(self, other):
+        return QuotientElem.__mul__(self, other)
+
+    def __pow__(self, e: int):
+        return QuotientElem.__pow__(self, e)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def inverse(self) -> "FqElem":
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero")
+        return self ** (self.field.q - 2)
+
+    unit_inverse = inverse  # x ** -k goes through it, so zero raises ZeroDivisionError
+
+    def frobenius(self) -> "FqElem":
+        """x -> x^p, the generating automorphism over F_p."""
+        return self ** self.field.p
+
+    def discrete_log(self) -> int:
+        return self.field.dlog(self)
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def is_unit(self) -> bool:
+        return not self.is_zero()
+
+    def to_int(self) -> int:
+        return from_digits(self.coeffs, self.field.p)
+
+
+class FqField(QuotientRing):
+    """The finite field F_{p^n} = (Z/p)[t]/(relation), in polynomial basis.
+
+    The quotient ring at precision 1: units = q - 1, and the arithmetic,
+    coercion and equality are quotient.QuotientElem's.  The relation is
+    validated to be monic irreducible and the generator to have
+    multiplicative order exactly q - 1.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "generator", "_dlog", "_zech",
-                 "__weakref__")
+    element_type = FqElem
 
-    def __init__(self, p: int, n: int, modulus, generator=None):
+    def __init__(self, p: int, n: int, relation, generator=None):
         if not is_prime(p):
             raise ValueError("not prime")
         if n < 1:
@@ -120,15 +153,14 @@ class FqField:
         q = p**n
         if q > Q_CAP:
             raise ValueError("field too large")
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
+        relation = tuple(int(c) % p for c in relation)
+        if len(relation) != n + 1 or relation[-1] != 1:
             raise ValueError("modulus must be monic of degree n")
-        if not _is_irreducible(modulus, p):
+        if not _is_irreducible(relation, p):
             raise ValueError("modulus is reducible")
-        self.p = p
-        self.n = n
+        super().__init__(p, 1, relation)
         self.q = q
-        self.modulus = modulus
+        self.units = q - 1
         self._dlog = None
         self._zech = None
         if generator is None:
@@ -139,7 +171,7 @@ class FqField:
                 raise ValueError("generator does not have order q-1")
         self.generator = generator
 
-    def _is_generator(self, g: "FqElem") -> bool:
+    def _is_generator(self, g: FqElem) -> bool:
         if g.is_zero():
             return False
         if g ** (self.q - 1) != self.one():
@@ -147,33 +179,16 @@ class FqField:
         return all(g ** ((self.q - 1) // l) != self.one()
                    for l in prime_factors(self.q - 1))
 
-    def _find_generator(self) -> "FqElem":
+    def _find_generator(self) -> FqElem:
         for k in range(1, self.q):
             g = self.from_int(k)
             if self._is_generator(g):
                 return g
         raise InvariantError("no generator found")  # impossible: F_q^* is cyclic
 
-    # -- element constructors ------------------------------------------------
-    def element(self, coeffs) -> "FqElem":
-        if isinstance(coeffs, FqElem):
-            if coeffs.field is not self:
-                raise ValueError("field mismatch")
-            return coeffs
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
-        return FqElem(self, coeffs)
-
-    def from_int(self, k: int) -> "FqElem":
+    def from_int(self, k: int) -> FqElem:
         """Element whose coefficient vector is k written in base p."""
         return FqElem(self, to_digits(k, self.p, self.n))
-
-    def zero(self) -> "FqElem":
-        return FqElem(self, (0,) * self.n)
-
-    def one(self) -> "FqElem":
-        return FqElem(self, (1,) + (0,) * (self.n - 1))
 
     def elements(self):
         """All q elements, in base-p integer order: element k is from_int(k)."""
@@ -184,7 +199,7 @@ class FqField:
     # -- discrete and Zech logarithms ------------------------------------
     def _log_tables(self) -> None:
         """One walk over g^k, k < q-1, fills the dlog and the Zech table."""
-        p, f, g = self.p, self.modulus, self.generator.coeffs
+        p, f, g = self.p, self.relation, self.generator.coeffs
         powers = [self.one().coeffs]
         for _ in range(self.q - 2):
             powers.append(mulmod(powers[-1], g, f, p))
@@ -197,7 +212,7 @@ class FqField:
         self._dlog = dlog
         self._zech = tuple(zech)
 
-    def dlog(self, x: "FqElem") -> int:
+    def dlog(self, x: FqElem) -> int:
         """Exponent e with generator^e = x; table built on first use."""
         if x.is_zero():
             raise ValueError("log of zero")
@@ -211,117 +226,8 @@ class FqField:
             self._log_tables()
         return self._zech
 
-    # -------------------------------------------------------------------
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FqField):
-            return NotImplemented
-        return (self.p, self.n, self.modulus, self.generator.coeffs) == \
-               (other.p, other.n, other.modulus, other.generator.coeffs)
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.modulus, self.generator.coeffs))
-
     def __repr__(self):
-        return f"FqField(p={self.p}, n={self.n}, modulus={list(self.modulus)})"
-
-
-class FqElem:
-    """An element of an FqField: immutable coefficient vector over F_p."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FqField, coeffs: tuple):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _coerce(self, other):
-        if isinstance(other, FqElem):
-            if other.field != self.field:
-                raise ValueError("field mismatch")
-            return other
-        if isinstance(other, int):
-            return self.field.element((other,) + (0,) * (self.field.n - 1))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return FqElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return FqElem(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        p = self.field.p
-        return FqElem(self.field, tuple(-a % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        f = self.field
-        return FqElem(f, mulmod(self.coeffs, o.coeffs, f.modulus, f.p))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        f = self.field
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FqElem(f, powmod(self.coeffs, e, f.modulus, f.p))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def inverse(self) -> "FqElem":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero")
-        return self ** (self.field.q - 2)
-
-    def frobenius(self) -> "FqElem":
-        """x -> x^p, the generating automorphism over F_p."""
-        return self ** self.field.p
-
-    def discrete_log(self) -> int:
-        return self.field.dlog(self)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_unit(self) -> bool:
-        return not self.is_zero()
-
-    def to_int(self) -> int:
-        return from_digits(self.coeffs, self.field.p)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self._coerce(other)
-        if not isinstance(other, FqElem):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.n, self.coeffs))
-
-    def __repr__(self):
-        return f"FqElem({list(self.coeffs)} over F_{self.field.p}^{self.field.n})"
+        return f"FqField(p={self.p}, n={self.n}, relation={list(self.relation)})"
 
 
 @lru_cache(maxsize=None)

@@ -1,25 +1,29 @@
-"""The quotient rings (Z/p^N)[X]/(relation) shared by Z_q and the pi-ring.
+"""The quotient rings (Z/p^N)[X]/(relation) of F_q, Z_q and the pi-ring.
 
-Z_q = W(F_q) mod p^N (relation: the field modulus) and the ramified ring
-Z_p[pi]/(pi^(p-1) + p) are both F_q or F_p deformed over Z/p^N, so their
-elements are the same object: a length-n tuple of int residues mod p^N,
-multiplied and powered through the residue kernel.  QuotientRing holds the
-ring data (p, precision, n, modulus = p^N, relation, and the order of the
-unit group) and forms int-weighted sums of residue vectors, reduced mod
-p^N once, for the linear maps built on the ring; QuotientElem holds the
+F_q is (Z/p)[X]/(field modulus), and Z_q = W(F_q) mod p^N (relation: the
+field modulus) and the ramified ring Z_p[pi]/(pi^(p-1) + p) are F_q or
+F_p deformed over Z/p^N, so their elements are the same object: a
+length-n tuple of int residues mod p^N (N = 1 for F_q), multiplied and
+powered through the residue kernel.  QuotientRing holds the ring data
+(p, precision, n, modulus = p^N, relation, and the order of the unit
+group) and forms int-weighted sums of residue vectors, reduced mod p^N
+once, for the linear maps built on the ring; QuotientElem holds the
 arithmetic, coercion, equality, exact division by p and truncation.  A
-subclass supplies is_unit and with_precision, and names its element class
-as element_type.
+subclass supplies is_unit and with_precision (F_q, fixed at precision 1,
+has no with_precision), and names its element class as element_type.
 
-Rings compare by identity: the cached witt_zq.zq_ring and charsum.pi_ring
-build the one ring object per key, and with_precision goes through them.
+Rings compare by identity: the cached gfq.fq_make, witt_zq.zq_ring and
+charsum.pi_ring build the one ring object per key, and with_precision
+goes through them.
 
 Scalars follow scalar_residue: an int is reduced, a PAdicInt must carry at
-least the ring's precision.  Elements of two different quotient-ring
-classes never mix (binary operators return NotImplemented); elements of
-two rings of one class raise "ring mismatch".  An element equals the int
-or PAdicInt scalars that coerce to it, and a scalar element hashes as its
-residue, as they do; a scalar that cannot coerce compares unequal.
+least the ring's precision.  A scalar becomes the constant element through
+_scalar, never through from_int, which FqField gives another meaning.
+Elements of two different quotient-ring classes never mix (binary
+operators return NotImplemented); elements of two rings of one class
+raise "ring mismatch".  An element equals the int or PAdicInt scalars
+that coerce to it, and a scalar element hashes as its residue, as they
+do; a scalar that cannot coerce compares unequal.
 """
 
 from __future__ import annotations
@@ -52,10 +56,11 @@ class QuotientRing:
         return self.element_type(self, out)
 
     def from_int(self, k):
-        return self.element([k] + [0] * (self.n - 1))
+        """The scalar k (FqField overrides this: there k is a base-p vector)."""
+        return _scalar(self, k)
 
     def zero(self):
-        return self.from_int(0)
+        return _scalar(self, 0)
 
     def weighted_sum(self, terms):
         """sum c * v over pairs (int weight c, length-n residue tuple v).
@@ -71,7 +76,17 @@ class QuotientRing:
         return self.element_type(self, tuple(a % mod for a in acc))
 
     def one(self):
-        return self.from_int(1)
+        return _scalar(self, 1)
+
+
+def _scalar(ring: QuotientRing, k):
+    """The constant element k, an int or PAdicInt coerced by scalar_residue.
+
+    A module function, so that no subclass's from_int can redirect the
+    scalar coercion of the operators.
+    """
+    return ring.element_type(
+        ring, (scalar_residue(k, ring.p, ring.precision),) + (0,) * (ring.n - 1))
 
 
 class QuotientElem:
@@ -89,7 +104,7 @@ class QuotientElem:
                 raise ValueError("ring mismatch")
             return other
         if isinstance(other, (int, PAdicInt)):
-            return self.ring.from_int(other)
+            return _scalar(self.ring, other)
         return None
 
     def __add__(self, other):

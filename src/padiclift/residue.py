@@ -3,11 +3,12 @@
 F_q (m = p, f the field modulus), Z_q (m = p^N, f the lifted field modulus),
 the pi-ring (m = p^N, f = X^(p-1) + p) and the truncated polynomials of
 gamma's block products (m = p^N, f = X^N, where nothing folds back) are all
-this ring shape, so they share one multiplication and one power: gfq calls
-them for F_q, gamma for its truncated products, and quotient.QuotientElem,
-the base of the Z_q and pi-ring elements.  An element is a length-n tuple
-of coefficients in [0, m), lowest degree first, with n = deg f; f is given
-as its n + 1 integer coefficients, lowest first, ending in 1.
+this ring shape, so they share one multiplication and one power:
+quotient.QuotientElem, the base of the F_q, Z_q and pi-ring elements,
+calls them, and so does gamma for its truncated products.  An element is
+a length-n tuple of coefficients in [0, m), lowest degree first, with
+n = deg f; f is given as its n + 1 integer coefficients, lowest first,
+ending in 1.
 
 Multiplication is Kronecker substitution (D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
@@ -29,6 +30,9 @@ and a power is pow(a_0, e, m).
 Base-p digits exist only at the text/JSON boundary: to_digits and
 from_digits convert between a residue mod p^N and its N little-endian
 digits.  zp_ring's cocycle_sum reads its digits by divmod on the value.
+
+is_prime and prime_factors live here too: this module imports nothing
+from the package, so every module can import them without a cycle.
 """
 
 from __future__ import annotations
@@ -117,3 +121,33 @@ def from_digits(digits, p: int) -> int:
     for d in reversed(digits):
         k = k * p + d
     return k
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out

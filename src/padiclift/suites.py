@@ -21,8 +21,8 @@ from collections import namedtuple
 
 from . import buium, charsum, cohomo, gamma
 from .charsum import PiRingElem, jacobi_sum, pi_ring
-from .gfq import FqElem, fq_make, is_prime
-from .residue import to_digits
+from .gfq import FqElem, fq_make
+from .residue import is_prime, to_digits
 from .rng import CounterRng
 from .witt_zq import ZqElem, ZqRing, zq_ring
 from .zp_ring import PAdicInt, carry_cocycle, cocycle_sum, from_integer

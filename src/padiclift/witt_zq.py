@@ -44,8 +44,9 @@ class ZqElem(QuotientElem):
 
     # Tracer shims: bench/spans.py finds each traced operator in its class's
     # own namespace and wraps it by identity, so ZqElem binds the base
-    # functions and PiRingElem delegates to them; the benchmark refresh
-    # (ROADMAP item 6) deletes both.
+    # functions and PiRingElem and FqElem delegate to them (a second class
+    # binding them would merge its spans into ZqElem's); the benchmark
+    # refresh (ROADMAP item 6) deletes all three.
     __add__ = __radd__ = QuotientElem.__add__
     __sub__ = QuotientElem.__sub__
     __neg__ = QuotientElem.__neg__
@@ -74,13 +75,13 @@ class ZqRing(QuotientRing):
     element_type = ZqElem
 
     def __init__(self, field: FqField, precision: int):
-        super().__init__(field.p, precision, field.modulus)
+        super().__init__(field.p, precision, field.relation)
         self.field = field
         self.units = (field.q - 1) * field.q ** (precision - 1)  # |residue field^*| q^(N-1)
-        # unread by the ring arithmetic (which reduces by field.modulus); the
+        # unread by the ring arithmetic (which reduces by field.relation); the
         # zq-lift bench workload counts the from_integer calls it makes
         self.lifted_modulus = tuple(
-            PAdicInt.from_integer(c, field.p, precision) for c in field.modulus
+            PAdicInt.from_integer(c, field.p, precision) for c in field.relation
         )
         self._teich: dict[tuple, ZqElem] = {}
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 import re
 
 from .errors import InvariantError, PrecisionError
-from .gfq import is_prime
-from .residue import from_digits, to_digits
+from .residue import from_digits, is_prime, to_digits
 
 _INT_RE = re.compile(r"-?[0-9]+")
 

@@ -285,16 +285,21 @@ def test_fixtures_mismatch_names_first_record(tmp_path, capsys):
     assert "3 records in the fixture, 2 in the report" in err
 
 
-@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+@pytest.mark.parametrize("where", ["missing directory", "a directory", "not JSON"])
 def test_unusable_fixtures_path_is_a_usage_error(tmp_path, capsys, where):
-    # exit 1 means a check failed; a path that can be neither read nor written
-    # exits 2 with one error line and no traceback
-    fx = tmp_path / "no-such-dir" / "carry.json" if where == "missing directory" else tmp_path
+    # exit 1 means a check failed; a path that can be neither read nor written,
+    # or a file that is not a report, exits 2 with one error line and no traceback
+    fx = {"missing directory": tmp_path / "no-such-dir" / "carry.json",
+          "a directory": tmp_path, "not JSON": tmp_path / "notes.md"}[where]
+    if where == "not JSON":
+        fx.write_text("# notes\n")
     rc, out, err = run(capsys, "verify", "--suite", "carry", "-p", "3", "--fixtures", str(fx))
     assert rc == 2 and json.loads(out)["passed"]
     *summary, last = err.splitlines()
     assert all(line.startswith("suite carry: ") for line in summary)
     assert last.startswith(f"error: fixtures {fx}: ")
+    if where == "not JSON":
+        assert "could not be parsed as a verify report" in last
 
 
 def test_invariant_failure_exit_4(capsys, monkeypatch):

@@ -1,20 +1,21 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from padiclift import InvariantError, gfq
+from padiclift import InvariantError, cli, gfq
 from padiclift.cli import main
 from padiclift.gfq import FqField, discrete_log, fq_make, frobenius, is_prime, prime_factors
 from padiclift.rng import CounterRng
+from padiclift.zp_ring import from_integer
 
 
 def test_fq_make_smallest_modulus():
     # frozen from exhaustive scans over all monic polynomials
-    assert fq_make(2, 2).modulus == (1, 1, 1)    # the only irreducible quadratic
-    assert fq_make(5, 1).modulus == (0, 1)       # degree-1 case: the prime field
-    assert fq_make(3, 2).modulus == (1, 0, 1)    # t^2 + 1, -1 a non-residue mod 3
-    assert fq_make(5, 2).modulus == (1, 1, 1)    # t^2 + 1 splits mod 5, t^2+t+1 not
+    assert fq_make(2, 2).relation == (1, 1, 1)   # the only irreducible quadratic
+    assert fq_make(5, 1).relation == (0, 1)      # degree-1 case: the prime field
+    assert fq_make(3, 2).relation == (1, 0, 1)   # t^2 + 1, -1 a non-residue mod 3
+    assert fq_make(5, 2).relation == (1, 1, 1)   # t^2 + 1 splits mod 5, t^2+t+1 not
     # t^16 + t^15 + t^13 + t^11 + 1
-    assert fq_make(2, 16).modulus == (1,) + (0,) * 10 + (1, 0, 1, 0, 1, 1)
+    assert fq_make(2, 16).relation == (1,) + (0,) * 10 + (1, 0, 1, 0, 1, 1)
 
 
 def test_fq_make_smallest_generator():
@@ -55,7 +56,7 @@ def test_field_arithmetic_examples():
     assert t * t == F4.element([1, 1])  # t^2 = t + 1 mod the modulus
     with pytest.raises(ZeroDivisionError, match="division by zero"):
         F5.zero().inverse()
-    with pytest.raises(ValueError, match="field mismatch"):
+    with pytest.raises(ValueError, match="ring mismatch"):
         F5.from_int(1) + F4.from_int(1)
 
 
@@ -160,16 +161,15 @@ def test_is_prime_basics():
 def test_failed_search_raises_invariant_error(monkeypatch, capsys, p, n, owner, attr,
                                               fake, message):
     # neither search can fail on a correct F_q; forced to, it is an invariant
-    # failure that exits 4 with one error line, not an AssertionError traceback
+    # failure that exits 4 with one error line, not an AssertionError traceback.
+    # Fields compare by identity, so this runs on the uncached builder and
+    # leaves the cached canonical fields that other tests share in place.
     monkeypatch.setattr(owner, attr, fake)
-    fq_make.cache_clear()
-    try:
-        with pytest.raises(InvariantError, match=message):
-            fq_make(p, n)
-        assert main(["teich", "-p", str(p), "-n", str(n), "-N", "2", "-v", "1"]) == 4
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-    finally:
-        fq_make.cache_clear()
+    monkeypatch.setattr(cli, "fq_make", fq_make.__wrapped__)
+    with pytest.raises(InvariantError, match=message):
+        fq_make.__wrapped__(p, n)
+    assert main(["teich", "-p", str(p), "-n", str(n), "-N", "2", "-v", "1"]) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (2, 4), (5, 3), (13, 2)])
@@ -178,3 +178,41 @@ def test_elements_are_in_base_p_integer_order(p, n):
     walked = list(field.elements())
     assert walked == [field.from_int(k) for k in range(field.q)]
     assert [x.coeffs for x in walked] == [field.from_int(k).coeffs for k in range(field.q)]
+
+
+SCALAR_FIELDS = pytest.mark.parametrize("p, n", [(3, 2), (2, 3), (5, 2)],
+                                        ids=["F9", "F8", "F25"])
+
+
+@SCALAR_FIELDS
+def test_int_scalars_land_in_the_constant_slot(p, n):
+    # k is the constant k mod p, not the element from_int(k) whose
+    # coefficients are k's base-p digits
+    field = fq_make(p, n)
+    sample = [field.zero(), field.one(), field.generator, field.from_int(field.q - 1)]
+    for k in (p, p + 1, 2 * p + 1, -1):
+        c = k % p
+        for x in sample:
+            v = x.coeffs
+            assert (x + k).coeffs == ((v[0] + c) % p,) + v[1:] == (k + x).coeffs
+            assert (k - x).coeffs == ((c - v[0]) % p,) + tuple(-a % p for a in v[1:])
+            assert (x * k).coeffs == tuple(a * c % p for a in v) == (k * x).coeffs
+            assert (x == k) is (v == (c,) + (0,) * (n - 1))
+
+
+@SCALAR_FIELDS
+def test_padic_scalars_and_scalar_hashes(p, n):
+    # a same-prime PAdicInt is the scalar it reduces to mod p, and a scalar
+    # element hashes as the residue it equals
+    field = fq_make(p, n)
+    g = field.generator
+    for k in (p, p + 1, 2 * p + 1, -1):
+        c, s = k % p, from_integer(k, p, 2)
+        assert g + s == g + c and s - g == c - g and g * s == g * c
+        scalar = field.zero() + k
+        assert scalar == s and scalar == c and hash(scalar) == hash(c)
+        assert len({scalar, c}) == 1
+    other = from_integer(1, 7, 1)
+    assert g != other
+    with pytest.raises(ValueError, match="prime mismatch"):
+        g + other

@@ -72,13 +72,13 @@ ZQ_SHAPES = [(2, 8), (3, 6), (5, 3), (3, 2), (7, 2), (5, 1)]
 @st.composite
 def fq_shape(draw):
     p, n = draw(st.sampled_from(FQ_SHAPES))
-    return fq_make(p, n).modulus, p
+    return fq_make(p, n).relation, p
 
 
 @st.composite
 def zq_shape(draw):
     p, n = draw(st.sampled_from(ZQ_SHAPES))
-    return fq_make(p, n).modulus, p ** draw(st.integers(1, 12))
+    return fq_make(p, n).relation, p ** draw(st.integers(1, 12))
 
 
 def pi_relation(p):
@@ -143,9 +143,9 @@ def test_mulmod_matches_schoolbook(case):
 # every operand coefficient m - 1 makes every product coefficient its
 # largest, so the folded slots reach the slot-width bound
 @pytest.mark.parametrize("f,m", [
-    (fq_make(2, 16).modulus, 2),
-    (fq_make(3, 6).modulus, 3**10),
-    (fq_make(2, 8).modulus, 2**12),
+    (fq_make(2, 16).relation, 2),
+    (fq_make(3, 6).relation, 3**10),
+    (fq_make(2, 8).relation, 2**12),
     ((2**13 - 1,) * 9 + (1,), 2**13),
     ((5, 0, 7, 2**13 - 1, 1), 2**13),
     (pi_relation(101), 101**6),
@@ -171,7 +171,7 @@ def test_sparse_relations_build_no_wrap_rows(f, m):
 
 
 def test_dense_relation_builds_a_row_per_wrapping_power():
-    n, _, _, split, rows = _folding(fq_make(3, 6).modulus, 3**10)
+    n, _, _, split, rows = _folding(fq_make(3, 6).relation, 3**10)
     assert (n, split, len(rows)) == (6, 1, 4)
 
 
