@@ -186,6 +186,10 @@ class FqField(QuotientRing):
                 return g
         raise InvariantError("no generator found")  # impossible: F_q^* is cyclic
 
+    def with_precision(self, precision: int) -> "FqField":
+        """The field itself, the one precision F_q has: truncate(1) is the identity."""
+        return self
+
     def from_int(self, k: int) -> FqElem:
         """Element whose coefficient vector is k written in base p."""
         return FqElem(self, to_digits(k, self.p, self.n))

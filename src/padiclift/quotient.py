@@ -10,7 +10,7 @@ group) and forms int-weighted sums of residue vectors, reduced mod p^N
 once, for the linear maps built on the ring; QuotientElem holds the
 arithmetic, coercion, equality, exact division by p and truncation.  A
 subclass supplies is_unit and with_precision (F_q, fixed at precision 1,
-has no with_precision), and names its element class as element_type.
+returns itself), and names its element class as element_type.
 
 Rings compare by identity: the cached gfq.fq_make, witt_zq.zq_ring and
 charsum.pi_ring build the one ring object per key, and with_precision

@@ -12,9 +12,11 @@ phi, the ring endomorphism with phi(tau(v)) = tau(v^p), reducing to
 x -> x^p mod p.  Since phi fixes Z/p^N, phi(sum x_i t^i) = sum x_i phi(t)^i:
 frobenius_lift is the product of the coefficient vector with the n x n
 matrix over Z/p^N whose columns are phi(t)^0, ..., phi(t)^(n-1).  Each ring
-builds the columns once, taking phi(t) through the digit expansion of t
-(phi(sum tau(t_i) p^i) = sum tau(t_i^p) p^i); that digit-wise route stays
-as _frobenius_digitwise, the oracle of the tests.
+builds the columns once, taking phi(t) through the digit expansion of t:
+phi(sum tau(t_i) p^i) = sum tau(t_i)^p p^i, where each tau(t_i) is the lift
+teich_digits already cached at precision N - i, so only its p-th power is
+new.  The digit-wise route that lifts every t_i^p afresh at precision N,
+sum tau(t_i^p) p^i, stays as _frobenius_digitwise, the oracle of the tests.
 
 Canonical text form (CLI interchange): "p=3;n=2;N=4;coeffs=[1,0,2,1|0,0,1,2]"
 with one little-endian digit vector per polynomial coefficient.
@@ -96,8 +98,21 @@ class ZqRing(QuotientRing):
 
     @cached_property
     def frobenius_columns(self) -> tuple[tuple[int, ...], ...]:
-        """phi(t)^0, ..., phi(t)^(n-1) as residue tuples, for n > 1."""
-        phi_t = _frobenius_digitwise(self.element([0, 1] + [0] * (self.n - 2)))
+        """phi(t)^0, ..., phi(t)^(n-1) as residue tuples, for n > 1.
+
+        phi(t) = sum tau(t_i)^p p^i over the Teichmuller digits t_i of t,
+        since tau is multiplicative.  Digit i only needs tau(t_i) mod
+        p^(N-i), the lift teich_digits has just cached in that ring (the
+        last digit's, at precision 1, is its naive lift), so each term is
+        a p-th power there (log2 p products) rather than a
+        fresh lift of t_i^p at precision N (about kn log2 p products, the
+        route _frobenius_digitwise keeps as the oracle).
+        """
+        p, N = self.p, self.precision
+        digits = teich_digits(self.element([0, 1] + [0] * (self.n - 2)))
+        phi_t = self.weighted_sum(
+            (p**i, (self.with_precision(N - i).teichmuller(v) ** p).residues)
+            for i, v in enumerate(digits))
         columns = [self.one()]
         while len(columns) < self.n:
             columns.append(columns[-1] * phi_t)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from padiclift import InvariantError, cli, gfq
+from padiclift import InvariantError, PrecisionError, cli, gfq
 from padiclift.cli import main
 from padiclift.gfq import FqField, discrete_log, fq_make, frobenius, is_prime, prime_factors
 from padiclift.rng import CounterRng
@@ -216,3 +216,18 @@ def test_padic_scalars_and_scalar_hashes(p, n):
     assert g != other
     with pytest.raises(ValueError, match="prime mismatch"):
         g + other
+
+
+@SCALAR_FIELDS
+def test_truncate_to_precision_one_is_the_identity(p, n):
+    # F_q is the quotient ring at precision 1: truncate(1) keeps the element,
+    # and there is no digit left to spend on a division by p
+    field = fq_make(p, n)
+    assert field.with_precision(1) is field
+    for x in (field.zero(), field.one(), field.generator, field.from_int(field.q - 1)):
+        y = x.truncate(1)
+        assert y.field is field and y.coeffs == x.coeffs
+        with pytest.raises(PrecisionError, match="cannot truncate"):
+            x.truncate(2)
+        with pytest.raises(PrecisionError, match="precision exhausted"):
+            x.div_exact_by_p()

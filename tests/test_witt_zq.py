@@ -261,3 +261,29 @@ def test_frobenius_columns_are_powers_of_phi_t():
         assert column == (_frobenius_digitwise(t) ** i).residues
     assert zq_ring(fq_make(2, 8), 11).frobenius_columns == tuple(
         tuple(c % 2**11 for c in column) for column in columns)
+
+
+COLUMN_GRID = [(p, n, N) for p in (2, 3, 5, 7) for n in (2, 3, 6, 8) if p**n <= Q_CAP
+               for N in (1, 2, 3, 10, 12)]
+
+
+@pytest.mark.parametrize("tables", ["cold", "warm"])
+@pytest.mark.parametrize("p, n, N", COLUMN_GRID)
+def test_frobenius_columns_match_digitwise_grid(p, n, N, tables):
+    # the columns read tau(t_i) back from the precision-(N-i) tables that
+    # teich_digits fills; emptied or filled beforehand, the result is the same
+    field = fq_make(p, n)
+    ring = zq_ring(field, N)
+    t = ring.element([0, 1] + [0] * (n - 2))
+    digits = teich_digits(t)
+    for M in range(1, N + 1):
+        zq_ring(field, M)._teich.clear()
+        if tables == "warm":
+            for v in digits + [v.frobenius() for v in digits]:
+                teichmuller(v, M)
+    ring.__dict__.pop("frobenius_columns", None)
+    columns = ring.frobenius_columns
+    assert len(columns) == n and columns[0] == ring.one().residues
+    phi_t = _frobenius_digitwise(t)
+    for i, column in enumerate(columns):
+        assert column == (phi_t ** i).residues
