@@ -104,8 +104,11 @@ def cmd_gamma(args) -> int:
         raise ValueError("provide -x or --sweep")
     p, N = args.p, args.N
     if args.sweep:
-        lo, _, hi = args.sweep.partition(":")
-        for m in range(int(lo), int(hi)):
+        try:
+            lo, hi = map(int, args.sweep.split(":"))
+        except ValueError:
+            raise ValueError(f"--sweep takes lo:hi, not {args.sweep!r}") from None
+        for m in range(lo, hi):
             v = gamma.gamma_p_integer(m, args.p, args.N)
             rows.append({"op": "gamma_p", "m": m, **jsonable(v)})
     else:

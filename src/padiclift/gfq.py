@@ -7,7 +7,8 @@ with the polynomial as its relation and q - 1 units, and FqElem adds to
 QuotientElem only what a field has beyond it: inverse and division,
 Frobenius and the discrete log.  An int scalar k is the constant k mod p;
 FqField.from_int(k) is the element whose coefficients are the base-p
-digits of k.  The primality helpers come from residue.
+digits of k.  The primality helpers and all F_p[X] arithmetic come from
+residue: Rabin's irreducibility test runs on residue.powmod, with no gcd.
 
 The canonical field returned by fq_make uses the lexicographically
 smallest irreducible modulus (coefficients compared constant term first)
@@ -35,34 +36,13 @@ Q_CAP = 1 << 20
 # ---------------------------------------------------------------------------
 # irreducibility over F_p (dense little-endian coefficient lists)
 
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        r = a[:]
-        while len(r) >= len(b):
-            f = r[-1] * inv % p
-            off = len(r) - len(b)
-            for i in range(len(b)):
-                r[off + i] = (r[off + i] - f * b[i]) % p
-            _ptrim(r)
-            if not r:
-                break
-        a, b = b, r
-    return a
-
-
 def _is_irreducible(modulus, p):
-    """Rabin test for a monic polynomial over F_p.
+    """Rabin test for a monic polynomial over F_p, through kernel powers.
 
-    X^(p^n) must reduce to X mod the candidate, and for every prime l | n
-    the candidate must share no root with X^(p^(n/l)) - X.
+    X^(p^n) must reduce to X mod the candidate f.  Then (Z/p)[X]/(f) is a
+    product of fields F_(p^d) with d | n, where u is a unit exactly when
+    u^(p^n - 1) = 1; so f shares no root with X^(p^(n/l)) - X, for each
+    prime l | n, exactly when that difference is a unit mod f.
     """
     n = len(modulus) - 1
     if n == 1:
@@ -70,10 +50,11 @@ def _is_irreducible(modulus, p):
     x = (0, 1) + (0,) * (n - 2)
     if powmod(x, p**n, modulus, p) != x:
         return False
+    one = (1,) + (0,) * (n - 1)
     for l in prime_factors(n):
         xp = powmod(x, p ** (n // l), modulus, p)
-        diff = [(u - v) % p for u, v in zip(xp, x)]
-        if len(_pgcd(modulus, diff, p)) > 1:
+        diff = tuple((u - v) % p for u, v in zip(xp, x))
+        if powmod(diff, p**n - 1, modulus, p) != one:
             return False
     return True
 
@@ -139,13 +120,13 @@ class FqField(QuotientRing):
 
     The quotient ring at precision 1: units = q - 1, and the arithmetic,
     coercion and equality are quotient.QuotientElem's.  The relation is
-    validated to be monic irreducible and the generator to have
-    multiplicative order exactly q - 1.
+    validated to be monic irreducible; the generator is the first element
+    from_int(k), k >= 1, of multiplicative order exactly q - 1.
     """
 
     element_type = FqElem
 
-    def __init__(self, p: int, n: int, relation, generator=None):
+    def __init__(self, p: int, n: int, relation):
         if not is_prime(p):
             raise ValueError("not prime")
         if n < 1:
@@ -163,19 +144,10 @@ class FqField(QuotientRing):
         self.units = q - 1
         self._dlog = None
         self._zech = None
-        if generator is None:
-            generator = self._find_generator()
-        else:
-            generator = self.element(generator)
-            if not self._is_generator(generator):
-                raise ValueError("generator does not have order q-1")
-        self.generator = generator
+        self.generator = self._find_generator()
 
     def _is_generator(self, g: FqElem) -> bool:
-        if g.is_zero():
-            return False
-        if g ** (self.q - 1) != self.one():
-            return False
+        """Order exactly q - 1, for g nonzero: g^(q-1) = 1 holds in a field."""
         return all(g ** ((self.q - 1) // l) != self.one()
                    for l in prime_factors(self.q - 1))
 

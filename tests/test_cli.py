@@ -368,6 +368,13 @@ def test_missing_value_flags(capsys):
     assert rc == 2 and "provide" in err
 
 
+@pytest.mark.parametrize("sweep", ["5", "a:b", "0:2:4", ":3"])
+def test_malformed_sweep_names_the_flag(capsys, sweep):
+    # one error line that names the flag and its form, exit 2, nothing on stdout
+    rc, out, err = run(capsys, "gamma", "-p", "5", "-N", "3", "--sweep", sweep)
+    assert (rc, out, err) == (2, "", f"error: --sweep takes lo:hi, not {sweep!r}\n")
+
+
 def test_canonical_text_ignores_the_ring_flags(capsys):
     # the text fixes p, n and N; -p 4 must not be tried as a field
     text = "p=3;n=2;N=4;coeffs=[1,0,0,0|0,1,0,0]"

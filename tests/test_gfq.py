@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,8 +37,46 @@ def test_fq_make_validation():
         fq_make(2, 25)
     with pytest.raises(ValueError):
         FqField(3, 2, (0, 0, 1))  # t^2 has the root 0
-    with pytest.raises(ValueError, match="order"):
-        FqField(5, 1, (0, 1), generator=(4,))  # order 2, not 4
+
+
+def _monic(p, degree):
+    return [tail + (1,) for tail in itertools.product(range(p), repeat=degree)]
+
+
+def _times(a, b, p):
+    """Schoolbook product of two coefficient tuples over F_p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p, n", [(2, n) for n in (2, 3, 4, 5, 6, 8, 10)]
+                         + [(3, 2), (3, 3), (3, 4), (3, 6), (5, 2), (5, 3), (5, 4),
+                            (7, 2), (7, 3), (11, 2), (13, 2)])
+def test_rabin_test_accepts_exactly_the_sieved_monic_polynomials(p, n):
+    # a monic polynomial is reducible exactly when it is a product of two
+    # monic polynomials of lower degree; sieve those out of all p^n of them
+    reducible = {_times(a, b, p) for d in range(1, n // 2 + 1)
+                 for a in _monic(p, d) for b in _monic(p, n - d)}
+    accepted = {f for f in _monic(p, n) if gfq._is_irreducible(f, p)}
+    assert accepted == set(_monic(p, n)) - reducible
+
+
+@pytest.mark.parametrize("p_below, n_from, q_cap, fields, digest", [
+    (4097, 1, 4096, 604, "26c9f227f603408f5badeac1fe05693e20bb15f62cb9fa00171b7cfe0dc3c125"),
+    (257, 2, 65536, 93, "c58c3ba4d33c5c694aa9a76ce603fbc6ca80260423e9d8a50002bdf266c1ac02"),
+], ids=["all-to-4096", "extensions-to-65536"])
+def test_canonical_fields_are_frozen(p_below, n_from, q_cap, fields, digest):
+    # relation and generator of every canonical field in range, primes
+    # ascending and degrees upward: a change to either choice moves the digest
+    rows = [(p, n, F.relation, F.generator.coeffs)
+            for p in range(2, p_below) if is_prime(p)
+            for n in itertools.takewhile(lambda n: p**n <= q_cap, itertools.count(n_from))
+            for F in [fq_make(p, n)]]
+    assert len(rows) == fields
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 1), (5, 2), (7, 1), (13, 1)])
