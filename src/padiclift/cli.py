@@ -5,6 +5,8 @@ a one-line human summary goes to stderr.  Exit codes: 0 all good, 1 a
 verification failed, 2 usage or domain error, 3 precision error, 4 a
 mathematical invariant failed inside a computation (an InvariantError).
 Reports are byte-identical across runs with the same flags and seed.
+This module owns serialisation: jsonable lives here, the verify harness
+(suites) imports it from here, and only verify loads suites.
 """
 
 from __future__ import annotations
@@ -16,15 +18,46 @@ import sys
 
 from . import charsum, gamma
 from .buium import p_derivation
+from .charsum import PiRingElem
 from .errors import InvariantError, PrecisionError
-from .gfq import fq_make
-from .suites import CheckRecord, RunConfig, jsonable, run_suites
-from .witt_zq import frobenius_lift, parse_zq, teichmuller, zq_ring
-from .zp_ring import from_integer, parse_padic
+from .gfq import FqElem, fq_make
+from .residue import to_digits
+from .witt_zq import ZqElem, frobenius_lift, parse_zq, teichmuller, zq_ring
+from .zp_ring import PAdicInt, from_integer, parse_padic
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def jsonable(v):
+    """Reduce package values to JSON-ready data: flat, self-describing."""
+    if isinstance(v, PAdicInt):
+        return {"p": v.p, "n": 1, "N": v.precision, "digits": list(v.digits)}
+    if isinstance(v, ZqElem):
+        return {"p": v.ring.p, "n": v.ring.n, "N": v.ring.precision,
+                "coeffs": _digit_lists(v)}
+    if isinstance(v, PiRingElem):
+        return {"p": v.ring.p, "n": 1, "N": v.ring.precision,
+                "pi_coeffs": _digit_lists(v)}
+    if isinstance(v, FqElem):
+        return {"p": v.field.p, "n": v.field.n, "coeffs": list(v.coeffs)}
+    if hasattr(v, "_asdict"):  # a report or record, before the tuple branch
+        return {k: jsonable(x) for k, x in v._asdict().items()}
+    if isinstance(v, (list, tuple)):
+        return [jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): jsonable(x) for k, x in v.items()}
+    if isinstance(v, (int, str, bool)) or v is None:
+        return v
+    return repr(v)
+
+
+def _digit_lists(v) -> list:
+    """The base-p digits of each residue of a Z_q or pi-ring element."""
+    p, N = v.ring.p, v.ring.precision
+    # a pi-ring element at large p is mostly zero residues
+    return [list(to_digits(c, p, N)) if c else [0] * N for c in v.residues]
 
 
 def _emit(fmt: str, rows: list[dict]) -> None:
@@ -50,6 +83,20 @@ def _emit(fmt: str, rows: list[dict]) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
+def _int(flag: str, token: str, form: str) -> int:
+    """One integer of a flag's value; a malformed one names the flag and its form."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{flag}: malformed integer {token!r} ({form})") from None
+
+
+def _ring_element(ring, flag: str, raw: str, form: str):
+    """ring's element from an integer or comma-separated coefficients."""
+    ints = [_int(flag, c, form) for c in raw.split(",")]
+    return ring.element(ints) if "," in raw else ring.from_int(ints[0])
+
+
 def _parse_element(args):
     """Build a Z_q element from --elem text or -x (integer / comma coeffs)."""
     raw = args.elem or args.x
@@ -58,20 +105,16 @@ def _parse_element(args):
     if args.elem or ";" in raw:
         return parse_zq(raw)  # the text fixes p, n and N
     ring = zq_ring(fq_make(args.p, args.n), args.N)
-    if "," in raw:
-        return ring.element([int(c) for c in raw.split(",")])
-    return ring.from_int(int(raw))
+    return _ring_element(ring, "-x", raw,
+                         "integer, comma-separated coefficients or canonical text")
 
 
 # ---------------------------------------------------------------------------
 # handlers
 
 def cmd_teich(args) -> int:
-    field = fq_make(args.p, args.n)
-    if "," in args.v:
-        v = field.element([int(c) for c in args.v.split(",")])
-    else:
-        v = field.from_int(int(args.v))
+    v = _ring_element(fq_make(args.p, args.n), "-v", args.v,
+                      "integer or comma-separated coefficients")
     t = teichmuller(v, args.N)
     payload = {"op": "teichmuller", **jsonable(t), "v": list(v.coeffs)}
     if args.n == 1:
@@ -112,8 +155,8 @@ def cmd_gamma(args) -> int:
             v = gamma.gamma_p_integer(m, args.p, args.N)
             rows.append({"op": "gamma_p", "m": m, **jsonable(v)})
     else:
-        x = from_integer(int(args.x), args.p, args.N) if ";" not in args.x \
-            else parse_padic(args.x)
+        x = parse_padic(args.x) if ";" in args.x else \
+            from_integer(_int("-x", args.x, "integer or canonical text"), args.p, args.N)
         p, N = x.p, x.precision  # canonical text fixes its own p and N
         v = gamma.gamma_p(x)
         rows.append({"op": "gamma_p", "x": jsonable(x), **jsonable(v)})
@@ -199,6 +242,7 @@ def _first_difference(expected, actual: dict) -> str:
 
 
 def cmd_verify(args) -> int:
+    from .suites import CheckRecord, RunConfig, run_suites  # only verify loads the harness
     cfg = RunConfig(p=args.p, n=args.n, precision=args.N,
                     seed=args.seed, count=args.count, suite=args.suite)
     records = run_suites(cfg)

@@ -8,11 +8,12 @@ counter-based stream in rng.py, seeded per sampling suite with fixed
 offsets, so a (config, seed) pair reproduces byte-identical reports.
 
 RunConfig and CheckRecord are named tuples, like the reports the checks
-return; jsonable turns any of them into a dict in field order.  A RunConfig
-field left at None selects the suite's default; any value given, 0 too, is
-used as given, so a bad -p, -n or -N fails in the ring it reaches instead
-of running the default under the wrong label.  p must be prime, n is
-given only together with p, and count is at least 1.
+return; jsonable (in cli, which owns serialisation) turns any of them
+into a dict in field order.  A RunConfig field left at
+None selects the suite's default; any value given, 0 too, is used as
+given, so a bad -p, -n or -N fails in the ring it reaches instead of
+running the default under the wrong label.  p must be prime, n is given
+only together with p, and count is at least 1.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import buium, charsum, cohomo, gamma
-from .charsum import PiRingElem, jacobi_sum, pi_ring
-from .gfq import FqElem, fq_make
-from .residue import is_prime, to_digits
+from .charsum import jacobi_sum, pi_ring
+from .cli import jsonable
+from .gfq import fq_make
+from .residue import is_prime
 from .rng import CounterRng
 from .witt_zq import ZqElem, ZqRing, zq_ring
 from .zp_ring import PAdicInt, carry_cocycle, cocycle_sum, from_integer
@@ -50,36 +52,6 @@ CheckRecord = namedtuple("CheckRecord", "suite op inputs passed checks failures 
 def _given(value, default):
     """A RunConfig field, or the suite's default when it was left at None."""
     return default if value is None else value
-
-
-def jsonable(v):
-    """Reduce package values to JSON-ready data: flat, self-describing."""
-    if isinstance(v, PAdicInt):
-        return {"p": v.p, "n": 1, "N": v.precision, "digits": list(v.digits)}
-    if isinstance(v, ZqElem):
-        return {"p": v.ring.p, "n": v.ring.n, "N": v.ring.precision,
-                "coeffs": _digit_lists(v)}
-    if isinstance(v, PiRingElem):
-        return {"p": v.ring.p, "n": 1, "N": v.ring.precision,
-                "pi_coeffs": _digit_lists(v)}
-    if isinstance(v, FqElem):
-        return {"p": v.field.p, "n": v.field.n, "coeffs": list(v.coeffs)}
-    if hasattr(v, "_asdict"):  # a report or record, before the tuple branch
-        return {k: jsonable(x) for k, x in v._asdict().items()}
-    if isinstance(v, (list, tuple)):
-        return [jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): jsonable(x) for k, x in v.items()}
-    if isinstance(v, (int, str, bool)) or v is None:
-        return v
-    return repr(v)
-
-
-def _digit_lists(v) -> list:
-    """The base-p digits of each residue of a Z_q or pi-ring element."""
-    p, N = v.ring.p, v.ring.precision
-    # a pi-ring element at large p is mostly zero residues
-    return [list(to_digits(c, p, N)) if c else [0] * N for c in v.residues]
 
 
 class _Collector:

@@ -3,11 +3,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from padiclift import InvariantError, charsum
 from padiclift.cli import COMMANDS, build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -373,6 +379,53 @@ def test_malformed_sweep_names_the_flag(capsys, sweep):
     # one error line that names the flag and its form, exit 2, nothing on stdout
     rc, out, err = run(capsys, "gamma", "-p", "5", "-N", "3", "--sweep", sweep)
     assert (rc, out, err) == (2, "", f"error: --sweep takes lo:hi, not {sweep!r}\n")
+
+
+COEFFS = "integer or comma-separated coefficients"
+ELEMENT = "integer, comma-separated coefficients or canonical text"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["teich", "-p", "3", "-n", "2", "-N", "2", "-v", "1,a"],
+     f"-v: malformed integer 'a' ({COEFFS})"),
+    (["teich", "-p", "5", "-N", "2", "-v", "2.5"],
+     f"-v: malformed integer '2.5' ({COEFFS})"),
+    (["frobenius", "-p", "3", "-n", "2", "-N", "2", "-x", "1,,2"],
+     f"-x: malformed integer '' ({ELEMENT})"),
+    (["delta", "-p", "3", "-n", "2", "-N", "2", "-x", "z"],
+     f"-x: malformed integer 'z' ({ELEMENT})"),
+    (["gamma", "-p", "5", "-N", "3", "-x", "abc"],
+     "-x: malformed integer 'abc' (integer or canonical text)"),
+    (["gamma", "-p", "5", "-N", "3", "-x", "1,2"],
+     "-x: malformed integer '1,2' (integer or canonical text)"),
+], ids=["teich", "teich-float", "frobenius", "delta", "gamma", "gamma-coeffs"])
+def test_malformed_integer_names_the_flag(capsys, argv, message):
+    # one error line that names the flag and its form, exit 2, nothing on stdout
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_only_verify_loads_the_suites_harness():
+    # fermat-count and gk-check never compile the verify harness; verify does,
+    # and the harness serialises through the CLI's own jsonable
+    probe = (
+        "import contextlib, io, sys\n"
+        "from padiclift import cli\n"
+        "def quiet(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "quiet(['fermat-count', '-q', '13', '-m', '3'])\n"
+        "quiet(['gk-check', '-p', '7', '-N', '3'])\n"
+        "print('padiclift.suites' in sys.modules)\n"
+        "quiet(['verify', '--suite', 'carry', '-p', '2'])\n"
+        "from padiclift import suites\n"
+        "print('padiclift.suites' in sys.modules, suites.jsonable is cli.jsonable)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["False", "True True", ""]
 
 
 def test_canonical_text_ignores_the_ring_flags(capsys):
