@@ -10,11 +10,12 @@ FqField.from_int(k) is the element whose coefficients are the base-p
 digits of k.  The primality helpers and all F_p[X] arithmetic come from
 residue: Rabin's irreducibility test runs on residue.powmod, with no gcd.
 
-The canonical field returned by fq_make uses the lexicographically
-smallest irreducible modulus (coefficients compared constant term first)
-and the smallest generator when coefficient vectors are read as base-p
-integers, so repeated runs always build the identical field, and fq_make
-caches it: fields compare by identity.
+The one constructor is FqField(p, n), and it runs the canonical search:
+the lexicographically smallest irreducible modulus (coefficients compared
+constant term first), so repeated runs always build the identical field.
+The generator, the smallest when coefficient vectors are read as base-p
+integers, and the discrete and Zech log tables are built on first read.
+fq_make caches FqField(p, n): fields compare by identity.
 
 Fields are capped at q <= 2^20: discrete logs and Zech logarithms are table
 lookups and several verification sweeps are exhaustive, so everything must
@@ -24,7 +25,7 @@ fit in memory.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvariantError
 from .quotient import QuotientElem, QuotientRing
@@ -57,6 +58,22 @@ def _is_irreducible(modulus, p):
         if powmod(diff, p**n - 1, modulus, p) != one:
             return False
     return True
+
+
+def _smallest_irreducible(p: int, n: int) -> tuple:
+    """The canonical relation: the first irreducible t^n + c_{n-1} t^{n-1} + ... + c_0.
+
+    Candidates are scanned in lexicographic order of (c_0, ..., c_{n-1}).
+    Degree-1 fields use t itself, so F_p elements are plain residues.
+    """
+    if n == 1:
+        return (0, 1)
+    # c_0 = 0 makes the candidate divisible by t, so those are skipped
+    for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
+        candidate = tail + (1,)
+        if _is_irreducible(candidate, p):
+            return candidate
+    raise InvariantError("no irreducible polynomial found")  # cannot happen
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +125,6 @@ class FqElem(QuotientElem):
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def is_unit(self) -> bool:
-        return not self.is_zero()
-
     def to_int(self) -> int:
         return from_digits(self.coeffs, self.field.p)
 
@@ -118,15 +132,17 @@ class FqElem(QuotientElem):
 class FqField(QuotientRing):
     """The finite field F_{p^n} = (Z/p)[t]/(relation), in polynomial basis.
 
-    The quotient ring at precision 1: units = q - 1, and the arithmetic,
-    coercion and equality are quotient.QuotientElem's.  The relation is
-    validated to be monic irreducible; the generator is the first element
-    from_int(k), k >= 1, of multiplicative order exactly q - 1.
+    FqField(p, n) is the one constructor: it checks p, n and Q_CAP and runs
+    the canonical search for the relation.  The quotient ring at precision
+    1: units = q - 1, and the arithmetic, coercion and equality are
+    quotient.QuotientElem's.  The generator, the first element from_int(k),
+    k >= 1, of multiplicative order exactly q - 1, and the log tables are
+    built on first read.
     """
 
     element_type = FqElem
 
-    def __init__(self, p: int, n: int, relation):
+    def __init__(self, p: int, n: int):
         if not is_prime(p):
             raise ValueError("not prime")
         if n < 1:
@@ -134,24 +150,17 @@ class FqField(QuotientRing):
         q = p**n
         if q > Q_CAP:
             raise ValueError("field too large")
-        relation = tuple(int(c) % p for c in relation)
-        if len(relation) != n + 1 or relation[-1] != 1:
-            raise ValueError("modulus must be monic of degree n")
-        if not _is_irreducible(relation, p):
-            raise ValueError("modulus is reducible")
-        super().__init__(p, 1, relation)
+        super().__init__(p, 1, _smallest_irreducible(p, n))
         self.q = q
         self.units = q - 1
-        self._dlog = None
-        self._zech = None
-        self.generator = self._find_generator()
 
     def _is_generator(self, g: FqElem) -> bool:
         """Order exactly q - 1, for g nonzero: g^(q-1) = 1 holds in a field."""
         return all(g ** ((self.q - 1) // l) != self.one()
                    for l in prime_factors(self.q - 1))
 
-    def _find_generator(self) -> FqElem:
+    @cached_property
+    def generator(self) -> FqElem:
         for k in range(1, self.q):
             g = self.from_int(k)
             if self._is_generator(g):
@@ -173,8 +182,9 @@ class FqField(QuotientRing):
             yield FqElem(self, digits[::-1])
 
     # -- discrete and Zech logarithms ------------------------------------
-    def _log_tables(self) -> None:
-        """One walk over g^k, k < q-1, fills the dlog and the Zech table."""
+    @cached_property
+    def _logs(self) -> tuple:
+        """(dlog dict, Zech table), both filled by one walk over g^k, k < q-1."""
         p, f, g = self.p, self.relation, self.generator.coeffs
         powers = [self.one().coeffs]
         for _ in range(self.q - 2):
@@ -185,22 +195,17 @@ class FqField(QuotientRing):
         for k in range(1, self.q - 1):
             c = powers[k]
             zech[k] = dlog[((1 - c[0]) % p,) + tuple(-x % p for x in c[1:])]
-        self._dlog = dlog
-        self._zech = tuple(zech)
+        return dlog, tuple(zech)
 
     def dlog(self, x: FqElem) -> int:
         """Exponent e with generator^e = x; table built on first use."""
         if x.is_zero():
             raise ValueError("log of zero")
-        if self._dlog is None:
-            self._log_tables()
-        return self._dlog[x.coeffs]
+        return self._logs[0][x.coeffs]
 
     def zech_table(self) -> tuple:
         """Z with g^Z[k] = 1 - g^k for 0 < k < q-1; Z[0] is None (1 - 1 = 0)."""
-        if self._zech is None:
-            self._log_tables()
-        return self._zech
+        return self._logs[1]
 
     def __repr__(self):
         return f"FqField(p={self.p}, n={self.n}, relation={list(self.relation)})"
@@ -208,26 +213,8 @@ class FqField(QuotientRing):
 
 @lru_cache(maxsize=None)
 def fq_make(p: int, n: int) -> FqField:
-    """The canonical F_{p^n}: smallest irreducible modulus, smallest generator.
-
-    Degree-1 fields use the modulus t itself, so F_p elements are plain
-    residues.  Moduli are scanned in lexicographic order of
-    (c_0, ..., c_{n-1}) for t^n + c_{n-1} t^{n-1} + ... + c_0.
-    """
-    if not is_prime(p):
-        raise ValueError("not prime")
-    if n < 1:
-        raise ValueError("extension degree must be >= 1")
-    if p**n > Q_CAP:
-        raise ValueError("field too large")
-    if n == 1:
-        return FqField(p, 1, (0, 1))
-    # c_0 = 0 makes the candidate divisible by t, so those are skipped
-    for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
-        candidate = tail + (1,)
-        if _is_irreducible(candidate, p):
-            return FqField(p, n, candidate)
-    raise InvariantError("no irreducible polynomial found")  # cannot happen
+    """The canonical F_{p^n}, built once per (p, n): fields compare by identity."""
+    return FqField(p, n)
 
 
 def frobenius(x: FqElem) -> FqElem:

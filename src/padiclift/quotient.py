@@ -8,9 +8,10 @@ powered through the residue kernel.  QuotientRing holds the ring data
 (p, precision, n, modulus = p^N, relation, and the order of the unit
 group) and forms int-weighted sums of residue vectors, reduced mod p^N
 once, for the linear maps built on the ring; QuotientElem holds the
-arithmetic, coercion, equality, exact division by p and truncation.  A
-subclass supplies is_unit and with_precision (F_q, fixed at precision 1,
-returns itself), and names its element class as element_type.
+arithmetic, coercion, equality, the unit test (nonzero mod p), exact
+division by p and truncation.  A subclass supplies with_precision (F_q,
+fixed at precision 1, returns itself), and names its element class as
+element_type; the pi-ring, where pi is not a unit, overrides is_unit.
 
 Rings compare by identity: the cached gfq.fq_make, witt_zq.zq_ring and
 charsum.pi_ring build the one ring object per key, and with_precision
@@ -148,6 +149,10 @@ class QuotientElem:
             return self.unit_inverse() ** (-e)
         ring = self.ring
         return type(self)(ring, powmod(self.residues, e, ring.relation, ring.modulus))
+
+    def is_unit(self) -> bool:
+        """Nonzero mod p: the ring mod p is the field F_q."""
+        return any(c % self.ring.p for c in self.residues)
 
     def unit_inverse(self):
         """x^(|units| - 1), by Lagrange in the finite unit group."""

@@ -61,9 +61,6 @@ class ZqElem(QuotientElem):
     def reduce_mod_p(self) -> FqElem:
         return self.ring.field.element(self.residues)
 
-    def is_unit(self) -> bool:
-        return not self.reduce_mod_p().is_zero()
-
     def to_text(self) -> str:
         ring = self.ring
         blocks = "|".join(",".join(str(d) for d in to_digits(c, ring.p, ring.precision))

@@ -107,7 +107,8 @@ def test_gk_check(capsys):
     (7, 8, "33c24f12d47c9fbb346552001abb9c45fd46517993199a5e3c1261e40ce3c58f"),
     (13, 5, "59aa9a91de690353cb809459e387abf50ac5257d1b55e941e142575b5c12fab4"),
     (53, 6, "bb60c6bb4494f04f3701383b435d1e6d66c46ef5564fcc08368253ca7fde611d"),
-], ids=["(7,8)", "(13,5)", "(53,6)"])
+    (211, 6, "04905e51c2d3a49c1c4810e1e0a168340b4801150b67a2dd6acd2f65494df782"),
+], ids=["(7,8)", "(13,5)", "(53,6)", "(211,6)"])
 def test_gk_check_stdout_is_pinned(capsys, p, N, digest):
     # the benchmark's two Gross-Koblitz cases and a large p, byte for byte
     rc, out, _ = run(capsys, "gk-check", "-p", str(p), "-N", str(N))
@@ -151,9 +152,35 @@ def test_verify_all_seed0_stdout_is_pinned(capsys):
      "f39070ce117896b4bfe755b5fc4efda081a5dbf763503c309baf57af202f952b"),
     ("verify --suite buium -p 3 -n 6 -N 10 --count 4 --seed 0",
      "afeb79316f49964ee72e905dd45825928137dbb16032831e9d1aebd5569edb15"),
-], ids=["frobenius", "delta", "verify-buium"])
+    ("frobenius -p 3 -n 6 -N 10 -x 1,2,3,4,5,6",
+     "541e001eb86bd10bfeef4a43c9b8827ecd3039ca81a9a921daafa20147c2760f"),
+    ("frobenius -p 2 -n 8 -N 12 -x 5,0,7,1,0,3,9,2",
+     "2404d6b0387ca76e372860bbb047dab73ef61734edb2e2308631a4057d23383d"),
+], ids=["frobenius", "delta", "verify-buium", "frobenius-(3,6,10)", "frobenius-(2,8,12)"])
 def test_frobenius_stdout_is_pinned(capsys, argv, digest):
-    # taken with the digit-wise Frobenius, before it became a matrix
+    # the first three were taken with the digit-wise Frobenius, before it
+    # became a matrix; the last two are the zq-lift rings that CI pins
+    rc, out, _ = run(capsys, *argv.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("teich -p 2 -n 8 -N 6 -v 1,0,1,1,0,0,0,1",
+     "6f0b0e2b6ca48adde107bff7c935e784290e907e5f60cc89bec8ab65bbab288d"),
+    ("teich -p 2 -n 20 -N 3 -v 5",
+     "1488b108352ece79a9742bf0db3b5a6ec1fc4538a3a6abe78b4de23db1ea6061"),
+    ("teich -p 3 -n 12 -N 3 -v 7",
+     "143af13a096b933073df0ef08e45e82620cf44797bac565bd1ec9544c1003be0"),
+    ("jacobi -q 49 -a 3 -b 5 -N 3",
+     "12cf9a9ed4c18f7a051dac7d71f426e78a16592826e8a45ee38a65d7f9376194"),
+    ("verify --suite all --seed 0 --format csv",
+     "3227c91d5fc558f1d67ec7191470980941233132b86c69e842878f868b95df69"),
+    ("verify --suite all --seed 0 --format text",
+     "43fb39359e74f07e408c355f916a7502a4343c7ef1ae9b15566f3b915b177fe7"),
+], ids=["teich-F256", "teich-F2^20", "teich-F3^12", "jacobi-F49", "verify-csv", "verify-text"])
+def test_fq_and_report_stdout_is_pinned(capsys, argv, digest):
+    # the F_q outputs and report formats that CI pins, byte for byte
     rc, out, _ = run(capsys, *argv.split())
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

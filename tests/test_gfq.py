@@ -35,8 +35,6 @@ def test_fq_make_validation():
         fq_make(4, 1)
     with pytest.raises(ValueError, match="field too large"):
         fq_make(2, 25)
-    with pytest.raises(ValueError):
-        FqField(3, 2, (0, 0, 1))  # t^2 has the root 0
 
 
 def _monic(p, degree):
@@ -205,12 +203,43 @@ def test_failed_search_raises_invariant_error(monkeypatch, capsys, p, n, owner, 
     # failure that exits 4 with one error line, not an AssertionError traceback.
     # Fields compare by identity, so this runs on the uncached builder and
     # leaves the cached canonical fields that other tests share in place.
+    # The generator is searched on first read, so jacobi, which reads it,
+    # is the command that meets the failure.
     monkeypatch.setattr(owner, attr, fake)
     monkeypatch.setattr(cli, "fq_make", fq_make.__wrapped__)
     with pytest.raises(InvariantError, match=message):
-        fq_make.__wrapped__(p, n)
-    assert main(["teich", "-p", str(p), "-n", str(n), "-N", "2", "-v", "1"]) == 4
+        fq_make.__wrapped__(p, n).generator
+    assert main(["jacobi", "-p", str(p), "-n", str(n), "-a", "1", "-b", "2", "-N", "2"]) == 4
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "teich -p 7 -N 2 -v 3",
+    "teich -p 2 -n 8 -N 6 -v 1,0,1,1,0,0,0,1",
+    "frobenius -p 3 -n 6 -N 10 -x 1,2,3,4,5,6",
+    "delta -p 3 -n 2 -N 4 -x 5,7",
+], ids=["teich-F7", "teich-F256", "frobenius", "delta"])
+def test_zq_commands_never_search_for_a_generator(monkeypatch, capsys, argv):
+    # Z_q, its Teichmuller lifts, Frobenius and delta read only the relation
+    monkeypatch.setattr(FqField, "_is_generator", lambda self, g: False)
+    monkeypatch.setattr(cli, "fq_make", fq_make.__wrapped__)
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p, n", [(2, 8), (2, 16), (3, 4), (5, 3), (13, 2)])
+def test_each_candidate_relation_is_tested_once(monkeypatch, p, n):
+    tested = []
+    rabin = gfq._is_irreducible
+
+    def recorded(modulus, p):
+        tested.append(modulus)
+        return rabin(modulus, p)
+
+    monkeypatch.setattr(gfq, "_is_irreducible", recorded)
+    field = fq_make.__wrapped__(p, n)
+    assert len(tested) == len(set(tested))
+    assert tested[-1] == field.relation
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (2, 4), (5, 3), (13, 2)])
