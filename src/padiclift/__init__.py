@@ -9,7 +9,7 @@ from .witt_zq import (ZqElem, ZqRing, frobenius_lift, from_teich_digits,
                       parse_zq, reduce_mod_p, teich_digits, teichmuller,
                       teichmuller_int, zq_ring)
 from .buium import (LawReport, fermat_quotient, p_derivation, ring_carry,
-                    verify_product_rule, verify_sum_rule)
+                    verify_laws, verify_product_rule, verify_sum_rule)
 from .gamma import (beta_p, functional_equation_check, gamma_p,
                     gamma_p_integer)
 from .charsum import (MultChar, PiRing, PiRingElem, additive_character,

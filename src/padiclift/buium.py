@@ -9,7 +9,9 @@ laws checked here are
 
 with C_p the universal carry polynomial.  The verifiers return structured
 reports rather than booleans so the CLI can name inputs and residuals on
-failure.
+failure.  verify_laws checks both laws at one pair and forms x^p, y^p,
+delta(x) and delta(y) once for the two; its reports equal those of
+verify_sum_rule and verify_product_rule.
 """
 
 from __future__ import annotations
@@ -36,43 +38,63 @@ def _delta(x: ZqElem, x_p: ZqElem) -> ZqElem:
     return (frobenius_lift(x) - x_p).div_exact_by_p()
 
 
+def _check_pair(x: ZqElem, y: ZqElem) -> None:
+    if x.ring is not y.ring:
+        raise ValueError("ring mismatch")
+    if x.ring.precision < 2:
+        raise PrecisionError("insufficient precision")
+
+
 def ring_carry(x: ZqElem, y: ZqElem) -> ZqElem:
     """C_p on Z_q, by the same polynomial formula evaluated with ring ops.
 
     Z_q elements have no canonical integer lift, but the binomial
     coefficients still supply the factor of p, so the division stays exact.
     """
-    if x.ring is not y.ring:
-        raise ValueError("ring mismatch")
-    if x.ring.precision < 2:
-        raise PrecisionError("insufficient precision")
+    _check_pair(x, y)
     p = x.ring.p
     return (x**p + y**p - (x + y) ** p).div_exact_by_p()
 
 
+def _power_and_delta(x: ZqElem) -> tuple[ZqElem, ZqElem]:
+    """(x^p, delta(x)): the power serves delta and the product law alike."""
+    x_p = x**x.ring.p
+    return x_p, _delta(x, x_p)
+
+
+def _sum_law(x: ZqElem, y: ZqElem, dx: ZqElem, dy: ZqElem) -> LawReport:
+    lhs = p_derivation(x + y)
+    rhs = dx + dy + ring_carry(x, y)
+    return LawReport("sum", lhs, rhs, lhs - rhs, lhs == rhs)
+
+
+def _product_law(x: ZqElem, y: ZqElem, x_p: ZqElem, dx: ZqElem,
+                 y_p: ZqElem, dy: ZqElem) -> LawReport:
+    n1 = x.ring.precision - 1
+    lhs = p_derivation(x * y)
+    rhs = x_p.truncate(n1) * dy + dx * y_p.truncate(n1) + dx * dy * x.ring.p
+    return LawReport("product", lhs, rhs, lhs - rhs, lhs == rhs)
+
+
 def verify_sum_rule(x: ZqElem, y: ZqElem) -> LawReport:
     """delta(x+y) against delta(x) + delta(y) + C_p(x, y), at precision N-1."""
-    if x.ring is not y.ring:
-        raise ValueError("ring mismatch")
-    lhs = p_derivation(x + y)
-    rhs = p_derivation(x) + p_derivation(y) + ring_carry(x, y)
-    residual = lhs - rhs
-    return LawReport("sum", lhs, rhs, residual, lhs == rhs)
+    _check_pair(x, y)
+    return _sum_law(x, y, _power_and_delta(x)[1], _power_and_delta(y)[1])
 
 
 def verify_product_rule(x: ZqElem, y: ZqElem) -> LawReport:
     """delta(xy) against x^p delta(y) + delta(x) y^p + p delta(x) delta(y)."""
-    if x.ring is not y.ring:
-        raise ValueError("ring mismatch")
-    p = x.ring.p
-    n1 = x.ring.precision - 1
-    lhs = p_derivation(x * y)
-    x_p, y_p = x**p, y**p  # each power serves delta and the right-hand side
-    dx = _delta(x, x_p)
-    dy = _delta(y, y_p)
-    rhs = x_p.truncate(n1) * dy + dx * y_p.truncate(n1) + dx * dy * p
-    residual = lhs - rhs
-    return LawReport("product", lhs, rhs, residual, lhs == rhs)
+    _check_pair(x, y)
+    return _product_law(x, y, *_power_and_delta(x), *_power_and_delta(y))
+
+
+def verify_laws(x: ZqElem, y: ZqElem) -> tuple[LawReport, LawReport]:
+    """(verify_sum_rule(x, y), verify_product_rule(x, y)), with x^p, y^p,
+    delta(x) and delta(y) formed once for both."""
+    _check_pair(x, y)
+    x_p, dx = _power_and_delta(x)
+    y_p, dy = _power_and_delta(y)
+    return _sum_law(x, y, dx, dy), _product_law(x, y, x_p, dx, y_p, dy)
 
 
 def fermat_quotient(k: int, p: int, precision: int) -> PAdicInt:

@@ -151,6 +151,8 @@ def cmd_gamma(args) -> int:
             lo, hi = map(int, args.sweep.split(":"))
         except ValueError:
             raise ValueError(f"--sweep takes lo:hi, not {args.sweep!r}") from None
+        if hi <= lo:
+            raise ValueError(f"--sweep {args.sweep!r} is empty: lo:hi needs lo < hi")
         for m in range(lo, hi):
             v = gamma.gamma_p_integer(m, args.p, args.N)
             rows.append({"op": "gamma_p", "m": m, **jsonable(v)})

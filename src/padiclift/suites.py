@@ -144,14 +144,17 @@ def run_buium_suite(cfg: RunConfig) -> list[CheckRecord]:
         pairs = [(sample_zq(ring, rng), sample_zq(ring, rng))
                  for _ in range(cfg.count)]
 
-        def sum_cases(pairs=pairs, p=p, n=n, N=N):
+        products: list[buium.LawReport] = []  # pair i's product report
+
+        def sum_cases(pairs=pairs, products=products, p=p, n=n, N=N):
+            # one verify_laws per pair; its product report waits for the next sweep
             for x, y in pairs:
-                rep = buium.verify_sum_rule(x, y)
+                rep, product = buium.verify_laws(x, y)
+                products.append(product)
                 yield {"p": p, "n": n, "N": N, "x": x, "y": y}, rep.passed, rep.residual
 
-        def product_cases(pairs=pairs, p=p, n=n, N=N):
-            for x, y in pairs:
-                rep = buium.verify_product_rule(x, y)
+        def product_cases(pairs=pairs, products=products, p=p, n=n, N=N):
+            for (x, y), rep in zip(pairs, products, strict=True):
                 yield {"p": p, "n": n, "N": N, "x": x, "y": y}, rep.passed, rep.residual
 
         base = {"p": p, "n": n, "N": N, "pairs": cfg.count, "seed": cfg.seed}

@@ -8,10 +8,11 @@ digit of precision.
 
 Every operation works on the int value.  The digits and their carries
 appear in one named operation, cocycle_sum: the schoolbook sum whose every
-carry is a value of carry_cocycle, the 2-cocycle that glues Z/p^2 out of
-two copies of Z/p.  It reads the digits by divmod on the two values and
-adds each output digit into an int at its place value p^i.  The carry
-suite checks it against + exhaustively.
+carry into an output digit is a sum of two values of carry_cocycle, the
+2-cocycle that glues Z/p^2 out of two copies of Z/p.  It reads the digits
+by divmod on the two values and adds each output digit into an int at its
+place value p^i.  The carry out of the top digit would leave Z/p^N, so it
+is never formed.  The carry suite checks the sum against + exhaustively.
 
 Canonical text form (CLI interchange): "p=5;N=3;digits=2,1,0".
 """
@@ -200,16 +201,19 @@ def _unchecked(p: int, value: int, precision: int) -> PAdicInt:
 
 def cocycle_sum(x: PAdicInt, y: PAdicInt) -> PAdicInt:
     """The cocycle-twisted sum that presents Z/p^N as an iterated extension
-    of F_p: digits add in F_p and every carry is a value of carry_cocycle.
-    It equals x + y at the smaller precision.
+    of F_p: digits add in F_p and the carry into each digit is a sum of two
+    values of carry_cocycle.  It equals x + y at the smaller precision n.
+
+    Digits 0..n-2 walk through carry_cocycle; the top digit is one sum mod
+    p, since the carry out of it would leave Z/p^n and is never formed.
     """
     if x.p != y.p:
         raise ValueError("prime mismatch")
     p = x.p
-    n = min(x.precision, y.precision)
+    n = x.precision if x.precision < y.precision else y.precision
     u, v = x.value, y.value
     total, place, carry = 0, 1, 0
-    for _ in range(n):
+    for _ in range(n - 1):
         u, a = divmod(u, p)
         v, b = divmod(v, p)
         s = (a + b) % p
@@ -217,7 +221,8 @@ def cocycle_sum(x: PAdicInt, y: PAdicInt) -> PAdicInt:
         place *= p
         # never both 1: a + b + carry < 2p
         carry = carry_cocycle(a, b, p) + carry_cocycle(s, carry, p)
-    return _unchecked(p, total, n)
+    # u and v are the top digits mod p; any digits past n sit above them
+    return _unchecked(p, total + (u + v + carry) % p * place, n)
 
 
 def from_integer(k: int, p: int, precision: int) -> PAdicInt:

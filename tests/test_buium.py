@@ -1,7 +1,8 @@
 import pytest
 
+from padiclift import buium
 from padiclift.buium import (fermat_quotient, p_derivation, ring_carry,
-                             verify_product_rule, verify_sum_rule)
+                             verify_laws, verify_product_rule, verify_sum_rule)
 from padiclift.cohomo import ADDITIVE, GroupValuedMap, coboundary2
 from padiclift.errors import PrecisionError
 from padiclift.gfq import fq_make
@@ -81,6 +82,59 @@ def test_product_rule_on_teichmuller_pairs():
     u, v = F9.element([1, 1]), F9.element([2, 1])
     rep = verify_product_rule(ring.teichmuller(u), ring.teichmuller(v))
     assert rep.passed and rep.lhs == zero and rep.rhs == zero
+
+
+# the three default rings of the buium suite, and one at n = 3
+LAW_RINGS = [(5, 1, 4), (3, 2, 4), (7, 1, 3), (2, 3, 5)]
+
+
+@pytest.mark.parametrize("p,n,N", LAW_RINGS)
+def test_verify_laws_equals_the_single_law_reports(p, n, N):
+    ring = zq_ring(fq_make(p, n), N)
+    rng = CounterRng(10 * p + n)
+    pairs = [(sample_zq(ring, rng), sample_zq(ring, rng)) for _ in range(20)]
+    pairs += [(ring.zero(), ring.one()), (ring.teichmuller(fq_make(p, n).one()), ring.zero())]
+    for x, y in pairs:
+        got_sum, got_product = verify_laws(x, y)
+        for got, want in [(got_sum, verify_sum_rule(x, y)),
+                          (got_product, verify_product_rule(x, y))]:
+            for field, a, b in zip(got._fields, got, want, strict=True):
+                assert a == b, field
+            assert got.passed
+
+
+def test_verify_laws_raises_what_the_single_laws_raise():
+    x, y = zq_ring(F9, 4).one(), zq_ring(F9, 3).one()
+    for law in (verify_laws, verify_sum_rule, verify_product_rule):
+        with pytest.raises(ValueError, match="ring mismatch"):
+            law(x, y)
+    for field in (F5, F9):
+        one = zq_ring(field, 1).one()
+        for law in (verify_laws, verify_sum_rule, verify_product_rule):
+            with pytest.raises(PrecisionError, match="insufficient precision"):
+                law(one, one)
+
+
+@pytest.mark.parametrize("p,n,N", LAW_RINGS)
+def test_verify_laws_lifts_four_times_per_pair(monkeypatch, p, n, N):
+    # phi of x, y, x + y and xy; the two single laws together lift six times
+    calls = []
+    real = buium.frobenius_lift
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(buium, "frobenius_lift", counted)
+    ring = zq_ring(fq_make(p, n), N)
+    rng = CounterRng(p)
+    x, y = sample_zq(ring, rng), sample_zq(ring, rng)
+    verify_laws(x, y)
+    assert sorted(map(repr, calls)) == sorted(map(repr, [x, y, x + y, x * y]))
+    calls.clear()
+    verify_sum_rule(x, y)
+    verify_product_rule(x, y)
+    assert len(calls) == 6
 
 
 def test_frobenius_reconstruction():

@@ -178,9 +178,17 @@ def test_frobenius_stdout_is_pinned(capsys, argv, digest):
      "3227c91d5fc558f1d67ec7191470980941233132b86c69e842878f868b95df69"),
     ("verify --suite all --seed 0 --format text",
      "43fb39359e74f07e408c355f916a7502a4343c7ef1ae9b15566f3b915b177fe7"),
-], ids=["teich-F256", "teich-F2^20", "teich-F3^12", "jacobi-F49", "verify-csv", "verify-text"])
+    ("verify --suite all --seed 1",
+     "ed46808e6bda690390ba892535c4700688ef6dad72e5bf8294c8d4a480b47d68"),
+    ("verify --suite all --seed 7",
+     "a118bc236176739e489b1fbedfee1fd11b0171a360090c4c7ed2fb338d49514a"),
+    ("verify --suite buium -p 5 -n 2 -N 6 --count 50 --seed 3",
+     "39eeaf8df01b7d83e98547881fe1c397f7299f41ca631e37b1a9b3f2e2ce9c9b"),
+], ids=["teich-F256", "teich-F2^20", "teich-F3^12", "jacobi-F49", "verify-csv", "verify-text",
+        "verify-seed1", "verify-seed7", "verify-buium-F25"])
 def test_fq_and_report_stdout_is_pinned(capsys, argv, digest):
-    # the F_q outputs and report formats that CI pins, byte for byte
+    # the F_q outputs, report formats and further verify seeds (the buium
+    # sweep at F_25 reaches n = 2 at N = 6) that CI pins, byte for byte
     rc, out, _ = run(capsys, *argv.split())
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -408,6 +416,15 @@ def test_malformed_sweep_names_the_flag(capsys, sweep):
     assert (rc, out, err) == (2, "", f"error: --sweep takes lo:hi, not {sweep!r}\n")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("sweep", ["3:3", "5:2"])
+def test_empty_sweep_is_a_usage_error(capsys, sweep, fmt):
+    # a sweep of no values prints no table, as verify --count 0 runs no suite
+    rc, out, err = run(capsys, "gamma", "-p", "5", "-N", "3", "--sweep", sweep,
+                       "--format", fmt)
+    assert (rc, out, err) == (2, "", f"error: --sweep {sweep!r} is empty: lo:hi needs lo < hi\n")
+
+
 COEFFS = "integer or comma-separated coefficients"
 ELEMENT = "integer, comma-separated coefficients or canonical text"
 
@@ -479,6 +496,8 @@ frobenius --elem p=3;n=2;N=4;coeffs=[2,1,0,0|2,0,2,2] -p 3 -n 2 -N 4
 delta -p 5 -N 3 -x 2
 gamma -p 5 -N 2 -x 6
 gamma -p 5 -N 2 --sweep 0:10 --format csv
+gamma -p 5 -N 3 --sweep 3:3
+gamma -p 5 -N 3 --sweep 5:2 --format csv
 beta -p 5 -N 3 -a 1 -b 1
 jacobi -q 5 -N 3 -a 2 -b 2
 gauss -p 5 -N 2 -a 0
@@ -528,6 +547,9 @@ fermat-count -q 13 -m 4
 beta -p 5 -N 2 -a 2 -b 3 --format text
 verify --suite carry -p 3 --format csv
 verify --suite carry -p 3 --format text
+verify --suite all --seed 1
+verify --suite all --seed 7
+verify --suite buium -p 5 -n 2 -N 6 --count 50 --seed 3
 gamma -p 7 -N 3 -x p=5;N=2;digits=1,1
 gamma -p 7 -N 3 --sweep 0:2
 gamma -p 5 -N 3 -x p=5;N=3;digits=4,3,0

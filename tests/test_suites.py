@@ -11,6 +11,7 @@ import pytest
 
 from padiclift import buium, charsum, cohomo, gamma, suites
 from padiclift.gfq import fq_make
+from padiclift.rng import CounterRng
 from padiclift.witt_zq import zq_ring
 from padiclift.zp_ring import carry_cocycle, from_integer
 
@@ -70,6 +71,67 @@ def test_wrong_carry_on_one_triple_is_reported(monkeypatch):
     assert (rec.suite, rec.passed) == ("carry", False)
     assert rec.inputs == {"p": 3, "triple": [1, 1, 2]}  # triple 14 in base 3
     assert rec.residual in (1, -1)
+
+
+BUIUM_CFG = suites.RunConfig(p=5, count=12, seed=4, suite="buium")
+
+
+def _buium_pairs(cfg):
+    """The suite's pairs, drawn again from the same stream."""
+    ring = zq_ring(fq_make(cfg.p, 1), 4)
+    rng = CounterRng(cfg.seed + suites.SUITE_SEED_OFFSET["buium"])
+    return [(suites.sample_zq(ring, rng), suites.sample_zq(ring, rng))
+            for _ in range(cfg.count)]
+
+
+def _names_pair(rec, pair):
+    x, y = pair
+    return (rec.suite, rec.passed, rec.checks, rec.failures) == ("buium", False, 1, 0) \
+        and rec.inputs == suites.jsonable({"p": 5, "n": 1, "N": 4, "x": x, "y": y})
+
+
+def test_wrong_ring_carry_on_one_pair_is_reported(monkeypatch):
+    # the sum law fails at that pair alone; the product reports, formed in
+    # the same verify_laws calls, all still pass
+    pairs = _buium_pairs(BUIUM_CFG)
+    x7, y7 = pairs[7]
+    real = buium.ring_carry
+
+    def wrong_on_one_pair(x, y):
+        c = real(x, y)
+        return c + 1 if (x, y) == (x7, y7) else c
+
+    monkeypatch.setattr(buium, "ring_carry", wrong_on_one_pair)
+    records = suites.run_buium_suite(BUIUM_CFG)
+    total, detail = _by_op(records, "verify_sum_rule")
+    assert (total.passed, total.checks, total.failures) == (False, 12, 1)
+    [rec] = detail
+    assert _names_pair(rec, pairs[7])
+    product, product_detail = _by_op(records, "verify_product_rule")
+    assert (product.passed, product.checks, product.failures, product_detail) == \
+        (True, 12, 0, [])
+
+
+def test_wrong_product_delta_on_one_pair_is_reported_with_its_pair(monkeypatch):
+    # a product report stored during the sum sweep is read back beside the
+    # pair it was formed from, not a neighbour
+    pairs = _buium_pairs(BUIUM_CFG)
+    x3, y3 = pairs[3]
+    real = buium.p_derivation
+
+    def wrong_on_one_product(z):
+        d = real(z)
+        return d + 1 if z == x3 * y3 else d
+
+    monkeypatch.setattr(buium, "p_derivation", wrong_on_one_product)
+    records = suites.run_buium_suite(BUIUM_CFG)
+    total, detail = _by_op(records, "verify_sum_rule")
+    assert (total.passed, total.failures, detail) == (True, 0, [])
+    product, detail = _by_op(records, "verify_product_rule")
+    assert (product.passed, product.checks, product.failures) == (False, 12, 1)
+    [rec] = detail
+    assert _names_pair(rec, pairs[3])
+    assert rec.residual == suites.jsonable(zq_ring(fq_make(5, 1), 3).one())
 
 
 def test_import_loads_no_dataclasses_or_inspect():

@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from padiclift import zp_ring
 from padiclift.errors import PrecisionError
 from padiclift.zp_ring import (PAdicInt, buium_carry, carry_cocycle,
                                cocycle_sum, from_integer, parse_fields,
@@ -58,11 +59,34 @@ def tuple_walk_cocycle_sum(x, y):
 
 @given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(1, 64), st.integers(1, 64),
        st.integers(-13**64, 13**64), st.integers(-13**64, 13**64))
+@example(2, 1, 1, 1, 1)  # precision 1: the top digit is digit 0, no carry walked
+@example(13, 1, 1, 12, 12)
+@example(7, 1, 5, -1, 6)  # precision 1 beside a longer operand, both ways
+@example(7, 5, 1, 6, -1)
 def test_cocycle_sum_matches_tuple_walk(p, m, n, j, k):
     # bounded draws fill all 64 digits, where st.integers() keeps to a few
     x, y = from_integer(j, p, m), from_integer(k, p, n)
     got, want = cocycle_sum(x, y), tuple_walk_cocycle_sum(x, y)
     assert (got.p, got.value, got.precision) == (want.p, want.value, want.precision)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cocycle_sum_forms_no_carry_out_of_the_top_digit(monkeypatch, n):
+    # two carry_cocycle values per carry into digits 1..n-1, none out of n-1
+    calls = []
+    real = zp_ring.carry_cocycle
+
+    def counted(a, b, p):
+        calls.append((a, b))
+        return real(a, b, p)
+
+    monkeypatch.setattr(zp_ring, "carry_cocycle", counted)
+    for p in (2, 3, 7):
+        for j, k in [(0, 0), (-1, -1), (-1, 1), (p**n // 3, 2 * p**n // 3)]:
+            calls.clear()
+            got = cocycle_sum(from_integer(j, p, n + 1), from_integer(k, p, n))
+            assert got.value == (j + k) % p**n
+            assert len(calls) == 2 * (n - 1)
 
 
 def test_cocycle_sum_large_and_negative_examples():
