@@ -30,7 +30,7 @@ Fermat counting is a dual-route check: the brute route counts the fibres
 of x -> x^m in F_q with field arithmetic only, and the Jacobi route forms
 q + sum of Jacobi sums in Z_q, one O(q) Zech pass per character pair, with
 the sum identified as a rational integer through a symmetric-range lift
-whose precision precondition rules out silent wraparound.
+at the precision fermat_precision(q, m), which rules out silent wraparound.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import accumulate, repeat
 
-from .errors import InvariantError, PrecisionError
+from .errors import InvariantError
 from .gamma import _check_p, gamma_p
 from .gfq import FqElem, FqField, fq_make
 from .quotient import QuotientElem, QuotientRing
@@ -389,7 +389,7 @@ def count_fermat_brute(q: int, m: int) -> int:
     return sum(c * fibres[1 - u] for u, c in fibres.items())
 
 
-def count_fermat_jacobi(q: int, m: int, precision: int = 0) -> int:
+def count_fermat_jacobi(q: int, m: int) -> int:
     """The same count through q + sum of Jacobi sums of order-m characters.
 
     The double sum runs over all (m-1)^2 pairs, but J(a, b) = J(b, a)
@@ -397,16 +397,14 @@ def count_fermat_jacobi(q: int, m: int, precision: int = 0) -> int:
     formed, each one O(q) pass over the Zech table, and each one with
     a < b is weighted 2 in Z_q.  The double sum is a rational integer; it
     is recovered from its residue by the symmetric-range lift, which needs
-    p^N > 4 m^2 q so the archimedean bound (m-1)^2 sqrt(q) can never wrap.
+    p^N > 4 m^2 q so the archimedean bound (m-1)^2 sqrt(q) can never wrap:
+    N is always fermat_precision(q, m), the smallest such precision.
     Individual Jacobi sums need not be rational when n > 1, so the lift
     happens after the whole sum is assembled.
     """
     field = _fermat_field(q, m)
     p = field.p
-    if precision == 0:
-        precision = fermat_precision(q, m)
-    if p**precision <= 4 * m * m * q:
-        raise PrecisionError("cannot identify integer")
+    precision = fermat_precision(q, m)
     step = (q - 1) // m
     total = zq_ring(field, precision).weighted_sum(
         (1 if a == b else 2, jacobi_sum(a * step, b * step, field, precision).residues)

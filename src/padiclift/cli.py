@@ -1,5 +1,10 @@
 """Command-line surface: one subcommand per operation plus verify suites.
 
+Each command and each input has one spelling: no command aliases, and no
+two flags that set the same value.  jacobi and fermat-count read the field
+from its order -q, and fermat-count works out its own precision N (printed
+in its report) from q and m.
+
 Machine-readable output (json, csv, or text key=value rows) goes to stdout;
 a one-line human summary goes to stderr.  Exit codes: 0 all good, 1 a
 verification failed, 2 usage or domain error, 3 precision error, 4 a
@@ -98,14 +103,13 @@ def _ring_element(ring, flag: str, raw: str, form: str):
 
 
 def _parse_element(args):
-    """Build a Z_q element from --elem text or -x (integer / comma coeffs)."""
-    raw = args.elem or args.x
-    if raw is None:
-        raise ValueError("provide -x or --elem")
-    if args.elem or ";" in raw:
-        return parse_zq(raw)  # the text fixes p, n and N
+    """Build a Z_q element from -x: integer, comma coeffs or canonical text."""
+    if args.x is None:
+        raise ValueError("provide -x")
+    if ";" in args.x:
+        return parse_zq(args.x)  # the text fixes p, n and N
     ring = zq_ring(fq_make(args.p, args.n), args.N)
-    return _ring_element(ring, "-x", raw,
+    return _ring_element(ring, "-x", args.x,
                          "integer, comma-separated coefficients or canonical text")
 
 
@@ -177,9 +181,7 @@ def cmd_beta(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    if not args.q and not args.p:
-        raise ValueError("provide -q or -p")
-    field = charsum.field_for_order(args.q) if args.q else fq_make(args.p, args.n)
+    field = charsum.field_for_order(args.q)
     v = charsum.jacobi_sum(args.a, args.b, field, args.N)
     _emit(args.format, [{"op": "jacobi_sum", "a": args.a, "b": args.b,
                          "q": field.q, **jsonable(v)}])
@@ -216,9 +218,9 @@ def cmd_gk(args) -> int:
 
 def cmd_fermat(args) -> int:
     brute = charsum.count_fermat_brute(args.q, args.m)
-    precision = args.N or charsum.fermat_precision(args.q, args.m)
-    viaj = charsum.count_fermat_jacobi(args.q, args.m, precision)
+    viaj = charsum.count_fermat_jacobi(args.q, args.m)
     field = charsum.field_for_order(args.q)
+    precision = charsum.fermat_precision(args.q, args.m)  # the N the Jacobi route used
     payload = {"op": "fermat_count", "q": args.q, "m": args.m,
                "p": field.p, "n": field.n, "N": precision,
                "brute": brute, "jacobi": viaj, "match": brute == viaj}
@@ -308,30 +310,28 @@ _N = _arg("-N", type=int, required=True, help="p-adic precision")
 _FORMAT = _arg("--format", choices=("json", "csv", "text"), default="json")
 _A, _B = _arg("-a", type=int, required=True), _arg("-b", type=int, required=True)
 _ELEMENT = (_P, _n, _N, _FORMAT,
-            _arg("-x", help="element: integer, comma coeffs, or canonical text"),
-            _arg("--elem", help="canonical text form p=..;n=..;N=..;coeffs=[..]"))
+            _arg("-x", help="element: integer, comma coeffs, or canonical text"))
 
-# (name, aliases, help, handler, arguments), in the order -h lists them
+# (name, help, handler, arguments), in the order -h lists them
 COMMANDS = (
-    ("teich", (), "Teichmuller lift of a field element", cmd_teich,
+    ("teich", "Teichmuller lift of a field element", cmd_teich,
      (_P, _n, _N, _FORMAT,
       _arg("-v", required=True, help="field element: integer or comma coeffs"))),
-    ("frobenius", (), "canonical Frobenius lift", cmd_frobenius, _ELEMENT),
-    ("delta", (), "p-derivation (phi(x) - x^p)/p", cmd_delta, _ELEMENT),
-    ("gamma", (), "Morita p-adic Gamma", cmd_gamma,
+    ("frobenius", "canonical Frobenius lift", cmd_frobenius, _ELEMENT),
+    ("delta", "p-derivation (phi(x) - x^p)/p", cmd_delta, _ELEMENT),
+    ("gamma", "Morita p-adic Gamma", cmd_gamma,
      (_P, _N, _FORMAT, _arg("-x", help="argument: integer or canonical text"),
       _arg("--sweep", help="emit a table for m in lo:hi"))),
-    ("beta", (), "p-adic Beta unit", cmd_beta, (_P, _N, _FORMAT, _A, _B)),
-    ("jacobi", (), "Jacobi sum as a character convolution", cmd_jacobi,
-     (_N, _FORMAT, _arg("-q", type=int, help="field order (prime power)"),
-      _arg("-p", type=int, help="prime (with -n)"), _arg("-n", type=int, default=1), _A, _B)),
-    ("gauss", (), "Gauss sum in the pi-ring", cmd_gauss, (_P, _N, _FORMAT, _A)),
-    ("gk-check", ("gk",), "Gross-Koblitz cross-check", cmd_gk,
+    ("beta", "p-adic Beta unit", cmd_beta, (_P, _N, _FORMAT, _A, _B)),
+    ("jacobi", "Jacobi sum as a character convolution", cmd_jacobi,
+     (_N, _FORMAT, _arg("-q", type=int, required=True, help="field order (prime power)"),
+      _A, _B)),
+    ("gauss", "Gauss sum in the pi-ring", cmd_gauss, (_P, _N, _FORMAT, _A)),
+    ("gk-check", "Gross-Koblitz cross-check", cmd_gk,
      (_P, _N, _FORMAT, _arg("-a", type=int, help="single exponent; default all 0<a<p-1"))),
-    ("fermat-count", ("fermat",), "Fermat curve point count, brute vs Jacobi", cmd_fermat,
-     (_arg("-q", type=int, required=True), _arg("-m", type=int, required=True),
-      _arg("-N", type=int, default=0, help="0 = auto precision"), _FORMAT)),
-    ("verify", (), "run verification suites", cmd_verify,
+    ("fermat-count", "Fermat curve point count, brute vs Jacobi", cmd_fermat,
+     (_arg("-q", type=int, required=True), _arg("-m", type=int, required=True), _FORMAT)),
+    ("verify", "run verification suites", cmd_verify,
      (_arg("--suite", default="all", choices=("carry", "buium", "gamma", "charsum", "all")),
       _arg("-p", type=int), _arg("-n", type=int), _arg("-N", type=int),
       _arg("--seed", type=int, default=0),
@@ -350,14 +350,14 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         description="Exact truncated p-adic arithmetic, Frobenius lifts, "
                     "p-adic Gamma/Beta, and character sums.")
     first = argv[0] if argv else None
-    chosen = [c for c in COMMANDS if first == c[0] or first in c[1]]
+    chosen = [c for c in COMMANDS if first == c[0]]
     # The usage line argparse prints on unrecognized arguments lists every name
     # either way; on the full build a metavar would rename the "required:
     # command" error, so it is only set on the one-subcommand build.
-    metavar = "{%s}" % ",".join(n for c in COMMANDS for n in (c[0], *c[1])) if chosen else None
+    metavar = "{%s}" % ",".join(c[0] for c in COMMANDS) if chosen else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, aliases, hint, handler, arguments in chosen or COMMANDS:
-        sp = sub.add_parser(name, aliases=aliases, help=hint)
+    for name, hint, handler, arguments in chosen or COMMANDS:
+        sp = sub.add_parser(name, help=hint)
         for flags, kwargs in arguments:
             sp.add_argument(*flags, **kwargs)
         sp.set_defaults(handler=handler)

@@ -4,10 +4,10 @@ Elements live in the polynomial basis: an FqElem is a length-n coefficient
 vector over F_p reduced modulo a fixed monic irreducible polynomial.  That
 is the shape of quotient.QuotientRing at precision 1, so an FqField is one,
 with the polynomial as its relation and q - 1 units, and FqElem adds to
-QuotientElem only what a field has beyond it: inverse and division,
-Frobenius and the discrete log.  An int scalar k is the constant k mod p;
-FqField.from_int(k) is the element whose coefficients are the base-p
-digits of k.  The primality helpers and all F_p[X] arithmetic come from
+QuotientElem only what a field has beyond it: inverse and division, and
+Frobenius; the discrete log is the field's, FqField.dlog.  An int scalar k
+is the constant k mod p; FqField.from_int(k) is the element whose
+coefficients are the base-p digits of k.  The primality helpers and all F_p[X] arithmetic come from
 residue: Rabin's irreducibility test runs on residue.powmod, with no gcd.
 
 The one constructor is FqField(p, n), and it runs the canonical search:
@@ -119,9 +119,6 @@ class FqElem(QuotientElem):
         """x -> x^p, the generating automorphism over F_p."""
         return self ** self.field.p
 
-    def discrete_log(self) -> int:
-        return self.field.dlog(self)
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -215,11 +212,3 @@ class FqField(QuotientRing):
 def fq_make(p: int, n: int) -> FqField:
     """The canonical F_{p^n}, built once per (p, n): fields compare by identity."""
     return FqField(p, n)
-
-
-def frobenius(x: FqElem) -> FqElem:
-    return x.frobenius()
-
-
-def discrete_log(x: FqElem) -> int:
-    return x.discrete_log()

@@ -144,22 +144,12 @@ def run_buium_suite(cfg: RunConfig) -> list[CheckRecord]:
         pairs = [(sample_zq(ring, rng), sample_zq(ring, rng))
                  for _ in range(cfg.count)]
 
-        products: list[buium.LawReport] = []  # pair i's product report
-
-        def sum_cases(pairs=pairs, products=products, p=p, n=n, N=N):
-            # one verify_laws per pair; its product report waits for the next sweep
-            for x, y in pairs:
-                rep, product = buium.verify_laws(x, y)
-                products.append(product)
-                yield {"p": p, "n": n, "N": N, "x": x, "y": y}, rep.passed, rep.residual
-
-        def product_cases(pairs=pairs, products=products, p=p, n=n, N=N):
-            for (x, y), rep in zip(pairs, products, strict=True):
-                yield {"p": p, "n": n, "N": N, "x": x, "y": y}, rep.passed, rep.residual
-
+        laws = [buium.verify_laws(x, y) for x, y in pairs]  # (sum, product) reports
         base = {"p": p, "n": n, "N": N, "pairs": cfg.count, "seed": cfg.seed}
-        col.run("verify_sum_rule", base, sum_cases())
-        col.run("verify_product_rule", base, product_cases())
+        for i, op in enumerate(("verify_sum_rule", "verify_product_rule")):
+            col.run(op, base, (({"p": p, "n": n, "N": N, "x": x, "y": y},
+                                reports[i].passed, reports[i].residual)
+                               for (x, y), reports in zip(pairs, laws)))
 
         def teich_cases(ring=ring, p=p, n=n, N=N):
             zero = ring.with_precision(N - 1).zero()

@@ -167,10 +167,6 @@ def teichmuller_int(c: int, p: int, precision: int) -> int:
     return pow(c, p ** (precision - 1), p**precision)
 
 
-def reduce_mod_p(x: ZqElem) -> FqElem:
-    return x.reduce_mod_p()
-
-
 def teich_digits(x: ZqElem) -> list[FqElem]:
     """Greedy Teichmuller digit expansion, length N.
 

@@ -472,5 +472,3 @@ def test_count_fermat_guards():
             count_fermat_brute(5, m)
         with pytest.raises(ValueError, match="divide"):
             count_fermat_jacobi(5, m)
-    with pytest.raises(PrecisionError, match="cannot identify integer"):
-        count_fermat_jacobi(13, 4, 2)  # 13^2 < 4 * 16 * 13

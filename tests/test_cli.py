@@ -45,18 +45,12 @@ def test_fermat_example(capsys):
     assert payload["brute"] == 4 and payload["jacobi"] == 4 and payload["match"]
 
 
-def test_fermat_alias(capsys):
-    rc, out, _ = run(capsys, "fermat", "-q", "7", "-m", "3")
-    assert rc == 0
-    assert json.loads(out)["brute"] == 6
-
-
 def test_frobenius_and_delta(capsys):
     rc, out, _ = run(capsys, "frobenius", "-p", "3", "-n", "2", "-N", "4",
                      "-x", "5,7")
     assert rc == 0
     first = json.loads(out)
-    rc, out, _ = run(capsys, "frobenius", "--elem",
+    rc, out, _ = run(capsys, "frobenius", "-x",
                      "p=3;n=2;N=4;coeffs=[" + "|".join(
                          ",".join(map(str, c)) for c in first["coeffs"]) + "]",
                      "-p", "3", "-n", "2", "-N", "4")
@@ -98,7 +92,7 @@ def test_gk_check(capsys):
     assert rc == 0
     rows = json.loads(out)
     assert len(rows) == 3 and all(r["passed"] for r in rows)
-    rc, out, _ = run(capsys, "gk", "-p", "7", "-N", "3", "-a", "2")
+    rc, out, _ = run(capsys, "gk-check", "-p", "7", "-N", "3", "-a", "2")
     assert rc == 0
     assert json.loads(out)["passed"]
 
@@ -184,11 +178,24 @@ def test_frobenius_stdout_is_pinned(capsys, argv, digest):
      "a118bc236176739e489b1fbedfee1fd11b0171a360090c4c7ed2fb338d49514a"),
     ("verify --suite buium -p 5 -n 2 -N 6 --count 50 --seed 3",
      "39eeaf8df01b7d83e98547881fe1c397f7299f41ca631e37b1a9b3f2e2ce9c9b"),
+    ("fermat-count -q 13 -m 4",
+     "9f2346865625d1f6c8f2b086a34bcb686423e5d440fb7cf1a7cec56ffca280c5"),
+    ("fermat-count -q 729 -m 4",
+     "e9293d3e4d02d643e4cfc18da25d2c6dbf2d86c7ec5daf1754b848a215d70954"),
+    ("fermat-count -q 4096 -m 3",
+     "1daf12221822406949caf3d81527e45a0fcd8819350e0d5d3521f6eee7c88ab5"),
+    ("jacobi -q 9 -a 1 -b 2 -N 3",
+     "d643f6f4b8fa8207e47f5dd482c93c4e95b28b723c5fe35d0ee079c871351aad"),
+    ("jacobi -q 125 -a 3 -b 7 -N 2",
+     "0652295583a7926e9160e98709e4a68c9643c6cf014a234995046ef1030323c0"),
 ], ids=["teich-F256", "teich-F2^20", "teich-F3^12", "jacobi-F49", "verify-csv", "verify-text",
-        "verify-seed1", "verify-seed7", "verify-buium-F25"])
+        "verify-seed1", "verify-seed7", "verify-buium-F25", "fermat-F13", "fermat-F729",
+        "fermat-F4096", "jacobi-F9", "jacobi-F125"])
 def test_fq_and_report_stdout_is_pinned(capsys, argv, digest):
     # the F_q outputs, report formats and further verify seeds (the buium
-    # sweep at F_25 reaches n = 2 at N = 6) that CI pins, byte for byte
+    # sweep at F_25 reaches n = 2 at N = 6) that CI pins, byte for byte;
+    # fermat-count prints the precision it works out for itself, and jacobi
+    # reads its field from -q alone
     rc, out, _ = run(capsys, *argv.split())
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -284,9 +291,10 @@ def test_verify_buium_precision_one_exits_3(capsys):
 
 
 def test_precision_error_exit_3(capsys):
-    rc, _, err = run(capsys, "fermat-count", "-q", "13", "-m", "4", "-N", "2")
+    # delta(x) = (phi(x) - x^p) / p needs N >= 2
+    rc, _, err = run(capsys, "delta", "-p", "5", "-N", "1", "-x", "2")
     assert rc == 3
-    assert "cannot identify integer" in err
+    assert err == "error: insufficient precision\n"
 
 
 def test_fixtures_round_trip(tmp_path, capsys):
@@ -344,7 +352,7 @@ def test_unusable_fixtures_path_is_a_usage_error(tmp_path, capsys, where):
 
 
 def test_invariant_failure_exit_4(capsys, monkeypatch):
-    def broken(q, m, precision=0):
+    def broken(q, m):
         raise InvariantError("Jacobi-sum total is not rational")
 
     monkeypatch.setattr(charsum, "count_fermat_jacobi", broken)
@@ -356,7 +364,7 @@ def test_invariant_failure_exit_4(capsys, monkeypatch):
 
 @pytest.mark.parametrize("exc", [RuntimeError, RecursionError, NotImplementedError])
 def test_other_runtime_errors_keep_their_traceback(monkeypatch, exc):
-    def broken(q, m, precision=0):
+    def broken(q, m):
         raise exc("a bug, not an invariant")
 
     monkeypatch.setattr(charsum, "count_fermat_jacobi", broken)
@@ -403,10 +411,30 @@ def test_gamma_accepts_canonical_text(capsys):
 def test_missing_value_flags(capsys):
     rc, _, err = run(capsys, "gamma", "-p", "5", "-N", "3")
     assert rc == 2 and "provide" in err
-    rc, _, err = run(capsys, "jacobi", "-N", "3", "-a", "1", "-b", "1")
-    assert rc == 2 and "provide" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["jacobi", "-N", "3", "-a", "1", "-b", "1"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: -q" in capsys.readouterr().err
     rc, _, err = run(capsys, "frobenius", "-p", "3", "-n", "2", "-N", "2")
-    assert rc == 2 and "provide" in err
+    assert rc == 2 and err == "error: provide -x\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("gk -p 7 -N 3", "argument command: invalid choice: 'gk'"),
+    ("fermat -q 7 -m 3", "argument command: invalid choice: 'fermat'"),
+    ("frobenius --elem p=3;n=2;N=4;coeffs=[2,1,0,0|2,0,2,2] -p 3 -N 4",
+     "unrecognized arguments: --elem p=3;n=2;N=4;coeffs=[2,1,0,0|2,0,2,2]"),
+    ("jacobi -q 9 -p 5 -n 3 -a 1 -b 2 -N 3", "unrecognized arguments: -p 5 -n 3"),
+    ("fermat-count -q 13 -m 4 -N 2", "unrecognized arguments: -N 2"),
+], ids=["gk", "fermat", "frobenius --elem", "jacobi -p -n", "fermat-count -N"])
+def test_second_spellings_are_refused(capsys, argv, message):
+    # each command and input has one spelling: a command alias or a second
+    # flag for the same value is a usage error, never a run that ignores one
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(f"padiclift: error: {message}")
 
 
 @pytest.mark.parametrize("sweep", ["5", "a:b", "0:2:4", ":3"])
@@ -484,8 +512,8 @@ def test_canonical_text_ignores_the_ring_flags(capsys):
 
 
 # Every argv the tests above pass to main, then missing and trailing
-# arguments, -h and an unknown command; -h on every name and no argv are added
-# below.
+# arguments, -h, an unknown command and -h on the removed aliases gk and
+# fermat; -h on every name and no argv are added below.
 CLI_CALLS = """
 teich -p 5 -N 2 -v 2
 teich -p 3 -n 2 -N 2 -v 0,1
@@ -541,6 +569,7 @@ verify --suite gamma --count -3
 verify --suite buium -n 3
 verify --suite buium -N 5 --count 3
 verify --suite buium -N 1
+delta -p 5 -N 1 -x 2
 fermat-count -q 13 -m 4 -N 2
 verify --suite carry -p 3 --fixtures carry.json
 fermat-count -q 13 -m 4
@@ -556,6 +585,9 @@ gamma -p 5 -N 3 -x p=5;N=3;digits=4,3,0
 gamma -p 5 -N 3
 jacobi -N 3 -a 1 -b 1
 frobenius -p 3 -n 2 -N 2
+gk -p 7 -N 3
+frobenius --elem p=3;n=2;N=4;coeffs=[2,1,0,0|2,0,2,2] -p 3 -N 4
+jacobi -q 9 -p 5 -n 3 -a 1 -b 2 -N 3
 frobenius -p 4 -N 4 -x p=3;n=2;N=4;coeffs=[1,0,0,0|0,1,0,0]
 frobenius -p 3 -n 2 -N 4 -x p=3;n=2;N=4;coeffs=[1,0,0,0|0,1,0,0]
 delta -p 4 -N 4 -x 1,2
@@ -563,6 +595,8 @@ gk-check -p 7
 beta -p 5 -N 3 -a 1
 fermat-count -q 13 -m 4 extra
 fermat -q
+gk -h
+fermat -h
 verify --suite nope
 verify --bogus 1
 -h
@@ -570,7 +604,7 @@ verify --bogus 1
 -h verify
 bogus
 """
-NAMES = [n for name, aliases, *_ in COMMANDS for n in (name, *aliases)]
+NAMES = [name for name, *_ in COMMANDS]
 CORPUS = [line.split() for line in CLI_CALLS.strip().splitlines()]
 CORPUS += [[n, "-h"] for n in NAMES] + [[]]
 
@@ -587,7 +621,7 @@ def _parse(parser, argv):
 
 
 def _registered(parser):
-    """The command names, aliases included, that a parser has subparsers for."""
+    """The command names that a parser has subparsers for."""
     sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return list(sub.choices)
 
@@ -597,7 +631,7 @@ def test_one_subcommand_build_parses_as_the_full_build(argv):
     # the full build is the oracle: same Namespace, stdout, stderr and exit code
     parser = build_parser(argv)
     first = argv[0] if argv else None
-    names = next(([c[0], *c[1]] for c in COMMANDS if first in (c[0], *c[1])), NAMES)
+    names = [first] if first in NAMES else NAMES
     assert _registered(parser) == names
     assert _parse(parser, argv) == _parse(build_parser(), argv)
 

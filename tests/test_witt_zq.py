@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 from padiclift.errors import PrecisionError
 from padiclift.gfq import Q_CAP, fq_make
 from padiclift.witt_zq import (_frobenius_digitwise, frobenius_lift,
-                               from_teich_digits, parse_zq, reduce_mod_p,
-                               teich_digits, teichmuller, teichmuller_int,
-                               zq_ring)
+                               from_teich_digits, parse_zq, teich_digits,
+                               teichmuller, teichmuller_int, zq_ring)
 from padiclift.zp_ring import PAdicInt
 
 
@@ -160,15 +159,15 @@ def test_frobenius_lift_is_ring_homomorphism(a, b, c, d):
     y = ring.element([c, d])
     assert frobenius_lift(x + y) == frobenius_lift(x) + frobenius_lift(y)
     assert frobenius_lift(x * y) == frobenius_lift(x) * frobenius_lift(y)
-    assert reduce_mod_p(frobenius_lift(x)) == reduce_mod_p(x).frobenius()
+    assert frobenius_lift(x).reduce_mod_p() == x.reduce_mod_p().frobenius()
 
 
 def test_reduce_mod_p_examples():
     ring = zq_ring(F9, 3)
     v = F9.element([2, 1])
-    assert reduce_mod_p(ring.teichmuller(v)) == v
-    assert reduce_mod_p(ring.from_int(3) * ring.element([1, 2])) == F9.zero()
-    assert reduce_mod_p(ring.from_int(1 + 3)) == F9.one()
+    assert ring.teichmuller(v).reduce_mod_p() == v
+    assert (ring.from_int(3) * ring.element([1, 2])).reduce_mod_p() == F9.zero()
+    assert ring.from_int(1 + 3).reduce_mod_p() == F9.one()
 
 
 def test_text_form_round_trip():
