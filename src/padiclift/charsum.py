@@ -26,11 +26,14 @@ tau(g)^(ak + bZ[k]), so one pass tallies exponents and each power of a
 Teichmuller lift is scaled by its tally, in one weighted sum.
 char_convolution keeps the direct definition.
 
-Fermat counting is a dual-route check: the brute route counts the fibres
-of x -> x^m in F_q with field arithmetic only, and the Jacobi route forms
-q + sum of Jacobi sums in Z_q, one O(q) Zech pass per character pair, with
-the sum identified as a rational integer through a symmetric-range lift
-at the precision fermat_precision(q, m), which rules out silent wraparound.
+Fermat counting is a dual-route check.  The brute route counts the fibres
+of x -> x^m in F_q with field arithmetic only, with no logs and no
+Teichmuller lifts: one field power per F_p^*-line of F_q, the line's other
+points scaled by the scalars s^m, since (s x)^m = s^m x^m.  The Jacobi
+route forms q + sum of Jacobi sums in Z_q, one O(q) Zech pass per
+character pair, with the sum identified as a rational integer through a
+symmetric-range lift at the precision fermat_precision(q, m), which rules
+out silent wraparound.
 """
 
 from __future__ import annotations
@@ -39,13 +42,13 @@ import math
 import operator
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, product, repeat
 
 from .errors import InvariantError
 from .gamma import _check_p, gamma_p
 from .gfq import FqElem, FqField, fq_make
 from .quotient import QuotientElem, QuotientRing
-from .residue import prime_factors
+from .residue import powmod, prime_factors, scalar_multiples
 from .witt_zq import ZqElem, teichmuller_int, zq_ring
 from .zp_ring import PAdicInt
 
@@ -381,12 +384,22 @@ def _fermat_field(q: int, m: int) -> FqField:
 def count_fermat_brute(q: int, m: int) -> int:
     """Affine solutions of x^m + y^m = 1 in F_q^2: sum of c(u) c(1-u).
 
-    c(u) counts the x with x^m = u; field arithmetic only, no logs and no
-    Teichmuller lifts, so this route shares nothing with the Jacobi one.
+    c(u) counts the x with x^m = u, with field arithmetic only, no logs and
+    no Teichmuller lifts, so this route shares nothing with the Jacobi one.
+    F_q^* is the disjoint union of its (q-1)/(p-1) lines F_p^* r, one per
+    representative r whose highest nonzero coefficient is 1, and
+    (s r)^m = s^m r^m for a scalar s: each r^m is one field power, and the
+    other p - 2 points of its line scale it by s^m.  Every x is still
+    visited once, as s r or as 0.
     """
     field = _fermat_field(q, m)
-    fibres = Counter(x**m for x in field.elements())
-    return sum(c * fibres[1 - u] for u, c in fibres.items())
+    p, n, f = field.p, field.n, field.relation
+    reps = (low + (1,) + (0,) * (n - 1 - top)
+            for top in range(n) for low in product(range(p), repeat=top))
+    powers = [powmod(r, m, f, p) for r in reps]  # the points s r with s = 1
+    fibres = Counter(powers + scalar_multiples(powers, [pow(s, m, p) for s in range(2, p)], p))
+    fibres[(0,) * n] += 1  # x = 0
+    return sum(c * fibres[(1 - FqElem(field, u)).coeffs] for u, c in fibres.items())
 
 
 def count_fermat_jacobi(q: int, m: int) -> int:

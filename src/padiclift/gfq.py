@@ -29,7 +29,8 @@ from functools import cached_property, lru_cache
 
 from .errors import InvariantError
 from .quotient import QuotientElem, QuotientRing
-from .residue import from_digits, is_prime, mulmod, powmod, prime_factors, to_digits
+from .residue import (from_digits, is_prime, mulmod, powmod, prime_factors,
+                      scalar_multiples, to_digits)
 
 Q_CAP = 1 << 20
 
@@ -181,17 +182,37 @@ class FqField(QuotientRing):
     # -- discrete and Zech logarithms ------------------------------------
     @cached_property
     def _logs(self) -> tuple:
-        """(dlog dict, Zech table), both filled by one walk over g^k, k < q-1."""
-        p, f, g = self.p, self.relation, self.generator.coeffs
+        """(dlog dict, Zech table), both filled by one walk over g^e, e < q-1.
+
+        The walk goes one F_p^*-line at a time.  x -> x^L, L = (q-1)/(p-1),
+        is the norm x x^p ... x^(p^(n-1)) from F_q to F_p (Lidl-Niederreiter,
+        Finite Fields, ch. 2), so c = g^L is a scalar: c^(p-1) = g^(q-1) = 1,
+        and the p - 1 roots of X^(p-1) - 1 in F_q are F_p^*.  c generates
+        F_p^*, since g has order q - 1, and g^(jL+k) = c^j g^k: only the L
+        powers g^0 .. g^(L-1) of the first line are field products, and
+        every other line scales their coefficients by c^j.
+        -1 = c^((p-1)/2) (1 = c^0 at p = 2), so 1 - g^e = g^(e+h) + 1 with
+        h = L (p-1)/2, and each Zech key is a stored power plus 1.  A walk
+        that meets fewer than q - 1 distinct powers, or a g^L that is no
+        scalar, means the generator or the field is wrong: InvariantError.
+        """
+        p, f, g, q1 = self.p, self.relation, self.generator.coeffs, self.q - 1
+        lines = q1 // (p - 1)
         powers = [self.one().coeffs]
-        for _ in range(self.q - 2):
+        for _ in range(lines - 1):
             powers.append(mulmod(powers[-1], g, f, p))
-        dlog = {c: e for e, c in enumerate(powers)}
-        # 1 - g^k on coefficient vectors; k = 0 gives 0, which has no log
-        zech = [None] * (self.q - 1)
-        for k in range(1, self.q - 1):
-            c = powers[k]
-            zech[k] = dlog[((1 - c[0]) % p,) + tuple(-x % p for x in c[1:])]
+        c = mulmod(powers[-1], g, f, p)
+        if any(c[1:]) or not c[0]:
+            raise InvariantError("generator power g^((q-1)/(p-1)) is not in F_p^*")
+        # c^1 .. c^(p-2), the scalars of the other lines; none at p = 2
+        scalars = itertools.accumulate(itertools.repeat(c[0], p - 2), lambda s, t: s * t % p)
+        powers += scalar_multiples(powers, list(scalars), p)
+        dlog = dict(zip(powers, range(q1)))
+        if len(dlog) != q1:
+            raise InvariantError("generator powers repeat before q - 1")
+        # e = 0 meets g^h = -1, and 1 - 1 = 0 has no log: None
+        h = lines * ((p - 1) // 2)
+        zech = [dlog.get(((w[0] + 1) % p,) + w[1:]) for w in powers[h:] + powers[:h]]
         return dlog, tuple(zech)
 
     def dlog(self, x: FqElem) -> int:

@@ -105,6 +105,15 @@ def powmod(a: tuple, e: int, f: tuple, m: int) -> tuple:
     return r
 
 
+def scalar_multiples(vectors: list, scalars: list, m: int) -> list:
+    """[s v for s in scalars for v in vectors], coefficient-wise mod m.
+
+    One flat pass per coordinate, transposed back to tuples by zip: a
+    multiple costs one int product mod m per coefficient and no call.
+    """
+    return list(zip(*[[s * x % m for s in scalars for x in col] for col in zip(*vectors)]))
+
+
 def to_digits(k: int, p: int, count: int) -> tuple:
     """The count little-endian base-p digits of k mod p^count."""
     k %= p**count

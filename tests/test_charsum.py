@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -457,6 +458,19 @@ def test_count_fermat_routes_match_double_loop(q):
             want = double_loop_count(q, m)
             assert count_fermat_brute(q, m) == want, m
             assert count_fermat_jacobi(q, m) == want, m
+
+
+def fibre_count(q, m):
+    """One field power per element, kept as the oracle of count_fermat_brute."""
+    field = field_for_order(q)
+    fibres = Counter(x**m for x in field.elements())
+    return sum(c * fibres[1 - u] for u, c in fibres.items())
+
+
+@pytest.mark.parametrize("q, m", [(169, 4), (343, 3), (729, 4), (2187, 2), (4096, 3),
+                                  (1009, 3), (28561, 4)])
+def test_line_count_matches_one_power_per_element(q, m):
+    assert count_fermat_brute(q, m) == fibre_count(q, m)
 
 
 def test_count_fermat_at_3_to_the_9():

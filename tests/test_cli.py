@@ -184,13 +184,17 @@ def test_frobenius_stdout_is_pinned(capsys, argv, digest):
      "e9293d3e4d02d643e4cfc18da25d2c6dbf2d86c7ec5daf1754b848a215d70954"),
     ("fermat-count -q 4096 -m 3",
      "1daf12221822406949caf3d81527e45a0fcd8819350e0d5d3521f6eee7c88ab5"),
+    ("fermat-count -q 28561 -m 4",
+     "f746316d30d9407e41ff3bafd3b9e0420d3aab9876f0904985da9b94841eb052"),
+    ("fermat-count -q 59049 -m 4",
+     "ff7d46a2f661997dbdc2fd29026e9d6ed6d14df71eafb1c79666e01cafec6cf4"),
     ("jacobi -q 9 -a 1 -b 2 -N 3",
      "d643f6f4b8fa8207e47f5dd482c93c4e95b28b723c5fe35d0ee079c871351aad"),
     ("jacobi -q 125 -a 3 -b 7 -N 2",
      "0652295583a7926e9160e98709e4a68c9643c6cf014a234995046ef1030323c0"),
 ], ids=["teich-F256", "teich-F2^20", "teich-F3^12", "jacobi-F49", "verify-csv", "verify-text",
         "verify-seed1", "verify-seed7", "verify-buium-F25", "fermat-F13", "fermat-F729",
-        "fermat-F4096", "jacobi-F9", "jacobi-F125"])
+        "fermat-F4096", "fermat-F13^4", "fermat-F3^10", "jacobi-F9", "jacobi-F125"])
 def test_fq_and_report_stdout_is_pinned(capsys, argv, digest):
     # the F_q outputs, report formats and further verify seeds (the buium
     # sweep at F_25 reaches n = 2 at N = 6) that CI pins, byte for byte;

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from padiclift import InvariantError, PrecisionError, charsum, cli, gfq
 from padiclift.cli import main
 from padiclift.gfq import FqField, fq_make, is_prime, prime_factors
+from padiclift.residue import mulmod
 from padiclift.rng import CounterRng
 from padiclift.zp_ring import from_integer
 
@@ -186,6 +187,55 @@ def test_zech_table(p, n):
     assert len(zech) == field.q - 1 and zech[0] is None
     for k in range(1, field.q - 1):
         assert g ** zech[k] == one - g**k
+
+
+def walked_logs(field):
+    """The one-mulmod-per-power walk, kept as the oracle of FqField._logs."""
+    p, f, g = field.p, field.relation, field.generator.coeffs
+    powers = [field.one().coeffs]
+    for _ in range(field.q - 2):
+        powers.append(mulmod(powers[-1], g, f, p))
+    dlog = {c: e for e, c in enumerate(powers)}
+    zech = [None] * (field.q - 1)
+    for k in range(1, field.q - 1):
+        c = powers[k]
+        zech[k] = dlog[((1 - c[0]) % p,) + tuple(-x % p for x in c[1:])]
+    return dlog, tuple(zech)
+
+
+# every extension field with q <= 4096 and every prime field below 200
+LOG_ORACLE_FIELDS = [(p, n) for p in range(2, 200) if is_prime(p)
+                     for n in range(1, 13) if n == 1 or p**n <= 4096]
+
+
+@pytest.mark.parametrize("p, n", LOG_ORACLE_FIELDS)
+def test_line_walk_matches_one_mulmod_per_power(p, n):
+    field = fq_make(p, n)
+    dlog, zech = field._logs
+    want_dlog, want_zech = walked_logs(field)
+    assert list(dlog.items()) == list(want_dlog.items())
+    assert zech == want_zech
+
+
+@pytest.mark.parametrize("wrong", [(1, 0), (2, 0)], ids=["one", "scalar"])
+def test_wrong_generator_exits_4(monkeypatch, capsys, wrong):
+    # a generator of order below q - 1 makes the log walk repeat; that is an
+    # invariant failure with exit 4 and one error line, not a KeyError
+    # traceback out of the Zech table.  jacobi over F_49 reads both tables.
+    monkeypatch.setattr(FqField, "_is_generator", lambda self, g: g.coeffs == wrong)
+    monkeypatch.setattr(charsum, "fq_make", fq_make.__wrapped__)
+    assert main(["jacobi", "-q", "49", "-a", "3", "-b", "5", "-N", "3"]) == 4
+    assert capsys.readouterr() == ("", "error: generator powers repeat before q - 1\n")
+
+
+def test_log_walk_rejects_a_norm_outside_f_p():
+    # in a field g^((q-1)/(p-1)) is always a scalar; in F_7[t]/(t^2), which
+    # is no field, (1 + t)^8 = 1 + 8t = 1 + t is not
+    ring = fq_make.__wrapped__(7, 2)
+    ring.relation = (0, 0, 1)
+    ring.generator = ring.element_type(ring, (1, 1))
+    with pytest.raises(InvariantError, match=r"g\^\(\(q-1\)/\(p-1\)\) is not in F_p\^\*"):
+        ring._logs
 
 
 def test_is_prime_basics():
