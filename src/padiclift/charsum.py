@@ -30,10 +30,10 @@ Fermat counting is a dual-route check.  The brute route counts the fibres
 of x -> x^m in F_q with field arithmetic only, with no logs and no
 Teichmuller lifts: one field power per F_p^*-line of F_q, the line's other
 points scaled by the scalars s^m, since (s x)^m = s^m x^m.  The Jacobi
-route forms q + sum of Jacobi sums in Z_q, one O(q) Zech pass per
-character pair, with the sum identified as a rational integer through a
-symmetric-range lift at the precision fermat_precision(q, m), which rules
-out silent wraparound.
+route forms q + sum of Jacobi sums, one O(q) Zech pass per character
+pair; each sum must lie in Z_p, and the total is identified as a rational
+integer through a symmetric-range lift at the precision
+fermat_precision(q, m), which rules out silent wraparound.
 """
 
 from __future__ import annotations
@@ -408,23 +408,27 @@ def count_fermat_jacobi(q: int, m: int) -> int:
     The double sum runs over all (m-1)^2 pairs, but J(a, b) = J(b, a)
     (substitute x -> 1 - x), so only the m(m-1)/2 sums with a <= b are
     formed, each one O(q) pass over the Zech table, and each one with
-    a < b is weighted 2 in Z_q.  The double sum is a rational integer; it
-    is recovered from its residue by the symmetric-range lift, which needs
-    p^N > 4 m^2 q so the archimedean bound (m-1)^2 sqrt(q) can never wrap:
-    N is always fermat_precision(q, m), the smallest such precision.
-    Individual Jacobi sums need not be rational when n > 1, so the lift
-    happens after the whole sum is assembled.
+    a < b counts twice.  Each J(a, b) lies in Z_p: Frobenius maps it to
+    J(pa, pb), which is J(a, b) again since x -> x^p permutes F_q and
+    (1 - x)^p = 1 - x^p.  So a J(a, b) with a nonzero residue off the
+    constant term raises InvariantError naming (a, b).  The sum of the
+    constant terms is a rational integer, recovered by the symmetric-range
+    lift, which needs p^N > 4 m^2 q so the archimedean bound
+    (m-1)^2 sqrt(q) can never wrap: N is always fermat_precision(q, m),
+    the smallest such precision.
     """
     field = _fermat_field(q, m)
-    p = field.p
     precision = fermat_precision(q, m)
+    modulus = field.p**precision
     step = (q - 1) // m
-    total = zq_ring(field, precision).weighted_sum(
-        (1 if a == b else 2, jacobi_sum(a * step, b * step, field, precision).residues)
-        for a in range(1, m) for b in range(a, m))
-    if any(total.residues[1:]):
-        raise InvariantError("Jacobi-sum total is not rational")
-    v = total.residues[0]
-    if v > p**precision // 2:
-        v -= p**precision
+    total = 0
+    for a in range(1, m):
+        for b in range(a, m):
+            j = jacobi_sum(a * step, b * step, field, precision).residues
+            if any(j[1:]):
+                raise InvariantError(f"Jacobi sum J({a}, {b}) over F_{q} is not in Z_p")
+            total += (1 if a == b else 2) * j[0]
+    v = total % modulus
+    if v > modulus // 2:
+        v -= modulus
     return q + v

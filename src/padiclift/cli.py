@@ -27,8 +27,8 @@ from .charsum import PiRingElem
 from .errors import InvariantError, PrecisionError
 from .gfq import FqElem, fq_make
 from .residue import to_digits
-from .witt_zq import ZqElem, frobenius_lift, parse_zq, teichmuller, zq_ring
-from .zp_ring import PAdicInt, from_integer, parse_padic
+from .witt_zq import ZqElem, frobenius_lift, parse_zq, zq_ring
+from .zp_ring import PAdicInt, int_exact, parse_padic
 
 
 def _dumps(obj) -> str:
@@ -89,9 +89,9 @@ def _emit(fmt: str, rows: list[dict]) -> None:
 
 
 def _int(flag: str, token: str, form: str) -> int:
-    """One integer of a flag's value; a malformed one names the flag and its form."""
+    """An int_exact integer of a flag's value; a malformed one names the flag and its form."""
     try:
-        return int(token)
+        return int_exact(token)
     except ValueError:
         raise ValueError(f"{flag}: malformed integer {token!r} ({form})") from None
 
@@ -119,7 +119,7 @@ def _parse_element(args):
 def cmd_teich(args) -> int:
     v = _ring_element(fq_make(args.p, args.n), "-v", args.v,
                       "integer or comma-separated coefficients")
-    t = teichmuller(v, args.N)
+    t = zq_ring(v.field, args.N).teichmuller(v)
     payload = {"op": "teichmuller", **jsonable(t), "v": list(v.coeffs)}
     if args.n == 1:
         payload["digits"] = payload["coeffs"][0]
@@ -152,7 +152,7 @@ def cmd_gamma(args) -> int:
     p, N = args.p, args.N
     if args.sweep:
         try:
-            lo, hi = map(int, args.sweep.split(":"))
+            lo, hi = map(int_exact, args.sweep.split(":"))
         except ValueError:
             raise ValueError(f"--sweep takes lo:hi, not {args.sweep!r}") from None
         if hi <= lo:
@@ -161,8 +161,8 @@ def cmd_gamma(args) -> int:
             v = gamma.gamma_p_integer(m, args.p, args.N)
             rows.append({"op": "gamma_p", "m": m, **jsonable(v)})
     else:
-        x = parse_padic(args.x) if ";" in args.x else \
-            from_integer(_int("-x", args.x, "integer or canonical text"), args.p, args.N)
+        x = parse_padic(args.x) if ";" in args.x else PAdicInt.from_integer(
+            _int("-x", args.x, "integer or canonical text"), args.p, args.N)
         p, N = x.p, x.precision  # canonical text fixes its own p and N
         v = gamma.gamma_p(x)
         rows.append({"op": "gamma_p", "x": jsonable(x), **jsonable(v)})
@@ -172,8 +172,8 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    a = from_integer(args.a, args.p, args.N)
-    b = from_integer(args.b, args.p, args.N)
+    a = PAdicInt.from_integer(args.a, args.p, args.N)
+    b = PAdicInt.from_integer(args.b, args.p, args.N)
     v = gamma.beta_p(a, b)
     _emit(args.format, [{"op": "beta_p", "a": args.a, "b": args.b, **jsonable(v)}])
     print(f"beta_p({args.a},{args.b}) = {v.value} mod {args.p}^{args.N}", file=sys.stderr)

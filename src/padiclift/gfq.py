@@ -4,11 +4,12 @@ Elements live in the polynomial basis: an FqElem is a length-n coefficient
 vector over F_p reduced modulo a fixed monic irreducible polynomial.  That
 is the shape of quotient.QuotientRing at precision 1, so an FqField is one,
 with the polynomial as its relation and q - 1 units, and FqElem adds to
-QuotientElem only what a field has beyond it: inverse and division, and
-Frobenius; the discrete log is the field's, FqField.dlog.  An int scalar k
-is the constant k mod p; FqField.from_int(k) is the element whose
-coefficients are the base-p digits of k.  The primality helpers and all F_p[X] arithmetic come from
-residue: Rabin's irreducibility test runs on residue.powmod, with no gcd.
+QuotientElem only Frobenius; the discrete log is the field's, FqField.dlog.
+x ** -1 is x^(q-2), the base's unit inverse, so the inverse of zero raises
+"not a unit" as in Z_q and the pi-ring.  An int scalar k is the constant
+k mod p; FqField.from_int(k) is the element whose coefficients are the
+base-p digits of k.  The primality helpers and all F_p[X] arithmetic come
+from residue: Rabin's irreducibility test runs on residue.powmod, with no gcd.
 
 The one constructor is FqField(p, n), and it runs the canonical search:
 the lexicographically smallest irreducible modulus (coefficients compared
@@ -102,19 +103,6 @@ class FqElem(QuotientElem):
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def inverse(self) -> "FqElem":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero")
-        return self ** (self.field.q - 2)
-
-    unit_inverse = inverse  # x ** -k goes through it, so zero raises ZeroDivisionError
 
     def frobenius(self) -> "FqElem":
         """x -> x^p, the generating automorphism over F_p."""

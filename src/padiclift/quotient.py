@@ -9,7 +9,9 @@ powered through the residue kernel.  QuotientRing holds the ring data
 group) and forms int-weighted sums of residue vectors, reduced mod p^N
 once, for the linear maps built on the ring; QuotientElem holds the
 arithmetic, coercion, equality, the unit test (nonzero mod p), exact
-division by p and truncation.  A subclass supplies with_precision (F_q,
+division by p and truncation, and the one inverse of all three rings:
+unit_inverse, x^(|units| - 1), which x ** -k goes through, so a non-unit
+(in F_q, zero) raises "not a unit".  A subclass supplies with_precision (F_q,
 fixed at precision 1, returns itself), and names its element class as
 element_type; the pi-ring, where pi is not a unit, overrides is_unit.
 

@@ -27,7 +27,7 @@ from .gfq import fq_make
 from .residue import is_prime
 from .rng import CounterRng
 from .witt_zq import ZqElem, ZqRing, zq_ring
-from .zp_ring import PAdicInt, carry_cocycle, cocycle_sum, from_integer
+from .zp_ring import PAdicInt, carry_cocycle, cocycle_sum
 
 MAX_FAILURE_RECORDS = 20  # per sub-check, to keep reports bounded
 
@@ -103,7 +103,7 @@ def run_carry_suite(cfg: RunConfig) -> list[CheckRecord]:
 
         def star_cases(p=p):
             mod = p * p
-            operands = [from_integer(x, p, 2) for x in range(mod)]
+            operands = [PAdicInt.from_integer(x, p, 2) for x in range(mod)]
             for x in range(mod):
                 for y in range(mod):
                     got = cocycle_sum(operands[x], operands[y])
@@ -181,7 +181,7 @@ def run_gamma_suite(cfg: RunConfig) -> list[CheckRecord]:
 
         def feq_cases(p=p, N=N):
             for m in range(p**N):
-                rep = gamma.functional_equation_check(from_integer(m, p, N))
+                rep = gamma.functional_equation_check(PAdicInt.from_integer(m, p, N))
                 yield {"p": p, "x": m}, rep.passed, rep
         col.run("functional_equation", {"p": p, "N": N, "sweep": p**N}, feq_cases())
 

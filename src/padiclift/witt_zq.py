@@ -4,12 +4,13 @@ A ZqRing is (Z/p^N)[t] modulo the trivially lifted field modulus, a
 quotient.QuotientRing whose ZqElem elements store their coefficients as
 plain int residues mod p^N; ring arithmetic, coercion, equality, exact
 division by p and truncation come from that base.  The Witt-vector
-structure is recovered on top of it: teichmuller computes the unique
-root-of-unity lift as one exact power q^k of the naive lift,
-teich_digits peels an element into its Teichmuller digit expansion
-x = sum tau(x_i) p^i, and frobenius_lift applies the canonical Frobenius
-phi, the ring endomorphism with phi(tau(v)) = tau(v^p), reducing to
-x -> x^p mod p.  Since phi fixes Z/p^N, phi(sum x_i t^i) = sum x_i phi(t)^i:
+structure is recovered on top of it: ZqRing.teichmuller computes the
+unique root-of-unity lift as one exact power q^k of the naive lift and
+caches it per ring, so tau(v) at precision N is spelled
+zq_ring(v.field, N).teichmuller(v); teich_digits peels an element into
+its Teichmuller digit expansion x = sum tau(x_i) p^i, and frobenius_lift
+applies the canonical Frobenius phi, the ring endomorphism with
+phi(tau(v)) = tau(v^p), reducing to x -> x^p mod p.  Since phi fixes Z/p^N, phi(sum x_i t^i) = sum x_i phi(t)^i:
 frobenius_lift is the product of the coefficient vector with the n x n
 matrix over Z/p^N whose columns are phi(t)^0, ..., phi(t)^(n-1).  Each ring
 builds the columns once, taking phi(t) through the digit expansion of t:
@@ -84,12 +85,6 @@ class ZqRing(QuotientRing):
         )
         self._teich: dict[tuple, ZqElem] = {}
 
-    def naive_lift(self, v: FqElem) -> "ZqElem":
-        """Coefficient-wise lift of a field element, digits re-read mod p^N."""
-        if v.field != self.field:
-            raise ValueError("field mismatch")
-        return ZqElem(self, v.coeffs)
-
     def with_precision(self, precision: int) -> "ZqRing":
         return zq_ring(self.field, precision)
 
@@ -119,8 +114,9 @@ class ZqRing(QuotientRing):
     def teichmuller(self, v: FqElem) -> "ZqElem":
         """The unique lift t of v with t^q = t, as one power of the naive lift.
 
-        A lift t(1 + pu) of v raised to q^k is t mod p^(kn+1), so
-        k = ceil((N-1)/n) gives t at precision N.
+        The naive lift reads v's coefficients as residues mod p^N.  Any lift
+        t(1 + pu) of v raised to q^k is t mod p^(kn+1), so k = ceil((N-1)/n)
+        gives t at precision N.
         """
         if v.field != self.field:
             raise ValueError("field mismatch")
@@ -128,7 +124,7 @@ class ZqRing(QuotientRing):
         if cached is not None:
             return cached
         k = -(-(self.precision - 1) // self.n)
-        x = self.naive_lift(v) ** (self.field.q**k)
+        x = ZqElem(self, v.coeffs) ** (self.field.q**k)
         self._teich[v.coeffs] = x
         return x
 
@@ -157,10 +153,6 @@ def parse_zq(text: str) -> ZqElem:
 
 # ---------------------------------------------------------------------------
 # module-level operation surface
-
-def teichmuller(v: FqElem, precision: int) -> ZqElem:
-    return zq_ring(v.field, precision).teichmuller(v)
-
 
 def teichmuller_int(c: int, p: int, precision: int) -> int:
     """tau of a prime-field residue as a plain integer mod p^N: c^(p^(N-1))."""

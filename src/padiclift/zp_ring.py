@@ -225,10 +225,6 @@ def cocycle_sum(x: PAdicInt, y: PAdicInt) -> PAdicInt:
     return _unchecked(p, total + (u + v + carry) % p * place, n)
 
 
-def from_integer(k: int, p: int, precision: int) -> PAdicInt:
-    return PAdicInt.from_integer(k, p, precision)
-
-
 def scalar_residue(x, p: int, precision: int) -> int:
     """An int or PAdicInt scalar as a residue mod p^precision.
 

@@ -14,7 +14,7 @@ from padiclift.charsum import (MultChar, additive_character, char_convolution,
 from padiclift.errors import InvariantError, PrecisionError
 from padiclift.gamma import gamma_p
 from padiclift.gfq import fq_make, prime_factors
-from padiclift.witt_zq import teichmuller, zq_ring
+from padiclift.witt_zq import zq_ring
 from padiclift.zp_ring import PAdicInt
 
 
@@ -45,7 +45,7 @@ def test_char_eval_examples():
     assert quad.eval(F5.from_int(4), 2) == ring.one()
     assert quad.eval(F5.from_int(2), 2) == -ring.one()
     chi = MultChar(F5, 3)
-    assert chi.eval(F5.generator, 2) == teichmuller(F5.generator, 2) ** 3
+    assert chi.eval(F5.generator, 2) == ring.teichmuller(F5.generator) ** 3
 
 
 def test_char_convolution_trivial():
@@ -205,12 +205,11 @@ def test_jacobi_valuation_under_embedding():
 
 def test_pi_ring_scalar_guard():
     R = pi_ring(5, 3)
-    from padiclift.zp_ring import from_integer
-    assert R.from_int(from_integer(7, 5, 3)) == R.from_int(7)
+    assert R.from_int(PAdicInt.from_integer(7, 5, 3)) == R.from_int(7)
     with pytest.raises(PrecisionError):
-        R.from_int(from_integer(7, 5, 2))
+        R.from_int(PAdicInt.from_integer(7, 5, 2))
     with pytest.raises(ValueError, match="prime mismatch"):
-        R.from_int(from_integer(7, 3, 3))
+        R.from_int(PAdicInt.from_integer(7, 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -486,3 +485,21 @@ def test_count_fermat_guards():
             count_fermat_brute(5, m)
         with pytest.raises(ValueError, match="divide"):
             count_fermat_jacobi(5, m)
+
+
+def test_jacobi_sum_outside_z_p_exits_4(monkeypatch, capsys):
+    # Frobenius fixes every J(a, b), so each lies in Z_p.  One wrong Zech
+    # entry of F_81 moves five of the six sums at m = 4 off Z_p; the count
+    # stops at the first, (1, 1), with exit 4 and one error line.
+    field = fq_make.__wrapped__(3, 4)
+    dlog, zech = field._logs
+    field.__dict__["_logs"] = (dlog, zech[:5] + ((zech[5] + 1) % 80,) + zech[6:])
+    precision = charsum.fermat_precision(81, 4)
+    off = [(a, b) for a in range(1, 4) for b in range(a, 4)
+           if any(jacobi_sum(20 * a, 20 * b, field, precision).residues[1:])]
+    assert off == [(1, 1), (1, 2), (1, 3), (2, 3), (3, 3)]
+    monkeypatch.setattr(charsum, "fq_make", lambda p, n: field)
+    with pytest.raises(InvariantError, match=r"J\(1, 1\) over F_81 is not in Z_p"):
+        count_fermat_jacobi(81, 4)
+    assert cli.main(["fermat-count", "-q", "81", "-m", "4"]) == 4
+    assert capsys.readouterr() == ("", "error: Jacobi sum J(1, 1) over F_81 is not in Z_p\n")

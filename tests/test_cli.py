@@ -192,14 +192,18 @@ def test_frobenius_stdout_is_pinned(capsys, argv, digest):
      "d643f6f4b8fa8207e47f5dd482c93c4e95b28b723c5fe35d0ee079c871351aad"),
     ("jacobi -q 125 -a 3 -b 7 -N 2",
      "0652295583a7926e9160e98709e4a68c9643c6cf014a234995046ef1030323c0"),
+    ("gk-check -p 7 -N 4 --format text",
+     "5354d3654b8f9750138091269eaed1533d521d6f3f34486f0d7f3579db3e87a7"),
 ], ids=["teich-F256", "teich-F2^20", "teich-F3^12", "jacobi-F49", "verify-csv", "verify-text",
         "verify-seed1", "verify-seed7", "verify-buium-F25", "fermat-F13", "fermat-F729",
-        "fermat-F4096", "fermat-F13^4", "fermat-F3^10", "jacobi-F9", "jacobi-F125"])
+        "fermat-F4096", "fermat-F13^4", "fermat-F3^10", "jacobi-F9", "jacobi-F125",
+        "gk-text"])
 def test_fq_and_report_stdout_is_pinned(capsys, argv, digest):
     # the F_q outputs, report formats and further verify seeds (the buium
     # sweep at F_25 reaches n = 2 at N = 6) that CI pins, byte for byte;
-    # fermat-count prints the precision it works out for itself, and jacobi
-    # reads its field from -q alone
+    # fermat-count prints the precision it works out for itself, jacobi
+    # reads its field from -q alone, and the text rows of gk-check show both
+    # Gross-Koblitz sides for every exponent a
     rc, out, _ = run(capsys, *argv.split())
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -441,7 +445,7 @@ def test_second_spellings_are_refused(capsys, argv, message):
     assert err.splitlines()[-1].startswith(f"padiclift: error: {message}")
 
 
-@pytest.mark.parametrize("sweep", ["5", "a:b", "0:2:4", ":3"])
+@pytest.mark.parametrize("sweep", ["5", "a:b", "0:2:4", ":3", "1_0:20", "+1:3"])
 def test_malformed_sweep_names_the_flag(capsys, sweep):
     # one error line that names the flag and its form, exit 2, nothing on stdout
     rc, out, err = run(capsys, "gamma", "-p", "5", "-N", "3", "--sweep", sweep)
@@ -474,7 +478,20 @@ ELEMENT = "integer, comma-separated coefficients or canonical text"
      "-x: malformed integer 'abc' (integer or canonical text)"),
     (["gamma", "-p", "5", "-N", "3", "-x", "1,2"],
      "-x: malformed integer '1,2' (integer or canonical text)"),
-], ids=["teich", "teich-float", "frobenius", "delta", "gamma", "gamma-coeffs"])
+    # the grammar of the canonical text: no '_', '+' or inner whitespace
+    (["teich", "-p", "3", "-n", "2", "-N", "2", "-v", "1_0"],
+     f"-v: malformed integer '1_0' ({COEFFS})"),
+    (["teich", "-p", "5", "-N", "2", "-v", "+5"],
+     f"-v: malformed integer '+5' ({COEFFS})"),
+    (["teich", "-p", "5", "-N", "2", "-v", " 5"],
+     f"-v: malformed integer ' 5' ({COEFFS})"),
+    (["frobenius", "-p", "3", "-n", "2", "-N", "2", "-x", "1, 2"],
+     f"-x: malformed integer ' 2' ({ELEMENT})"),
+    (["gamma", "-p", "5", "-N", "3", "-x", "1_9"],
+     "-x: malformed integer '1_9' (integer or canonical text)"),
+], ids=["teich", "teich-float", "frobenius", "delta", "gamma", "gamma-coeffs",
+        "teich-underscore", "teich-plus", "teich-space", "frobenius-space",
+        "gamma-underscore"])
 def test_malformed_integer_names_the_flag(capsys, argv, message):
     # one error line that names the flag and its form, exit 2, nothing on stdout
     rc, out, err = run(capsys, *argv)

@@ -10,7 +10,7 @@ from padiclift.gfq import fq_make
 from padiclift.rng import CounterRng
 from padiclift.suites import jsonable, sample_zq
 from padiclift.witt_zq import zq_ring
-from padiclift.zp_ring import buium_carry, carry_cocycle, from_integer
+from padiclift.zp_ring import PAdicInt, buium_carry, carry_cocycle
 
 
 def test_flavor_validation():
@@ -20,16 +20,16 @@ def test_flavor_validation():
 
 @given(st.integers(0, 5**3 - 1), st.integers(0, 5**3 - 1))
 def test_coboundary_of_gamma_is_beta(a, b):
-    x, y = from_integer(a, 5, 3), from_integer(b, 5, 3)
+    x, y = PAdicInt.from_integer(a, 5, 3), PAdicInt.from_integer(b, 5, 3)
     gm = GroupValuedMap(gamma_p, MULTIPLICATIVE, name="gamma_p")
     assert coboundary2(gm, x, y) == beta_p(x, y)
 
 
 def test_coboundary_of_constant_one():
-    one = from_integer(1, 5, 3)
+    one = PAdicInt.from_integer(1, 5, 3)
     gm = GroupValuedMap(lambda x: one, MULTIPLICATIVE, name="const")
     for a in range(5):
-        assert coboundary2(gm, from_integer(a, 5, 3), one) == one
+        assert coboundary2(gm, PAdicInt.from_integer(a, 5, 3), one) == one
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -47,14 +47,14 @@ def test_carry_cocycle_check_exhaustive(p):
 @given(st.integers(0, 5**4 - 1), st.integers(0, 5**4 - 1), st.integers(0, 5**4 - 1))
 def test_buium_carry_is_a_cocycle(a, b, c):
     F = GroupValuedMap(buium_carry, ADDITIVE, name="buium_carry")
-    x, y, z = (from_integer(v, 5, 4) for v in (a, b, c))
+    x, y, z = (PAdicInt.from_integer(v, 5, 4) for v in (a, b, c))
     assert cocycle2_check(F, x, y, z).passed
 
 
 @given(st.integers(0, 7**2 - 1), st.integers(0, 7**2 - 1), st.integers(0, 7**2 - 1))
 def test_beta_is_a_cocycle(a, b, c):
     F = GroupValuedMap(beta_p, MULTIPLICATIVE, name="beta_p")
-    x, y, z = (from_integer(v, 7, 2) for v in (a, b, c))
+    x, y, z = (PAdicInt.from_integer(v, 7, 2) for v in (a, b, c))
     rep = cocycle2_check(F, x, y, z)
     assert rep.passed
     assert rep.residual == 1
@@ -66,18 +66,18 @@ def test_every_coboundary_is_a_cocycle():
                        name="d gamma_p")
     rng = CounterRng(13)
     for _ in range(30):
-        x, y, z = (from_integer(rng.below(5**3), 5, 3) for _ in range(3))
+        x, y, z = (PAdicInt.from_integer(rng.below(5**3), 5, 3) for _ in range(3))
         assert cocycle2_check(F, x, y, z).passed
 
 
 def test_d_of_d_is_trivial_three_structures():
     # additive over Z/5^3 with an arbitrary nonlinear map
     f_add = GroupValuedMap(lambda x: x * x + 3, ADDITIVE, name="square")
-    x, y, z = (from_integer(v, 5, 3) for v in (12, 87, 44))
+    x, y, z = (PAdicInt.from_integer(v, 5, 3) for v in (12, 87, 44))
     assert coboundary_of_coboundary_is_trivial(f_add, x, y, z).passed
     # multiplicative over Z/7^3 with gamma_p
     g = GroupValuedMap(gamma_p, MULTIPLICATIVE, name="gamma_p")
-    u, v, w = (from_integer(t, 7, 3) for t in (5, 30, 100))
+    u, v, w = (PAdicInt.from_integer(t, 7, 3) for t in (5, 30, 100))
     assert coboundary_of_coboundary_is_trivial(g, u, v, w).passed
     # additive over Z_9 with the p-derivation
     ring = zq_ring(fq_make(3, 2), 4)
@@ -88,10 +88,10 @@ def test_d_of_d_is_trivial_three_structures():
 
 
 def test_multiplicative_values_must_be_units():
-    gm = GroupValuedMap(lambda x: from_integer(5, 5, 3), MULTIPLICATIVE,
+    gm = GroupValuedMap(lambda x: PAdicInt.from_integer(5, 5, 3), MULTIPLICATIVE,
                         name="non_unit")
     with pytest.raises(ValueError, match="not a unit"):
-        coboundary2(gm, from_integer(1, 5, 3), from_integer(2, 5, 3))
+        coboundary2(gm, PAdicInt.from_integer(1, 5, 3), PAdicInt.from_integer(2, 5, 3))
 
 
 def test_report_names_inputs():
@@ -192,7 +192,7 @@ def _structures():
     padic_add = ([GroupValuedMap(lambda x: x * x + 3, ADDITIVE, name="square")],
                  [GroupValuedMap(buium_carry, ADDITIVE, name="buium_carry"),
                   GroupValuedMap(lambda a, b: a * b * b, ADDITIVE, name="ab^2")],
-                 lambda rng: from_integer(rng.below(5**4), 5, 4))
+                 lambda rng: PAdicInt.from_integer(rng.below(5**4), 5, 4))
     zq_add = ([GroupValuedMap(p_derivation, ADDITIVE, name="p_derivation")],
               [GroupValuedMap(ring_carry, ADDITIVE, name="ring_carry"),
                GroupValuedMap(lambda a, b: a * b * b, ADDITIVE, name="ab^2")],
@@ -201,7 +201,7 @@ def _structures():
                  [GroupValuedMap(beta_p, MULTIPLICATIVE, name="beta_p"),
                   GroupValuedMap(lambda a, b: gamma_p(a + 2 * b), MULTIPLICATIVE,
                                  name="gamma_p(a+2b)")],
-                 lambda rng: from_integer(rng.below(5**3), 5, 3))
+                 lambda rng: PAdicInt.from_integer(rng.below(5**3), 5, 3))
     return {"int": ints, "padic+": padic_add, "zq+": zq_add, "padic*": padic_mul}
 
 

@@ -5,7 +5,7 @@ from padiclift import gamma
 from padiclift.cohomo import MULTIPLICATIVE, GroupValuedMap, coboundary2
 from padiclift.gamma import (beta_p, functional_equation_check, gamma_p,
                              gamma_p_integer)
-from padiclift.zp_ring import from_integer
+from padiclift.zp_ring import PAdicInt
 
 # Gamma_p(x) Gamma_p(1-x) depends only on x mod p; signs frozen from an
 # exhaustive integer sweep below p^3
@@ -64,7 +64,7 @@ def test_value_memo_is_bounded_and_keeps_validation():
 
 def test_no_argument_cap():
     # 5^11 > 10^7, the old product loop's limit
-    assert gamma_p(from_integer(1, 5, 11)) == -1
+    assert gamma_p(PAdicInt.from_integer(1, 5, 11)) == -1
     assert gamma_p_integer(10**7 + 1, 5, 2) == -1  # 10^7 + 1 = 1 mod 25
 
 
@@ -107,14 +107,14 @@ def test_deep_levels_keep_the_laws(p, N, data):
     t = data.draw(st.integers(1, mod))
     assert (gamma_p_integer(m, p, N).value
             - gamma_p_integer(m + t * p**k, p, N).value) % p**k == 0
-    x = from_integer(data.draw(st.integers(0, mod - 1)), p, N)
+    x = PAdicInt.from_integer(data.draw(st.integers(0, mod - 1)), p, N)
     assert functional_equation_check(x).passed
     assert gamma_p(x) * gamma_p(1 - x) == REFLECTION_SIGNS[p][x.value % p]
 
 
 def test_gamma_p_of_quarter():
     # 1/4 in Z/25 is 19; the continuous extension evaluates the product there
-    x = from_integer(4, 5, 2).unit_inverse()
+    x = PAdicInt.from_integer(4, 5, 2).unit_inverse()
     assert x == 19
     assert gamma_p(x) == gamma_p_integer(19, 5, 2)
 
@@ -129,16 +129,16 @@ def test_gamma_p_always_unit():
 def test_functional_equation_spot(p):
     # x = 1: Gamma(2) = -1 * Gamma(1) = 1
     assert gamma_p_integer(2, p, 3) == 1
-    assert functional_equation_check(from_integer(1, p, 3)).passed
+    assert functional_equation_check(PAdicInt.from_integer(1, p, 3)).passed
     # x = p takes the non-unit branch
-    rep = functional_equation_check(from_integer(p, p, 3))
+    rep = functional_equation_check(PAdicInt.from_integer(p, p, 3))
     assert rep.passed and rep.branch == "divisible"
 
 
 def test_functional_equation_sweep_small():
     # the full [0, p^3) sweep for p in {3,5,7} runs in the acceptance suite
     for x in range(27):
-        assert functional_equation_check(from_integer(x, 3, 3)).passed
+        assert functional_equation_check(PAdicInt.from_integer(x, 3, 3)).passed
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (5, 2)])
@@ -156,28 +156,28 @@ def test_continuity_below_p3(p, k):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_reflection_sign_table(p):
     for x in range(p**2):
-        lhs = gamma_p_integer(x, p, 3) * gamma_p(from_integer(1 - x, p, 3))
+        lhs = gamma_p_integer(x, p, 3) * gamma_p(PAdicInt.from_integer(1 - x, p, 3))
         assert lhs == REFLECTION_SIGNS[p][x % p]
 
 
 def test_beta_examples():
-    a = from_integer(12, 7, 3)
-    assert beta_p(a, from_integer(0, 7, 3)) == 1  # normalized coboundary
-    one = from_integer(1, 5, 3)
+    a = PAdicInt.from_integer(12, 7, 3)
+    assert beta_p(a, PAdicInt.from_integer(0, 7, 3)) == 1  # normalized coboundary
+    one = PAdicInt.from_integer(1, 5, 3)
     assert beta_p(one, one) == 1  # (-1)^2 / Gamma_5(2)
     with pytest.raises(ValueError, match="prime mismatch"):
-        beta_p(from_integer(1, 5, 3), from_integer(1, 7, 3))
+        beta_p(PAdicInt.from_integer(1, 5, 3), PAdicInt.from_integer(1, 7, 3))
 
 
 @given(st.integers(0, 5**3 - 1), st.integers(0, 5**3 - 1))
 def test_beta_symmetric(a, b):
-    x, y = from_integer(a, 5, 3), from_integer(b, 5, 3)
+    x, y = PAdicInt.from_integer(a, 5, 3), PAdicInt.from_integer(b, 5, 3)
     assert beta_p(x, y) == beta_p(y, x)
 
 
 @given(st.integers(0, 7**2 - 1), st.integers(0, 7**2 - 1))
 def test_beta_is_coboundary_of_gamma(a, b):
-    x, y = from_integer(a, 7, 2), from_integer(b, 7, 2)
+    x, y = PAdicInt.from_integer(a, 7, 2), PAdicInt.from_integer(b, 7, 2)
     gm = GroupValuedMap(gamma_p, MULTIPLICATIVE, name="gamma_p")
     assert coboundary2(gm, x, y) == beta_p(x, y)
 
@@ -185,4 +185,4 @@ def test_beta_is_coboundary_of_gamma(a, b):
 def test_beta_is_unit_valued():
     for a in range(0, 125, 7):
         for b in range(0, 125, 11):
-            assert beta_p(from_integer(a, 5, 3), from_integer(b, 5, 3)).is_unit()
+            assert beta_p(PAdicInt.from_integer(a, 5, 3), PAdicInt.from_integer(b, 5, 3)).is_unit()

@@ -9,7 +9,7 @@ from padiclift.cli import main
 from padiclift.gfq import FqField, fq_make, is_prime, prime_factors
 from padiclift.residue import mulmod
 from padiclift.rng import CounterRng
-from padiclift.zp_ring import from_integer
+from padiclift.zp_ring import PAdicInt
 
 
 def test_fq_make_smallest_modulus():
@@ -90,12 +90,12 @@ def test_generator_order_exact(p, n):
 
 def test_field_arithmetic_examples():
     F5 = fq_make(5, 1)
-    assert F5.from_int(2).inverse() == F5.from_int(3)
+    assert F5.from_int(2) ** -1 == F5.from_int(3)
     F4 = fq_make(2, 2)
     t = F4.element([0, 1])
     assert t * t == F4.element([1, 1])  # t^2 = t + 1 mod the modulus
-    with pytest.raises(ZeroDivisionError, match="division by zero"):
-        F5.zero().inverse()
+    with pytest.raises(ValueError, match="not a unit"):
+        F5.zero() ** -1
     with pytest.raises(ValueError, match="ring mismatch"):
         F5.from_int(1) + F4.from_int(1)
 
@@ -109,7 +109,7 @@ def test_field_axioms_f25(j, k):
     assert x * F.one() == x
     assert x + F.zero() == x
     if not y.is_zero():
-        assert (x / y) * y == x
+        assert x * y ** -1 * y == x
 
 
 @given(st.integers(0, 24), st.integers(0, 24), st.integers(0, 24))
@@ -327,12 +327,12 @@ def test_padic_scalars_and_scalar_hashes(p, n):
     field = fq_make(p, n)
     g = field.generator
     for k in (p, p + 1, 2 * p + 1, -1):
-        c, s = k % p, from_integer(k, p, 2)
+        c, s = k % p, PAdicInt.from_integer(k, p, 2)
         assert g + s == g + c and s - g == c - g and g * s == g * c
         scalar = field.zero() + k
         assert scalar == s and scalar == c and hash(scalar) == hash(c)
         assert len({scalar, c}) == 1
-    other = from_integer(1, 7, 1)
+    other = PAdicInt.from_integer(1, 7, 1)
     assert g != other
     with pytest.raises(ValueError, match="prime mismatch"):
         g + other

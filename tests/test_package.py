@@ -1,0 +1,47 @@
+"""The package surface: one entry point per operation, and a stdlib-only runtime."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import padiclift
+from padiclift import witt_zq, zp_ring
+from padiclift.gfq import FqElem, fq_make
+from padiclift.witt_zq import ZqRing
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "padiclift"
+
+
+def test_one_entry_point_per_operation():
+    # an int becomes a PAdicInt through PAdicInt.from_integer, tau(v) is
+    # zq_ring(v.field, N).teichmuller(v), and F_q inverts through the
+    # quotient base's unit_inverse, x^(q-2), as Z_q and the pi-ring do
+    removed = [(padiclift, "from_integer"), (zp_ring, "from_integer"),
+               (padiclift, "teichmuller"), (witt_zq, "teichmuller"),
+               (FqElem, "inverse"), (FqElem, "__truediv__"), (ZqRing, "naive_lift")]
+    assert [(owner.__name__, name) for owner, name in removed if hasattr(owner, name)] == []
+    assert "unit_inverse" not in vars(FqElem)
+    F5 = fq_make(5, 1)
+    for invert in (lambda x: x.unit_inverse(), lambda x: x ** -1):
+        with pytest.raises(ValueError, match="not a unit"):
+            invert(F5.zero())
+
+
+def test_runtime_imports_only_the_standard_library():
+    # every module the package imports is its own or in the standard library
+    # of the running Python, so the runtime stays stdlib-only on each one
+    allowed = sys.stdlib_module_names | {"padiclift"}
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # a relative import stays in the package
+            outside += [(path.name, name) for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert outside == []

@@ -7,7 +7,7 @@ from padiclift.charsum import pi_ring
 from padiclift.errors import PrecisionError
 from padiclift.gfq import fq_make
 from padiclift.witt_zq import zq_ring
-from padiclift.zp_ring import PAdicInt, from_integer
+from padiclift.zp_ring import PAdicInt
 
 
 @pytest.mark.parametrize("ring", [zq_ring(fq_make(3, 2), 3), pi_ring(5, 3)],
@@ -19,9 +19,9 @@ def test_shared_quotient_semantics(ring):
 
     # scalar coercion: ints are reduced, PAdicInts must carry N digits of p
     assert ring.from_int(mod + 2) == ring.from_int(2)
-    assert x + from_integer(5, p, N + 1) == x + 5
+    assert x + PAdicInt.from_integer(5, p, N + 1) == x + 5
     with pytest.raises(PrecisionError):
-        x + from_integer(5, p, N - 1)
+        x + PAdicInt.from_integer(5, p, N - 1)
     with pytest.raises(ValueError, match="prime mismatch"):
         x * PAdicInt.from_integer(5, 7, N)
     with pytest.raises(ValueError, match=f"expected {ring.n} coefficients, got 1"):
@@ -36,12 +36,12 @@ def test_shared_quotient_semantics(ring):
 
     # equality with ints and PAdicInts, and hashing
     assert ring.from_int(-1) == mod - 1
-    assert ring.from_int(4) == from_integer(4, p, N)
-    assert ring.from_int(4) != from_integer(5, p, N)
+    assert ring.from_int(4) == PAdicInt.from_integer(4, p, N)
+    assert ring.from_int(4) != PAdicInt.from_integer(5, p, N)
     y = ring.element(list(x.residues))
     assert y == x and y is not x and hash(y) == hash(x)
-    assert len({ring.from_int(4), 4, from_integer(4, p, N)}) == 1
-    assert ring.from_int(4) != from_integer(4, p, N - 1)
+    assert len({ring.from_int(4), 4, PAdicInt.from_integer(4, p, N)}) == 1
+    assert ring.from_int(4) != PAdicInt.from_integer(4, p, N - 1)
     assert ring.from_int(4) != PAdicInt.from_integer(4, 7, N)
     assert x - 3 == -(3 - x)
 
@@ -80,12 +80,12 @@ def test_scalar_products_scale_coefficient_wise(kind, k, coeffs, extra):
     x = ring.element(coeffs[:ring.n])
     assert k * x == ring.from_int(k) * x == x * k
     assert (k * x).residues == tuple(k * c % ring.modulus for c in x.residues)
-    s = from_integer(k % p ** (N + extra), p, N + extra)
+    s = PAdicInt.from_integer(k % p ** (N + extra), p, N + extra)
     assert s * x == ring.from_int(s) * x == x * s == k * x
     with pytest.raises(PrecisionError):
-        x * from_integer(k % p**N, p, N - 1)
+        x * PAdicInt.from_integer(k % p**N, p, N - 1)
     with pytest.raises(PrecisionError):
-        from_integer(k % p**N, p, N - 1) * x
+        PAdicInt.from_integer(k % p**N, p, N - 1) * x
     with pytest.raises(ValueError, match="prime mismatch"):
         x * PAdicInt.from_integer(k % 7**N, 7, N)
     with pytest.raises(ValueError, match="prime mismatch"):

@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["fermat_counts.py", "gross_koblitz_demo.py"])
+@pytest.mark.parametrize("script", ["fermat_counts.py"])
 def test_script_runs_with_defaults(script):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],

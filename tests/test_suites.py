@@ -13,7 +13,7 @@ from padiclift import buium, charsum, cohomo, gamma, suites
 from padiclift.gfq import fq_make
 from padiclift.rng import CounterRng
 from padiclift.witt_zq import zq_ring
-from padiclift.zp_ring import carry_cocycle, from_integer
+from padiclift.zp_ring import PAdicInt, carry_cocycle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,7 +46,7 @@ def test_wrong_star_sum_on_one_pair_is_reported(monkeypatch):
     [rec] = detail
     assert (rec.suite, rec.passed, rec.checks, rec.failures) == ("carry", False, 1, 0)
     assert rec.inputs == {"p": 3, "pair": [2, 7]}
-    assert rec.residual == suites.jsonable(from_integer(1, 3, 2))
+    assert rec.residual == suites.jsonable(PAdicInt.from_integer(1, 3, 2))
 
 
 def test_wrong_carry_on_one_triple_is_reported(monkeypatch):
@@ -167,7 +167,7 @@ def _records():
                               name="carry_cocycle", combine=lambda a, b: (a + b) % 3)
     return {
         "LawReport": buium.verify_sum_rule(ring.element([1, 2]), ring.element([4, 5])),
-        "EquationReport": gamma.functional_equation_check(from_integer(4, 5, 3)),
+        "EquationReport": gamma.functional_equation_check(PAdicInt.from_integer(4, 5, 3)),
         "GrossKoblitzReport": charsum.gross_koblitz_check(1, 5, 3),
         "CocycleReport": cohomo.cocycle2_check(F, 1, 2, 2),
         "GroupValuedMap": F,
@@ -202,7 +202,7 @@ def test_record_defaults_are_kept():
 
 def test_failing_report_in_a_detail_record_is_a_dict():
     # the gamma suite yields the whole EquationReport as a failing case's residual
-    rep = gamma.functional_equation_check(from_integer(4, 5, 3))
+    rep = gamma.functional_equation_check(PAdicInt.from_integer(4, 5, 3))
     col = suites._Collector("gamma", [])
     col.run("functional_equation", {}, [({"x": 4}, False, rep)])
     aggregate, detail = col.records

@@ -4,21 +4,20 @@ from hypothesis import example, given, strategies as st
 from padiclift import zp_ring
 from padiclift.errors import PrecisionError
 from padiclift.zp_ring import (PAdicInt, buium_carry, carry_cocycle,
-                               cocycle_sum, from_integer, parse_fields,
-                               parse_padic)
+                               cocycle_sum, parse_fields, parse_padic)
 
 
 def test_from_integer_examples():
-    assert from_integer(7, 5, 2).digits == (2, 1)
-    assert from_integer(-6, 5, 2).digits == (4, 3)   # -6 = 19 mod 25
-    assert from_integer(0, 3, 4).digits == (0, 0, 0, 0)
+    assert PAdicInt.from_integer(7, 5, 2).digits == (2, 1)
+    assert PAdicInt.from_integer(-6, 5, 2).digits == (4, 3)   # -6 = 19 mod 25
+    assert PAdicInt.from_integer(0, 3, 4).digits == (0, 0, 0, 0)
 
 
 def test_add_examples():
     # single-digit inputs padded to two digits: the star product lands the
     # carry in the next coefficient
     examples = [
-        (from_integer(1, 2, 2), from_integer(1, 2, 2), (0, 1)),
+        (PAdicInt.from_integer(1, 2, 2), PAdicInt.from_integer(1, 2, 2), (0, 1)),
         (PAdicInt(5, [2, 1]), PAdicInt(5, [0, 0]), (2, 1)),
         (PAdicInt(5, [4, 4]), PAdicInt(5, [1, 0]), (0, 0)),
     ]
@@ -38,8 +37,8 @@ def test_cocycle_sum_agrees_with_integer_addition(p, m, n, j, k):
     # draws negative and many-word ints, and each case runs at mixed
     # precisions (m >= n) and at equal ones
     n = min(m, n)
-    for x, y in [(from_integer(j, p, m), from_integer(k, p, n)),
-                 (from_integer(j, p, n), from_integer(k, p, n))]:
+    for x, y in [(PAdicInt.from_integer(j, p, m), PAdicInt.from_integer(k, p, n)),
+                 (PAdicInt.from_integer(j, p, n), PAdicInt.from_integer(k, p, n))]:
         got = cocycle_sum(x, y)
         assert (got.p, got.precision, got.value) == (p, n, (j + k) % p**n)
         assert got == x + y == cocycle_sum(y, x)
@@ -65,7 +64,7 @@ def tuple_walk_cocycle_sum(x, y):
 @example(7, 5, 1, 6, -1)
 def test_cocycle_sum_matches_tuple_walk(p, m, n, j, k):
     # bounded draws fill all 64 digits, where st.integers() keeps to a few
-    x, y = from_integer(j, p, m), from_integer(k, p, n)
+    x, y = PAdicInt.from_integer(j, p, m), PAdicInt.from_integer(k, p, n)
     got, want = cocycle_sum(x, y), tuple_walk_cocycle_sum(x, y)
     assert (got.p, got.value, got.precision) == (want.p, want.value, want.precision)
 
@@ -84,36 +83,38 @@ def test_cocycle_sum_forms_no_carry_out_of_the_top_digit(monkeypatch, n):
     for p in (2, 3, 7):
         for j, k in [(0, 0), (-1, -1), (-1, 1), (p**n // 3, 2 * p**n // 3)]:
             calls.clear()
-            got = cocycle_sum(from_integer(j, p, n + 1), from_integer(k, p, n))
+            got = cocycle_sum(PAdicInt.from_integer(j, p, n + 1), PAdicInt.from_integer(k, p, n))
             assert got.value == (j + k) % p**n
             assert len(calls) == 2 * (n - 1)
 
 
 def test_cocycle_sum_large_and_negative_examples():
     big = 3**200 + 5
-    x, y = from_integer(big, 3, 40), from_integer(-big, 3, 40)
+    x, y = PAdicInt.from_integer(big, 3, 40), PAdicInt.from_integer(-big, 3, 40)
     assert cocycle_sum(x, y) == 0
-    assert cocycle_sum(from_integer(-1, 2, 64), from_integer(1, 2, 64)) == 0
-    assert cocycle_sum(from_integer(-1, 13, 3), from_integer(-1, 13, 5)).digits == (11, 12, 12)
+    assert cocycle_sum(PAdicInt.from_integer(-1, 2, 64), PAdicInt.from_integer(1, 2, 64)) == 0
+    x, y = PAdicInt.from_integer(-1, 13, 3), PAdicInt.from_integer(-1, 13, 5)
+    assert cocycle_sum(x, y).digits == (11, 12, 12)
 
 
 def test_mul_and_neg_examples():
     assert (PAdicInt(5, [2, 0]) * PAdicInt(5, [3, 0])).digits == (1, 1)  # 6 = 1 + 5
-    assert (-from_integer(0, 3, 3)) == from_integer(0, 3, 3)
-    x = from_integer(17, 3, 3)
+    assert (-PAdicInt.from_integer(0, 3, 3)) == PAdicInt.from_integer(0, 3, 3)
+    x = PAdicInt.from_integer(17, 3, 3)
     assert x * 1 == x
 
 
 @given(st.integers(), st.integers())
 def test_add_agrees_with_integer_addition(j, k):
     for (p, n) in [(2, 5), (5, 3), (13, 2)]:
-        assert from_integer(j, p, n) + from_integer(k, p, n) == from_integer(j + k, p, n)
+        x, y = PAdicInt.from_integer(j, p, n), PAdicInt.from_integer(k, p, n)
+        assert x + y == PAdicInt.from_integer(j + k, p, n)
 
 
 @given(st.integers(0, 3**4 - 1), st.integers(0, 3**4 - 1), st.integers(0, 3**4 - 1))
 def test_ring_axioms(a, b, c):
     for p, n in [(3, 4), (7, 2)]:
-        x, y, z = (from_integer(v, p, n) for v in (a, b, c))
+        x, y, z = (PAdicInt.from_integer(v, p, n) for v in (a, b, c))
         assert (x + y) + z == x + (y + z)
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
@@ -122,8 +123,8 @@ def test_ring_axioms(a, b, c):
 
 
 def test_min_precision_propagation():
-    x = from_integer(7, 5, 4)
-    y = from_integer(9, 5, 2)
+    x = PAdicInt.from_integer(7, 5, 4)
+    y = PAdicInt.from_integer(9, 5, 2)
     assert (x + y).precision == 2
     assert (x * y).precision == 2
     assert (x - y).precision == 2
@@ -153,34 +154,34 @@ def test_carry_cocycle_identity_spot(p):
 
 def test_buium_carry_examples():
     # C_2(1,1) = (1 + 1 - 4)/2 = -1, all-ones digitwise at the lower precision
-    out = buium_carry(from_integer(1, 2, 4), from_integer(1, 2, 4))
+    out = buium_carry(PAdicInt.from_integer(1, 2, 4), PAdicInt.from_integer(1, 2, 4))
     assert out.digits == (1, 1, 1)
-    assert buium_carry(from_integer(1, 3, 3), from_integer(1, 3, 3)) == -2
-    x = from_integer(123, 7, 4)
-    assert buium_carry(x, from_integer(0, 7, 4)) == 0
+    assert buium_carry(PAdicInt.from_integer(1, 3, 3), PAdicInt.from_integer(1, 3, 3)) == -2
+    x = PAdicInt.from_integer(123, 7, 4)
+    assert buium_carry(x, PAdicInt.from_integer(0, 7, 4)) == 0
     with pytest.raises(PrecisionError, match="insufficient precision"):
-        buium_carry(from_integer(1, 3, 1), from_integer(1, 3, 1))
+        buium_carry(PAdicInt.from_integer(1, 3, 1), PAdicInt.from_integer(1, 3, 1))
 
 
 @given(st.integers(0, 5**4 - 1), st.integers(0, 5**4 - 1))
 def test_buium_carry_symmetric(a, b):
-    x, y = from_integer(a, 5, 4), from_integer(b, 5, 4)
+    x, y = PAdicInt.from_integer(a, 5, 4), PAdicInt.from_integer(b, 5, 4)
     assert buium_carry(x, y) == buium_carry(y, x)
 
 
 def test_unit_inverse():
     assert PAdicInt(5, [2, 0]).unit_inverse().digits == (3, 2)  # 2 * 13 = 26
-    one = from_integer(1, 7, 3)
+    one = PAdicInt.from_integer(1, 7, 3)
     assert one.unit_inverse() == one
     x = PAdicInt(3, [2, 2, 2])  # = 26 = -1 mod 27
     assert x.unit_inverse() == x
     with pytest.raises(ValueError, match="not a unit"):
-        from_integer(10, 5, 3).unit_inverse()
+        PAdicInt.from_integer(10, 5, 3).unit_inverse()
 
 
 @given(st.integers(0, 7**3 - 1))
 def test_unit_inverse_property(a):
-    x = from_integer(a, 7, 3)
+    x = PAdicInt.from_integer(a, 7, 3)
     if x.is_unit():
         assert x * x.unit_inverse() == 1
 
@@ -188,7 +189,7 @@ def test_unit_inverse_property(a):
 def test_div_exact_by_p():
     assert PAdicInt(5, [0, 3, 1]).div_exact_by_p().digits == (3, 1)
     assert PAdicInt(5, [0, 0]).div_exact_by_p().digits == (0,)
-    assert from_integer(6, 3, 3).div_exact_by_p().digits == (2, 0)
+    assert PAdicInt.from_integer(6, 3, 3).div_exact_by_p().digits == (2, 0)
     with pytest.raises(ValueError, match="not divisible"):
         PAdicInt(5, [1, 0]).div_exact_by_p()
     with pytest.raises(PrecisionError, match="precision exhausted"):
@@ -230,7 +231,7 @@ def test_parse_rejects_inner_whitespace():
 
 
 def test_pow_and_int_coercion():
-    x = from_integer(3, 5, 3)
+    x = PAdicInt.from_integer(3, 5, 3)
     assert x**4 == 81 % 125
     assert x**0 == 1
     assert (2 * x) == 6
@@ -239,6 +240,6 @@ def test_pow_and_int_coercion():
 
 
 def test_hash_agrees_with_int_equality():
-    assert from_integer(7, 5, 2) == 7
-    assert len({from_integer(7, 5, 2), 7}) == 1
-    assert len({PAdicInt(5, [2, 1]), from_integer(7, 5, 2)}) == 1
+    assert PAdicInt.from_integer(7, 5, 2) == 7
+    assert len({PAdicInt.from_integer(7, 5, 2), 7}) == 1
+    assert len({PAdicInt(5, [2, 1]), PAdicInt.from_integer(7, 5, 2)}) == 1
