@@ -26,7 +26,7 @@ from .buium import p_derivation
 from .charsum import PiRingElem
 from .errors import InvariantError, PrecisionError
 from .gfq import FqElem, fq_make
-from .residue import to_digits
+from .residue import from_digits, to_digits
 from .witt_zq import ZqElem, frobenius_lift, parse_zq, zq_ring
 from .zp_ring import PAdicInt, int_exact, parse_padic
 
@@ -96,10 +96,9 @@ def _int(flag: str, token: str, form: str) -> int:
         raise ValueError(f"{flag}: malformed integer {token!r} ({form})") from None
 
 
-def _ring_element(ring, flag: str, raw: str, form: str):
-    """ring's element from an integer or comma-separated coefficients."""
-    ints = [_int(flag, c, form) for c in raw.split(",")]
-    return ring.element(ints) if "," in raw else ring.from_int(ints[0])
+def _ints(flag: str, raw: str, form: str) -> list[int]:
+    """The integers of a flag's comma-separated value."""
+    return [_int(flag, c, form) for c in raw.split(",")]
 
 
 def _parse_element(args):
@@ -109,23 +108,29 @@ def _parse_element(args):
     if ";" in args.x:
         return parse_zq(args.x)  # the text fixes p, n and N
     ring = zq_ring(fq_make(args.p, args.n), args.N)
-    return _ring_element(ring, "-x", args.x,
-                         "integer, comma-separated coefficients or canonical text")
+    ints = _ints("-x", args.x, "integer, comma-separated coefficients or canonical text")
+    return ring.element(ints) if len(ints) > 1 else ring.from_int(ints[0])
 
 
 # ---------------------------------------------------------------------------
 # handlers
 
 def cmd_teich(args) -> int:
-    v = _ring_element(fq_make(args.p, args.n), "-v", args.v,
-                      "integer or comma-separated coefficients")
-    t = zq_ring(v.field, args.N).teichmuller(v)
+    field = fq_make(args.p, args.n)
+    coeffs = _ints("-v", args.v, "integer or comma-separated coefficients")
+    if len(coeffs) == 1:  # the element index K: its base-p digits are the coefficients
+        k = coeffs[0]
+        if not 0 <= k < field.q:
+            raise ValueError(f"-v: element index {k} is outside 0 <= K < q = {field.q}")
+        coeffs = to_digits(k, field.p, field.n)
+    v = field.element(coeffs)
+    t = zq_ring(field, args.N).teichmuller(v)
     payload = {"op": "teichmuller", **jsonable(t), "v": list(v.coeffs)}
     if args.n == 1:
         payload["digits"] = payload["coeffs"][0]
     _emit(args.format, [payload])
-    print(f"teichmuller({v.to_int()}) in Z_{args.p}^{args.n} at N={args.N}: "
-          f"{list(t.residues)}", file=sys.stderr)
+    print(f"teichmuller({from_digits(v.coeffs, args.p)}) in Z_{args.p}^{args.n} "
+          f"at N={args.N}: {list(t.residues)}", file=sys.stderr)
     return 0
 
 
@@ -304,11 +309,11 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-_P = _arg("-p", type=int, required=True, help="prime")
-_n = _arg("-n", type=int, default=1, help="extension degree")
-_N = _arg("-N", type=int, required=True, help="p-adic precision")
+_P = _arg("-p", type=int_exact, required=True, help="prime")
+_n = _arg("-n", type=int_exact, default=1, help="extension degree")
+_N = _arg("-N", type=int_exact, required=True, help="p-adic precision")
 _FORMAT = _arg("--format", choices=("json", "csv", "text"), default="json")
-_A, _B = _arg("-a", type=int, required=True), _arg("-b", type=int, required=True)
+_A, _B = _arg("-a", type=int_exact, required=True), _arg("-b", type=int_exact, required=True)
 _ELEMENT = (_P, _n, _N, _FORMAT,
             _arg("-x", help="element: integer, comma coeffs, or canonical text"))
 
@@ -324,18 +329,19 @@ COMMANDS = (
       _arg("--sweep", help="emit a table for m in lo:hi"))),
     ("beta", "p-adic Beta unit", cmd_beta, (_P, _N, _FORMAT, _A, _B)),
     ("jacobi", "Jacobi sum as a character convolution", cmd_jacobi,
-     (_N, _FORMAT, _arg("-q", type=int, required=True, help="field order (prime power)"),
+     (_N, _FORMAT, _arg("-q", type=int_exact, required=True, help="field order (prime power)"),
       _A, _B)),
     ("gauss", "Gauss sum in the pi-ring", cmd_gauss, (_P, _N, _FORMAT, _A)),
     ("gk-check", "Gross-Koblitz cross-check", cmd_gk,
-     (_P, _N, _FORMAT, _arg("-a", type=int, help="single exponent; default all 0<a<p-1"))),
+     (_P, _N, _FORMAT, _arg("-a", type=int_exact, help="single exponent; default all 0<a<p-1"))),
     ("fermat-count", "Fermat curve point count, brute vs Jacobi", cmd_fermat,
-     (_arg("-q", type=int, required=True), _arg("-m", type=int, required=True), _FORMAT)),
+     (_arg("-q", type=int_exact, required=True), _arg("-m", type=int_exact, required=True),
+      _FORMAT)),
     ("verify", "run verification suites", cmd_verify,
      (_arg("--suite", default="all", choices=("carry", "buium", "gamma", "charsum", "all")),
-      _arg("-p", type=int), _arg("-n", type=int), _arg("-N", type=int),
-      _arg("--seed", type=int, default=0),
-      _arg("--count", type=int, default=200, help="random cases per seeded sweep"),
+      _arg("-p", type=int_exact), _arg("-n", type=int_exact), _arg("-N", type=int_exact),
+      _arg("--seed", type=int_exact, default=0),
+      _arg("--count", type=int_exact, default=200, help="random cases per seeded sweep"),
       _arg("--fixtures", help="JSON regression file to write or compare"), _FORMAT)),
 )
 

@@ -6,10 +6,10 @@ is the shape of quotient.QuotientRing at precision 1, so an FqField is one,
 with the polynomial as its relation and q - 1 units, and FqElem adds to
 QuotientElem only Frobenius; the discrete log is the field's, FqField.dlog.
 x ** -1 is x^(q-2), the base's unit inverse, so the inverse of zero raises
-"not a unit" as in Z_q and the pi-ring.  An int scalar k is the constant
-k mod p; FqField.from_int(k) is the element whose coefficients are the
-base-p digits of k.  The primality helpers and all F_p[X] arithmetic come
-from residue: Rabin's irreducibility test runs on residue.powmod, with no gcd.
+"not a unit" as in Z_q and the pi-ring.  An int k, and from_int(k), is the
+constant k mod p, as in every quotient ring.  The primality helpers and all
+F_p[X] arithmetic come from residue: Rabin's irreducibility test runs on
+residue.powmod, with no gcd.
 
 The one constructor is FqField(p, n), and it runs the canonical search:
 the lexicographically smallest irreducible modulus (coefficients compared
@@ -30,8 +30,7 @@ from functools import cached_property, lru_cache
 
 from .errors import InvariantError
 from .quotient import QuotientElem, QuotientRing
-from .residue import (from_digits, is_prime, mulmod, powmod, prime_factors,
-                      scalar_multiples, to_digits)
+from .residue import is_prime, mulmod, powmod, prime_factors, scalar_multiples
 
 Q_CAP = 1 << 20
 
@@ -111,9 +110,6 @@ class FqElem(QuotientElem):
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def to_int(self) -> int:
-        return from_digits(self.coeffs, self.field.p)
-
 
 class FqField(QuotientRing):
     """The finite field F_{p^n} = (Z/p)[t]/(relation), in polynomial basis.
@@ -121,9 +117,9 @@ class FqField(QuotientRing):
     FqField(p, n) is the one constructor: it checks p, n and Q_CAP and runs
     the canonical search for the relation.  The quotient ring at precision
     1: units = q - 1, and the arithmetic, coercion and equality are
-    quotient.QuotientElem's.  The generator, the first element from_int(k),
-    k >= 1, of multiplicative order exactly q - 1, and the log tables are
-    built on first read.
+    quotient.QuotientElem's.  The generator, the first nonzero element of
+    elements() of multiplicative order exactly q - 1, and the log tables
+    are built on first read.
     """
 
     element_type = FqElem
@@ -147,8 +143,7 @@ class FqField(QuotientRing):
 
     @cached_property
     def generator(self) -> FqElem:
-        for k in range(1, self.q):
-            g = self.from_int(k)
+        for g in itertools.islice(self.elements(), 1, None):
             if self._is_generator(g):
                 return g
         raise InvariantError("no generator found")  # impossible: F_q^* is cyclic
@@ -157,12 +152,8 @@ class FqField(QuotientRing):
         """The field itself, the one precision F_q has: truncate(1) is the identity."""
         return self
 
-    def from_int(self, k: int) -> FqElem:
-        """Element whose coefficient vector is k written in base p."""
-        return FqElem(self, to_digits(k, self.p, self.n))
-
     def elements(self):
-        """All q elements, in base-p integer order: element k is from_int(k)."""
+        """All q elements, in base-p integer order: element k has base-p digits k."""
         # product varies its last place fastest; coefficient 0 is the lowest digit
         for digits in itertools.product(range(self.p), repeat=self.n):
             yield FqElem(self, digits[::-1])

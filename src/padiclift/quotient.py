@@ -20,8 +20,9 @@ charsum.pi_ring build the one ring object per key, and with_precision
 goes through them.
 
 Scalars follow scalar_residue: an int is reduced, a PAdicInt must carry at
-least the ring's precision.  A scalar becomes the constant element through
-_scalar, never through from_int, which FqField gives another meaning.
+least the ring's precision.  from_int is the one map from scalars to
+constant elements, in F_q as in Z_q and the pi-ring, so reduction mod p
+sends from_int(k) to from_int(k) of the field.
 Elements of two different quotient-ring classes never mix (binary
 operators return NotImplemented); elements of two rings of one class
 raise "ring mismatch".  An element equals the int or PAdicInt scalars
@@ -59,11 +60,12 @@ class QuotientRing:
         return self.element_type(self, out)
 
     def from_int(self, k):
-        """The scalar k (FqField overrides this: there k is a base-p vector)."""
-        return _scalar(self, k)
+        """The constant element k, an int or PAdicInt coerced by scalar_residue."""
+        return self.element_type(
+            self, (scalar_residue(k, self.p, self.precision),) + (0,) * (self.n - 1))
 
     def zero(self):
-        return _scalar(self, 0)
+        return self.from_int(0)
 
     def weighted_sum(self, terms):
         """sum c * v over pairs (int weight c, length-n residue tuple v).
@@ -79,17 +81,7 @@ class QuotientRing:
         return self.element_type(self, tuple(a % mod for a in acc))
 
     def one(self):
-        return _scalar(self, 1)
-
-
-def _scalar(ring: QuotientRing, k):
-    """The constant element k, an int or PAdicInt coerced by scalar_residue.
-
-    A module function, so that no subclass's from_int can redirect the
-    scalar coercion of the operators.
-    """
-    return ring.element_type(
-        ring, (scalar_residue(k, ring.p, ring.precision),) + (0,) * (ring.n - 1))
+        return self.from_int(1)
 
 
 class QuotientElem:
@@ -107,7 +99,7 @@ class QuotientElem:
                 raise ValueError("ring mismatch")
             return other
         if isinstance(other, (int, PAdicInt)):
-            return _scalar(self.ring, other)
+            return self.ring.from_int(other)
         return None
 
     def __add__(self, other):

@@ -498,6 +498,38 @@ def test_malformed_integer_names_the_flag(capsys, argv, message):
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+# (command, flag) for every flag COMMANDS types, so a new one is covered here
+TYPED_FLAGS = [(name, flags[0]) for name, _, _, arguments in COMMANDS
+               for flags, kwargs in arguments if "type" in kwargs]
+
+
+@pytest.mark.parametrize("token", ["1_0", "+5", " 5"])
+@pytest.mark.parametrize("command,flag", TYPED_FLAGS)
+def test_typed_flags_refuse_what_the_text_grammar_refuses(capsys, command, flag, token):
+    # int() reads all three tokens; the canonical text's grammar reads none
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, token])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(f"padiclift {command}: error: argument {flag}: ")
+    assert err.endswith(f" {token!r}\n")
+
+
+def test_teich_index_is_the_element_with_those_base_p_digits(capsys):
+    # -v K over F_9 is the element K_0 + K_1 t, K = K_0 + 3 K_1
+    rc, out, err = run(capsys, "teich", "-p", "3", "-n", "2", "-N", "2", "-v", "8")
+    assert rc == 0 and json.loads(out)["v"] == [2, 2]
+    assert err.startswith("teichmuller(8) in Z_3^2 at N=2: ")
+    rc, want, _ = run(capsys, "teich", "-p", "3", "-n", "2", "-N", "2", "-v", "2,2")
+    assert rc == 0 and out == want
+
+
+@pytest.mark.parametrize("k", ["9", "10", "-1"])
+def test_teich_index_outside_the_field_is_a_usage_error(capsys, k):
+    rc, out, err = run(capsys, "teich", "-p", "3", "-n", "2", "-N", "2", "-v", k)
+    assert (rc, out, err) == (2, "", f"error: -v: element index {k} is outside 0 <= K < q = 9\n")
+
+
 def test_only_verify_loads_the_suites_harness():
     # fermat-count and gk-check never compile the verify harness; verify does,
     # and the harness serialises through the CLI's own jsonable
@@ -538,6 +570,12 @@ def test_canonical_text_ignores_the_ring_flags(capsys):
 CLI_CALLS = """
 teich -p 5 -N 2 -v 2
 teich -p 3 -n 2 -N 2 -v 0,1
+teich -p 3 -n 2 -N 2 -v 8
+teich -p 3 -n 2 -N 2 -v 2,2
+teich -p 3 -n 2 -N 2 -v 9
+teich -p 3 -n 2 -N 2 -v 10
+teich -p 3 -n 2 -N 2 -v -1
+beta -p 5 -N 3 -a 1_0 -b 1
 fermat-count -q 5 -m 2
 fermat -q 7 -m 3
 frobenius -p 3 -n 2 -N 4 -x 5,7

@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 from padiclift import InvariantError, PrecisionError, charsum, cli, gfq
 from padiclift.cli import main
 from padiclift.gfq import FqField, fq_make, is_prime, prime_factors
-from padiclift.residue import mulmod
+from padiclift.residue import from_digits, mulmod, to_digits
 from padiclift.rng import CounterRng
+from padiclift.witt_zq import zq_ring
 from padiclift.zp_ring import PAdicInt
 
 
@@ -36,6 +37,11 @@ def test_fq_make_validation():
         fq_make(4, 1)
     with pytest.raises(ValueError, match="field too large"):
         fq_make(2, 25)
+
+
+def _indexed(field, k):
+    """The element whose coefficients are the base-p digits of k, 0 <= k < q."""
+    return field.element(to_digits(k, field.p, field.n))
 
 
 def _monic(p, degree):
@@ -103,7 +109,7 @@ def test_field_arithmetic_examples():
 @given(st.integers(0, 24), st.integers(0, 24))
 def test_field_axioms_f25(j, k):
     F = fq_make(5, 2)
-    x, y = F.from_int(j), F.from_int(k)
+    x, y = _indexed(F, j), _indexed(F, k)
     assert x * y == y * x
     assert x + y == y + x
     assert x * F.one() == x
@@ -115,7 +121,7 @@ def test_field_axioms_f25(j, k):
 @given(st.integers(0, 24), st.integers(0, 24), st.integers(0, 24))
 def test_distributivity_f25(a, b, c):
     F = fq_make(5, 2)
-    x, y, z = F.from_int(a), F.from_int(b), F.from_int(c)
+    x, y, z = _indexed(F, a), _indexed(F, b), _indexed(F, c)
     assert x * (y + z) == x * y + x * z
 
 
@@ -132,7 +138,7 @@ def test_frobenius_examples():
 @given(st.integers(0, 24), st.integers(0, 24))
 def test_frobenius_is_homomorphism(j, k):
     F = fq_make(5, 2)
-    x, y = F.from_int(j), F.from_int(k)
+    x, y = _indexed(F, j), _indexed(F, k)
     assert (x * y).frobenius() == x.frobenius() * y.frobenius()
     assert (x + y).frobenius() == x.frobenius() + y.frobenius()
 
@@ -144,7 +150,7 @@ def test_frobenius_iterated_n_times_is_identity(p, n):
         sample = list(field.elements())
     else:
         rng = CounterRng(7)
-        sample = [field.from_int(rng.below(field.q)) for _ in range(40)]
+        sample = [_indexed(field, rng.below(field.q)) for _ in range(40)]
     for x in sample:
         y = x
         for _ in range(n):
@@ -156,7 +162,7 @@ def test_frobenius_sampled_above_exhaustive_bound():
     field = fq_make(5, 4)  # q = 625 > 300
     rng = CounterRng(11)
     for _ in range(25):
-        x = field.from_int(rng.below(field.q))
+        x = _indexed(field, rng.below(field.q))
         y = x
         for _ in range(field.n):
             y = y.frobenius()
@@ -296,8 +302,8 @@ def test_each_candidate_relation_is_tested_once(monkeypatch, p, n):
 def test_elements_are_in_base_p_integer_order(p, n):
     field = fq_make(p, n)
     walked = list(field.elements())
-    assert walked == [field.from_int(k) for k in range(field.q)]
-    assert [x.coeffs for x in walked] == [field.from_int(k).coeffs for k in range(field.q)]
+    assert [from_digits(x.coeffs, p) for x in walked] == list(range(field.q))
+    assert all(x.field is field and len(x.coeffs) == n for x in walked)
 
 
 SCALAR_FIELDS = pytest.mark.parametrize("p, n", [(3, 2), (2, 3), (5, 2)],
@@ -306,12 +312,18 @@ SCALAR_FIELDS = pytest.mark.parametrize("p, n", [(3, 2), (2, 3), (5, 2)],
 
 @SCALAR_FIELDS
 def test_int_scalars_land_in_the_constant_slot(p, n):
-    # k is the constant k mod p, not the element from_int(k) whose
-    # coefficients are k's base-p digits
+    # k is the constant k mod p, and from_int(k) is that constant element,
+    # as in Z_q: reduction mod p commutes with the map from the integers
     field = fq_make(p, n)
-    sample = [field.zero(), field.one(), field.generator, field.from_int(field.q - 1)]
+    zero, one = (0,) * n, (1,) + (0,) * (n - 1)
+    assert field.zero().coeffs == zero and field.one().coeffs == one
+    sample = [field.zero(), field.one(), field.generator, _indexed(field, field.q - 1)]
     for k in (p, p + 1, 2 * p + 1, -1):
         c = k % p
+        scalar = field.from_int(k)
+        assert scalar.coeffs == (c,) + zero[1:] and scalar == k
+        assert scalar == field.zero() + k == field.one() * k
+        assert zq_ring(field, 3).from_int(k).reduce_mod_p() == scalar
         for x in sample:
             v = x.coeffs
             assert (x + k).coeffs == ((v[0] + c) % p,) + v[1:] == (k + x).coeffs
@@ -344,7 +356,7 @@ def test_truncate_to_precision_one_is_the_identity(p, n):
     # and there is no digit left to spend on a division by p
     field = fq_make(p, n)
     assert field.with_precision(1) is field
-    for x in (field.zero(), field.one(), field.generator, field.from_int(field.q - 1)):
+    for x in (field.zero(), field.one(), field.generator, _indexed(field, field.q - 1)):
         y = x.truncate(1)
         assert y.field is field and y.coeffs == x.coeffs
         with pytest.raises(PrecisionError, match="cannot truncate"):
