@@ -45,24 +45,17 @@ from functools import lru_cache
 from itertools import accumulate, product, repeat
 
 from .errors import InvariantError
-from .gamma import _check_p, gamma_p
+from .gamma import gamma_p
 from .gfq import FqElem, FqField, fq_make
 from .quotient import QuotientElem, QuotientRing
-from .residue import powmod, prime_factors, scalar_multiples
+from .residue import check_odd_prime, powmod, prime_power, scalar_multiples
 from .witt_zq import ZqElem, teichmuller_int, zq_ring
 from .zp_ring import PAdicInt
 
 
 def field_for_order(q: int) -> FqField:
     """The canonical field with q = p^n elements."""
-    primes = prime_factors(q)
-    if len(primes) != 1:
-        raise ValueError("q must be a prime power")
-    p = primes[0]
-    n = 1
-    while p**n < q:
-        n += 1
-    return fq_make(p, n)
+    return fq_make(*prime_power(q))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +199,7 @@ class PiRing(QuotientRing):
     element_type = PiRingElem
 
     def __init__(self, p: int, precision: int):
-        _check_p(p)
+        check_odd_prime(p)
         super().__init__(p, precision, (p,) + (0,) * (p - 2) + (1,))  # pi^(p-1) + p
         # all p^((p-1)N) elements but the p^((p-1)N - 1) in the ideal (pi)
         self.units = (p - 1) * p ** (self.n * precision - 1)
@@ -300,7 +293,7 @@ def series_terms_used(p: int, precision: int) -> int:
 
 def fermat_precision(q: int, m: int) -> int:
     """Smallest N with p^N above the wraparound bound 4 m^2 q."""
-    p = field_for_order(q).p
+    p, _ = prime_power(q)
     bound = 4 * m * m * q
     precision = 1
     while p**precision <= bound:

@@ -5,8 +5,9 @@ two flags that set the same value.  jacobi and fermat-count read the field
 from its order -q, and fermat-count works out its own precision N (printed
 in its report) from q and m.
 
-Machine-readable output (json, csv, or text key=value rows) goes to stdout;
-a one-line human summary goes to stderr.  Exit codes: 0 all good, 1 a
+Machine-readable output (json, csv, or text key=value rows) goes to stdout
+through _emit: one value prints a JSON object, a table (gk-check, gamma
+--sweep) an array, even of one row.  A one-line summary goes to stderr.  Exit codes: 0 all good, 1 a
 verification failed, 2 usage or domain error, 3 precision error, 4 a
 mathematical invariant failed inside a computation (an InvariantError).
 Reports are byte-identical across runs with the same flags and seed.
@@ -26,7 +27,7 @@ from .buium import p_derivation
 from .charsum import PiRingElem
 from .errors import InvariantError, PrecisionError
 from .gfq import FqElem, fq_make
-from .residue import from_digits, to_digits
+from .residue import from_digits, prime_power, to_digits
 from .witt_zq import ZqElem, frobenius_lift, parse_zq, zq_ring
 from .zp_ring import PAdicInt, int_exact, parse_padic
 
@@ -65,11 +66,14 @@ def _digit_lists(v) -> list:
     return [list(to_digits(c, p, N)) if c else [0] * N for c in v.residues]
 
 
-def _emit(fmt: str, rows: list[dict]) -> None:
+def _emit(fmt: str, data) -> None:
+    """Print a one-value command's dict, or a table command's list of rows:
+    JSON as given, csv and text as rows, a dict as one row."""
     if fmt == "json":
-        out = rows[0] if len(rows) == 1 else rows
-        print(_dumps(out))
-    elif fmt == "csv":
+        print(_dumps(data))
+        return
+    rows = [data] if isinstance(data, dict) else data
+    if fmt == "csv":
         keys = sorted({k for row in rows for k in row})
         print(",".join(keys))
         for row in rows:
@@ -80,12 +84,10 @@ def _emit(fmt: str, rows: list[dict]) -> None:
                     v = _dumps(v).replace(",", ";")
                 cells.append(str(v))
             print(",".join(cells))
-    elif fmt == "text":
+    else:  # text
         for row in rows:
             print(" ".join(f"{k}={_dumps(row[k]) if isinstance(row[k], (dict, list)) else row[k]}"
                            for k in sorted(row)))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _int(flag: str, token: str, form: str) -> int:
@@ -128,7 +130,7 @@ def cmd_teich(args) -> int:
     payload = {"op": "teichmuller", **jsonable(t), "v": list(v.coeffs)}
     if args.n == 1:
         payload["digits"] = payload["coeffs"][0]
-    _emit(args.format, [payload])
+    _emit(args.format, payload)
     print(f"teichmuller({from_digits(v.coeffs, args.p)}) in Z_{args.p}^{args.n} "
           f"at N={args.N}: {list(t.residues)}", file=sys.stderr)
     return 0
@@ -137,7 +139,7 @@ def cmd_teich(args) -> int:
 def cmd_frobenius(args) -> int:
     x = _parse_element(args)
     y = frobenius_lift(x)
-    _emit(args.format, [{"op": "frobenius_lift", **jsonable(y), "input": jsonable(x)}])
+    _emit(args.format, {"op": "frobenius_lift", **jsonable(y), "input": jsonable(x)})
     print(f"frobenius_lift -> {list(y.residues)}", file=sys.stderr)
     return 0
 
@@ -145,13 +147,12 @@ def cmd_frobenius(args) -> int:
 def cmd_delta(args) -> int:
     x = _parse_element(args)
     d = p_derivation(x)
-    _emit(args.format, [{"op": "p_derivation", **jsonable(d), "input": jsonable(x)}])
+    _emit(args.format, {"op": "p_derivation", **jsonable(d), "input": jsonable(x)})
     print(f"p_derivation -> {list(d.residues)}", file=sys.stderr)
     return 0
 
 
 def cmd_gamma(args) -> int:
-    rows = []
     if not args.sweep and args.x is None:
         raise ValueError("provide -x or --sweep")
     p, N = args.p, args.N
@@ -162,16 +163,14 @@ def cmd_gamma(args) -> int:
             raise ValueError(f"--sweep takes lo:hi, not {args.sweep!r}") from None
         if hi <= lo:
             raise ValueError(f"--sweep {args.sweep!r} is empty: lo:hi needs lo < hi")
-        for m in range(lo, hi):
-            v = gamma.gamma_p_integer(m, args.p, args.N)
-            rows.append({"op": "gamma_p", "m": m, **jsonable(v)})
+        rows = [{"op": "gamma_p", "m": m, **jsonable(gamma.gamma_p_integer(m, p, N))}
+                for m in range(lo, hi)]
     else:
         x = parse_padic(args.x) if ";" in args.x else PAdicInt.from_integer(
             _int("-x", args.x, "integer or canonical text"), args.p, args.N)
         p, N = x.p, x.precision  # canonical text fixes its own p and N
-        v = gamma.gamma_p(x)
-        rows.append({"op": "gamma_p", "x": jsonable(x), **jsonable(v)})
-    _emit(args.format, rows)
+        rows = [{"op": "gamma_p", "x": jsonable(x), **jsonable(gamma.gamma_p(x))}]
+    _emit(args.format, rows if args.sweep else rows[0])  # a sweep is a table
     print(f"gamma_p: {len(rows)} value(s) at p={p}, N={N}", file=sys.stderr)
     return 0
 
@@ -180,7 +179,7 @@ def cmd_beta(args) -> int:
     a = PAdicInt.from_integer(args.a, args.p, args.N)
     b = PAdicInt.from_integer(args.b, args.p, args.N)
     v = gamma.beta_p(a, b)
-    _emit(args.format, [{"op": "beta_p", "a": args.a, "b": args.b, **jsonable(v)}])
+    _emit(args.format, {"op": "beta_p", "a": args.a, "b": args.b, **jsonable(v)})
     print(f"beta_p({args.a},{args.b}) = {v.value} mod {args.p}^{args.N}", file=sys.stderr)
     return 0
 
@@ -188,8 +187,8 @@ def cmd_beta(args) -> int:
 def cmd_jacobi(args) -> int:
     field = charsum.field_for_order(args.q)
     v = charsum.jacobi_sum(args.a, args.b, field, args.N)
-    _emit(args.format, [{"op": "jacobi_sum", "a": args.a, "b": args.b,
-                         "q": field.q, **jsonable(v)}])
+    _emit(args.format, {"op": "jacobi_sum", "a": args.a, "b": args.b,
+                        "q": field.q, **jsonable(v)})
     print(f"jacobi_sum({args.a},{args.b}) over F_{field.q}: "
           f"{list(v.residues)}", file=sys.stderr)
     return 0
@@ -198,7 +197,7 @@ def cmd_jacobi(args) -> int:
 def cmd_gauss(args) -> int:
     v = charsum.gauss_sum(args.a, args.p, args.N)
     used = charsum.series_terms_used(args.p, args.N)
-    _emit(args.format, [{"op": "gauss_sum", "a": args.a, "K": used, **jsonable(v)}])
+    _emit(args.format, {"op": "gauss_sum", "a": args.a, "K": used, **jsonable(v)})
     print(f"gauss_sum({args.a}) at p={args.p}, N={args.N}: pi-coeffs "
           f"{list(v.residues)}", file=sys.stderr)
     return 0
@@ -224,12 +223,11 @@ def cmd_gk(args) -> int:
 def cmd_fermat(args) -> int:
     brute = charsum.count_fermat_brute(args.q, args.m)
     viaj = charsum.count_fermat_jacobi(args.q, args.m)
-    field = charsum.field_for_order(args.q)
+    p, n = prime_power(args.q)
     precision = charsum.fermat_precision(args.q, args.m)  # the N the Jacobi route used
-    payload = {"op": "fermat_count", "q": args.q, "m": args.m,
-               "p": field.p, "n": field.n, "N": precision,
+    payload = {"op": "fermat_count", "q": args.q, "m": args.m, "p": p, "n": n, "N": precision,
                "brute": brute, "jacobi": viaj, "match": brute == viaj}
-    _emit(args.format, [payload])
+    _emit(args.format, payload)
     print(f"fermat q={args.q} m={args.m}: brute={brute} jacobi={viaj}",
           file=sys.stderr)
     return 0 if brute == viaj else 1
@@ -262,10 +260,7 @@ def cmd_verify(args) -> int:
         "records": [r._asdict() for r in records],
         "passed": all(r.passed for r in records),
     }
-    if args.format == "json":
-        print(_dumps(report))
-    else:
-        _emit(args.format, [r._asdict() for r in records])
+    _emit(args.format, report if args.format == "json" else report["records"])  # csv, text: a table
 
     by_suite: dict[str, list[CheckRecord]] = {}
     for r in records:
@@ -309,11 +304,19 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-_P = _arg("-p", type=int_exact, required=True, help="prime")
-_n = _arg("-n", type=int_exact, default=1, help="extension degree")
-_N = _arg("-N", type=int_exact, required=True, help="p-adic precision")
+def _integer(token: str) -> int:
+    """The argparse type of every integer flag: int_exact, in argparse's words."""
+    try:
+        return int_exact(token)
+    except ValueError as exc:  # argparse prints "argument -a: malformed integer '1_0'"
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_P = _arg("-p", type=_integer, required=True, help="prime")
+_n = _arg("-n", type=_integer, default=1, help="extension degree")
+_N = _arg("-N", type=_integer, required=True, help="p-adic precision")
 _FORMAT = _arg("--format", choices=("json", "csv", "text"), default="json")
-_A, _B = _arg("-a", type=int_exact, required=True), _arg("-b", type=int_exact, required=True)
+_A, _B = _arg("-a", type=_integer, required=True), _arg("-b", type=_integer, required=True)
 _ELEMENT = (_P, _n, _N, _FORMAT,
             _arg("-x", help="element: integer, comma coeffs, or canonical text"))
 
@@ -329,19 +332,19 @@ COMMANDS = (
       _arg("--sweep", help="emit a table for m in lo:hi"))),
     ("beta", "p-adic Beta unit", cmd_beta, (_P, _N, _FORMAT, _A, _B)),
     ("jacobi", "Jacobi sum as a character convolution", cmd_jacobi,
-     (_N, _FORMAT, _arg("-q", type=int_exact, required=True, help="field order (prime power)"),
+     (_N, _FORMAT, _arg("-q", type=_integer, required=True, help="field order (prime power)"),
       _A, _B)),
     ("gauss", "Gauss sum in the pi-ring", cmd_gauss, (_P, _N, _FORMAT, _A)),
     ("gk-check", "Gross-Koblitz cross-check", cmd_gk,
-     (_P, _N, _FORMAT, _arg("-a", type=int_exact, help="single exponent; default all 0<a<p-1"))),
+     (_P, _N, _FORMAT, _arg("-a", type=_integer, help="single exponent; default all 0<a<p-1"))),
     ("fermat-count", "Fermat curve point count, brute vs Jacobi", cmd_fermat,
-     (_arg("-q", type=int_exact, required=True), _arg("-m", type=int_exact, required=True),
+     (_arg("-q", type=_integer, required=True), _arg("-m", type=_integer, required=True),
       _FORMAT)),
     ("verify", "run verification suites", cmd_verify,
      (_arg("--suite", default="all", choices=("carry", "buium", "gamma", "charsum", "all")),
-      _arg("-p", type=int_exact), _arg("-n", type=int_exact), _arg("-N", type=int_exact),
-      _arg("--seed", type=int_exact, default=0),
-      _arg("--count", type=int_exact, default=200, help="random cases per seeded sweep"),
+      _arg("-p", type=_integer), _arg("-n", type=_integer), _arg("-N", type=_integer),
+      _arg("--seed", type=_integer, default=0),
+      _arg("--count", type=_integer, default=200, help="random cases per seeded sweep"),
       _arg("--fixtures", help="JSON regression file to write or compare"), _FORMAT)),
 )
 

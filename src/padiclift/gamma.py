@@ -36,7 +36,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import PrecisionError
-from .residue import is_prime, mulmod
+from .residue import check_odd_prime, mulmod
 from .zp_ring import PAdicInt
 
 _LEVEL_KEYS = 32  # (p, N) pairs whose block polynomials stay cached
@@ -44,13 +44,6 @@ _VALUE_KEYS = 1024  # (m mod p^N, p, N) triples whose Gamma_p values stay cached
 
 
 EquationReport = namedtuple("EquationReport", "argument lhs rhs branch passed")
-
-
-def _check_p(p: int) -> None:
-    if p == 2:
-        raise ValueError("p=2 unsupported")
-    if not is_prime(p):
-        raise ValueError("not prime")
 
 
 def _next_level(f: list, p: int, mod: int) -> tuple:
@@ -90,7 +83,7 @@ def gamma_p_integer(m: int, p: int, precision: int) -> PAdicInt:
     value is read from the memo of _gamma_residue (see the module
     docstring), so the cost grows with p and N, not m.
     """
-    _check_p(p)
+    check_odd_prime(p)
     if m < 0:
         raise ValueError("argument must be >= 0")
     if precision < 1:

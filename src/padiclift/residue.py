@@ -31,8 +31,8 @@ Base-p digits exist only at the text/JSON boundary: to_digits and
 from_digits convert between a residue mod p^N and its N little-endian
 digits.  zp_ring's cocycle_sum reads its digits by divmod on the value.
 
-is_prime and prime_factors live here too: this module imports nothing
-from the package, so every module can import them without a cycle.
+The prime helpers live here too: this module imports nothing from the
+package, so every module can import them without a cycle.
 """
 
 from __future__ import annotations
@@ -147,6 +147,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_odd_prime(p: int) -> None:
+    """Refuse p = 2 and non-primes, as Gamma_p and the pi-ring do."""
+    if p == 2:
+        raise ValueError("p=2 unsupported")
+    if not is_prime(p):
+        raise ValueError("not prime")
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
     out = []
@@ -160,3 +168,14 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, n) with q = p^n and n >= 1; ValueError unless q is a prime power."""
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError("q must be a prime power")
+    p, n = primes[0], 1
+    while p**n < q:
+        n += 1
+    return p, n

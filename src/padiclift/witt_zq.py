@@ -31,7 +31,7 @@ from .errors import PrecisionError
 from .gfq import FqElem, FqField, fq_make
 from .quotient import QuotientElem, QuotientRing
 from .residue import to_digits
-from .zp_ring import PAdicInt, int_exact, parse_fields
+from .zp_ring import PAdicInt, int_exact, parse_digits, parse_fields
 
 
 @lru_cache(maxsize=None)
@@ -135,20 +135,12 @@ class ZqRing(QuotientRing):
 def parse_zq(text: str) -> ZqElem:
     """Parse "p=3;n=2;N=4;coeffs=[...|...]" against the canonical field."""
     fields = parse_fields(text, ("p", "n", "N", "coeffs"))
-    p = int_exact(fields["p"])
-    n = int_exact(fields["n"])
-    prec = int_exact(fields["N"])
+    p, n, prec = (int_exact(fields[key]) for key in ("p", "n", "N"))
     raw = fields["coeffs"]
     if not (raw.startswith("[") and raw.endswith("]")):
         raise ValueError("coeffs must be bracketed")
     ring = zq_ring(fq_make(p, n), prec)
-    coeffs = []
-    for block in raw[1:-1].split("|"):
-        digits = [int_exact(d) for d in block.split(",")]
-        if len(digits) != prec:
-            raise ValueError("digit count does not match N")
-        coeffs.append(PAdicInt(p, digits))
-    return ring.element(coeffs)
+    return ring.element([parse_digits(block, p, prec) for block in raw[1:-1].split("|")])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Truncated arithmetic in Z/p^N, and its sum built digit by digit.
 
 A PAdicInt stores its residue as one int value in [0, p^N) together with
-the precision N, so the value is known exactly mod p^N.  Its little-endian
-base-p digits are a read-only view (digits).  Binary operations propagate
-the minimum precision of their operands, and exact division by p costs one
-digit of precision.
+the precision N, so the value is known exactly mod p^N.  It comes from
+PAdicInt.from_integer or from parse_padic; its little-endian base-p digits
+are a read-only view (digits), and parse_digits is the one reader of a
+digit vector in text.  Binary operations propagate the minimum precision
+of their operands, and exact division by p costs one digit of precision.
 
 Every operation works on the int value.  The digits and their carries
 appear in one named operation, cocycle_sum: the schoolbook sum whose every
@@ -65,19 +66,6 @@ class PAdicInt:
     """A residue mod p^N: an int value in [0, p^N) and its precision N."""
 
     __slots__ = ("p", "value", "precision")
-
-    def __init__(self, p: int, digits):
-        """The residue with the given little-endian base-p digits."""
-        digits = tuple(digits)
-        if not is_prime(p):
-            raise ValueError("not prime")
-        if len(digits) < 1:
-            raise PrecisionError("precision must be >= 1")
-        if any(not 0 <= d < p for d in digits):
-            raise ValueError("digit out of range")
-        self.p = p
-        self.value = from_digits(digits, p)
-        self.precision = len(digits)
 
     @classmethod
     def from_integer(cls, k: int, p: int, precision: int) -> "PAdicInt":
@@ -241,15 +229,24 @@ def scalar_residue(x, p: int, precision: int) -> int:
     return int(x) % p**precision
 
 
+def parse_digits(text: str, p: int, precision: int) -> int:
+    """The residue mod p^precision whose little-endian base-p digits text
+    lists, comma-separated, one per place: the one reader of a digit vector."""
+    digits = [int_exact(d) for d in text.split(",")]
+    if len(digits) != precision:
+        raise ValueError("digit count does not match N")
+    if not is_prime(p):
+        raise ValueError("not prime")
+    if any(not 0 <= d < p for d in digits):
+        raise ValueError("digit out of range")
+    return from_digits(digits, p)
+
+
 def parse_padic(text: str) -> PAdicInt:
     """Parse the canonical text form "p=5;N=3;digits=2,1,0" (exact grammar)."""
     fields = parse_fields(text, ("p", "N", "digits"))
-    p = int_exact(fields["p"])
-    n = int_exact(fields["N"])
-    digits = [int_exact(d) for d in fields["digits"].split(",")]
-    if len(digits) != n:
-        raise ValueError("digit count does not match N")
-    return PAdicInt(p, digits)
+    p, n = int_exact(fields["p"]), int_exact(fields["N"])
+    return PAdicInt.from_integer(parse_digits(fields["digits"], p, n), p, n)
 
 
 def buium_carry(x: PAdicInt, y: PAdicInt) -> PAdicInt:

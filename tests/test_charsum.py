@@ -29,6 +29,15 @@ def test_field_for_order():
         field_for_order(12)
 
 
+def test_fermat_precision_reads_q_without_building_the_field():
+    # smallest N with p^N > 4 m^2 q: 3^4 = 81 > 64 and 2^6 = 64 > 36, past Q_CAP
+    assert charsum.fermat_precision(3**200, 4) == 204
+    assert charsum.fermat_precision(2**22, 3) == 28
+    assert charsum.fermat_precision(81, 4) == 8
+    with pytest.raises(ValueError, match="q must be a prime power"):
+        charsum.fermat_precision(12, 3)
+
+
 # ---------------------------------------------------------------------------
 # characters and Jacobi sums
 

@@ -87,6 +87,23 @@ def test_beta_and_jacobi_and_gauss(capsys):
     assert json.loads(out)["pi_coeffs"][0] == [4, 4]  # -1
 
 
+@pytest.mark.parametrize("argv", [
+    ["gk-check", "-p", "3", "-N", "2"],
+    ["gk-check", "-p", "7", "-N", "3", "-a", "2"],
+    ["gamma", "-p", "5", "-N", "2", "--sweep", "3:4"],
+], ids=["gk-p3", "gk-a", "gamma-sweep"])
+def test_a_table_command_prints_an_array_even_with_one_row(capsys, argv):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    rows = json.loads(out)
+    assert isinstance(rows, list) and len(rows) == 1
+    # csv and text print the same one row
+    rc, csv_out, _ = run(capsys, *argv, "--format", "csv")
+    assert rc == 0 and len(csv_out.splitlines()) == 2
+    rc, text_out, _ = run(capsys, *argv, "--format", "text")
+    assert rc == 0 and len(text_out.splitlines()) == 1
+
+
 def test_gk_check(capsys):
     rc, out, _ = run(capsys, "gk-check", "-p", "5", "-N", "3")
     assert rc == 0
@@ -94,7 +111,8 @@ def test_gk_check(capsys):
     assert len(rows) == 3 and all(r["passed"] for r in rows)
     rc, out, _ = run(capsys, "gk-check", "-p", "7", "-N", "3", "-a", "2")
     assert rc == 0
-    assert json.loads(out)["passed"]
+    row, = json.loads(out)  # a table command prints an array, even with one row
+    assert row["passed"] and row["a"] == 2
 
 
 @pytest.mark.parametrize("p,N,digest", [
@@ -511,8 +529,9 @@ def test_typed_flags_refuse_what_the_text_grammar_refuses(capsys, command, flag,
         main([command, flag, token])
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
-    assert err.splitlines()[-1].startswith(f"padiclift {command}: error: argument {flag}: ")
-    assert err.endswith(f" {token!r}\n")
+    # the wording of -v, -x and --sweep, not the name of the parser function
+    assert err.splitlines()[-1] == (
+        f"padiclift {command}: error: argument {flag}: malformed integer {token!r}")
 
 
 def test_teich_index_is_the_element_with_those_base_p_digits(capsys):
@@ -522,6 +541,14 @@ def test_teich_index_is_the_element_with_those_base_p_digits(capsys):
     assert err.startswith("teichmuller(8) in Z_3^2 at N=2: ")
     rc, want, _ = run(capsys, "teich", "-p", "3", "-n", "2", "-N", "2", "-v", "2,2")
     assert rc == 0 and out == want
+
+
+def test_teich_coefficients_are_read_mod_p(capsys):
+    # comma coefficients are constants of F_q, k -> k mod p, as -x reads its
+    # coefficients mod p^N; only the index K is a digit encoding with a range
+    rc, out, err = run(capsys, "teich", "-p", "3", "-n", "2", "-N", "2", "-v", "4,-1")
+    assert rc == 0 and json.loads(out)["v"] == [1, 2]
+    assert err.startswith("teichmuller(7) in Z_3^2 at N=2: ")
 
 
 @pytest.mark.parametrize("k", ["9", "10", "-1"])
@@ -575,6 +602,7 @@ teich -p 3 -n 2 -N 2 -v 2,2
 teich -p 3 -n 2 -N 2 -v 9
 teich -p 3 -n 2 -N 2 -v 10
 teich -p 3 -n 2 -N 2 -v -1
+teich -p 3 -n 2 -N 2 -v 4,-1
 beta -p 5 -N 3 -a 1_0 -b 1
 fermat-count -q 5 -m 2
 fermat -q 7 -m 3

@@ -45,3 +45,17 @@ def test_runtime_imports_only_the_standard_library():
             outside += [(path.name, name) for name in names
                         if name.partition(".")[0] not in allowed]
     assert outside == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name another module needs is public, as residue.check_odd_prime is
+    # for gamma and the pi-ring
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or node.module.partition(".")[0] == "padiclift":
+                private += [(path.name, node.module, alias.name) for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

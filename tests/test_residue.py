@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padiclift.gfq import fq_make
-from padiclift.residue import _folding, from_digits, mulmod, powmod, to_digits
+from padiclift.residue import (_folding, check_odd_prime, from_digits, mulmod, powmod,
+                               prime_power, to_digits)
 
 
 def schoolbook_mulmod(a, b, f, m):
@@ -196,3 +197,20 @@ def test_digits_examples():
     assert to_digits(7, 5, 2) == (2, 1)
     assert to_digits(-6, 5, 2) == (4, 3)
     assert from_digits((2, 1, 0), 5) == 7
+
+
+def test_prime_power_reads_p_and_n_without_a_field():
+    assert [(q, prime_power(q)) for q in (2, 9, 13, 64)] == [
+        (2, (2, 1)), (9, (3, 2)), (13, (13, 1)), (64, (2, 6))]
+    assert prime_power(3**200) == (3, 200)  # far past gfq.Q_CAP
+    for q in (-8, 0, 1, 12, 2 * 3**5):
+        with pytest.raises(ValueError, match="q must be a prime power"):
+            prime_power(q)
+
+
+@pytest.mark.parametrize("p,message", [(2, "p=2 unsupported"), (1, "not prime"),
+                                       (9, "not prime"), (-3, "not prime")])
+def test_check_odd_prime_refuses(p, message):
+    with pytest.raises(ValueError, match=message):
+        check_odd_prime(p)
+    check_odd_prime(3)

@@ -180,20 +180,27 @@ def test_text_form_round_trip():
         parse_zq("p=3;n=2;N=4;coeffs=[2,1,0,0]")  # wrong coefficient count
     with pytest.raises(ValueError):
         parse_zq("p=3;n=2;coeffs=[1|2]")
+    # each block is a digit vector, read as parse_padic reads one
+    with pytest.raises(ValueError, match="digit count does not match N"):
+        parse_zq("p=3;n=2;N=4;coeffs=[2,1,0|1,2,0,0]")
+    with pytest.raises(ValueError, match="digit out of range"):
+        parse_zq("p=3;n=2;N=4;coeffs=[2,1,0,0|1,3,0,0]")
+    with pytest.raises(ValueError, match="malformed integer '-'"):
+        parse_zq("p=3;n=2;N=4;coeffs=[2,1,0,0|1,-,0,0]")
 
 
 def test_coefficient_precision_is_enforced():
     ring = zq_ring(F9, 4)
     with pytest.raises(PrecisionError):
-        ring.element([PAdicInt(3, [1, 2]), PAdicInt(3, [0, 1])])
+        ring.element([PAdicInt.from_integer(7, 3, 2), PAdicInt.from_integer(3, 3, 2)])
     with pytest.raises(ValueError, match="prime mismatch"):
-        ring.element([PAdicInt(5, [1, 2, 0, 0]), PAdicInt(5, [0, 1, 0, 0])])
+        ring.element([PAdicInt.from_integer(11, 5, 4), PAdicInt.from_integer(5, 5, 4)])
     # scalars follow the same rule as coefficients
     with pytest.raises(PrecisionError):
-        ring.one() + PAdicInt(3, [2])  # 5 mod 3 says nothing about 5 mod 81
+        ring.one() + PAdicInt.from_integer(5, 3, 1)  # 5 mod 3 says nothing about 5 mod 81
     with pytest.raises(ValueError, match="prime mismatch"):
-        ring.one() + PAdicInt(5, [0, 1, 0, 0])
-    assert ring.one() + PAdicInt(3, [2, 1, 0, 0, 1]) == ring.from_int(6)
+        ring.one() + PAdicInt.from_integer(5, 5, 4)
+    assert ring.one() + PAdicInt.from_integer(86, 3, 5) == ring.from_int(6)  # 87 = 6 mod 81
 
 
 def test_truncate_and_div_exact():

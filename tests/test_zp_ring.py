@@ -3,8 +3,9 @@ from hypothesis import example, given, strategies as st
 
 from padiclift import zp_ring
 from padiclift.errors import PrecisionError
-from padiclift.zp_ring import (PAdicInt, buium_carry, carry_cocycle,
-                               cocycle_sum, parse_fields, parse_padic)
+from padiclift.residue import from_digits
+from padiclift.zp_ring import (PAdicInt, buium_carry, carry_cocycle, cocycle_sum,
+                               parse_digits, parse_fields, parse_padic)
 
 
 def test_from_integer_examples():
@@ -18,16 +19,16 @@ def test_add_examples():
     # carry in the next coefficient
     examples = [
         (PAdicInt.from_integer(1, 2, 2), PAdicInt.from_integer(1, 2, 2), (0, 1)),
-        (PAdicInt(5, [2, 1]), PAdicInt(5, [0, 0]), (2, 1)),
-        (PAdicInt(5, [4, 4]), PAdicInt(5, [1, 0]), (0, 0)),
+        (PAdicInt.from_integer(7, 5, 2), PAdicInt.from_integer(0, 5, 2), (2, 1)),
+        (PAdicInt.from_integer(24, 5, 2), PAdicInt.from_integer(1, 5, 2), (0, 0)),
     ]
     for x, y, digits in examples:
         assert (x + y).digits == digits
         assert cocycle_sum(x, y).digits == digits
     with pytest.raises(ValueError, match="prime mismatch"):
-        PAdicInt(5, [1]) + PAdicInt(3, [1])
+        PAdicInt.from_integer(1, 5, 1) + PAdicInt.from_integer(1, 3, 1)
     with pytest.raises(ValueError, match="prime mismatch"):
-        cocycle_sum(PAdicInt(5, [1]), PAdicInt(3, [1]))
+        cocycle_sum(PAdicInt.from_integer(1, 5, 1), PAdicInt.from_integer(1, 3, 1))
 
 
 @given(st.sampled_from([2, 3, 5, 13]), st.integers(1, 12), st.integers(1, 12),
@@ -53,7 +54,7 @@ def tuple_walk_cocycle_sum(x, y):
         s = (a + b) % p
         out.append((s + carry) % p)
         carry = carry_cocycle(a, b, p) + carry_cocycle(s, carry, p)
-    return PAdicInt(p, out)
+    return PAdicInt.from_integer(from_digits(out, p), p, len(out))
 
 
 @given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(1, 64), st.integers(1, 64),
@@ -98,7 +99,8 @@ def test_cocycle_sum_large_and_negative_examples():
 
 
 def test_mul_and_neg_examples():
-    assert (PAdicInt(5, [2, 0]) * PAdicInt(5, [3, 0])).digits == (1, 1)  # 6 = 1 + 5
+    x, y = PAdicInt.from_integer(2, 5, 2), PAdicInt.from_integer(3, 5, 2)
+    assert (x * y).digits == (1, 1)  # 6 = 1 + 5
     assert (-PAdicInt.from_integer(0, 3, 3)) == PAdicInt.from_integer(0, 3, 3)
     x = PAdicInt.from_integer(17, 3, 3)
     assert x * 1 == x
@@ -170,10 +172,10 @@ def test_buium_carry_symmetric(a, b):
 
 
 def test_unit_inverse():
-    assert PAdicInt(5, [2, 0]).unit_inverse().digits == (3, 2)  # 2 * 13 = 26
+    assert PAdicInt.from_integer(2, 5, 2).unit_inverse().digits == (3, 2)  # 2 * 13 = 26
     one = PAdicInt.from_integer(1, 7, 3)
     assert one.unit_inverse() == one
-    x = PAdicInt(3, [2, 2, 2])  # = 26 = -1 mod 27
+    x = PAdicInt.from_integer(26, 3, 3)  # = -1 mod 27
     assert x.unit_inverse() == x
     with pytest.raises(ValueError, match="not a unit"):
         PAdicInt.from_integer(10, 5, 3).unit_inverse()
@@ -187,32 +189,58 @@ def test_unit_inverse_property(a):
 
 
 def test_div_exact_by_p():
-    assert PAdicInt(5, [0, 3, 1]).div_exact_by_p().digits == (3, 1)
-    assert PAdicInt(5, [0, 0]).div_exact_by_p().digits == (0,)
+    assert PAdicInt.from_integer(40, 5, 3).div_exact_by_p().digits == (3, 1)  # 0 + 3*5 + 25
+    assert PAdicInt.from_integer(0, 5, 2).div_exact_by_p().digits == (0,)
     assert PAdicInt.from_integer(6, 3, 3).div_exact_by_p().digits == (2, 0)
     with pytest.raises(ValueError, match="not divisible"):
-        PAdicInt(5, [1, 0]).div_exact_by_p()
+        PAdicInt.from_integer(1, 5, 2).div_exact_by_p()
     with pytest.raises(PrecisionError, match="precision exhausted"):
-        PAdicInt(5, [0]).div_exact_by_p()
+        PAdicInt.from_integer(0, 5, 1).div_exact_by_p()
 
 
 def test_text_form_round_trip():
-    x = PAdicInt(5, [2, 1, 0])
+    x = PAdicInt.from_integer(7, 5, 3)
     assert x.to_text() == "p=5;N=3;digits=2,1,0"
     assert parse_padic("p=5;N=3;digits=2,1,0") == x
     assert parse_padic("  p=5;N=3;digits=2,1,0  ") == x  # trimming only
-    with pytest.raises(ValueError):
-        parse_padic("p=5;N=2;digits=2,1,0")   # digit count mismatch
+    with pytest.raises(ValueError, match="digit count does not match N"):
+        parse_padic("p=5;N=2;digits=2,1,0")
     with pytest.raises(ValueError):
         parse_padic("p=5;digits=2,1,0")
-    with pytest.raises(ValueError):
-        parse_padic("p=5;N=1;digits=7")       # digit out of range
+    with pytest.raises(ValueError, match="digit out of range"):
+        parse_padic("p=5;N=1;digits=7")
+    with pytest.raises(ValueError, match="digit out of range"):
+        parse_padic("p=5;N=1;digits=-1")
+    with pytest.raises(ValueError, match="not prime"):
+        parse_padic("p=4;N=1;digits=0")
+
+
+def test_parse_digits_checks_count_then_prime_then_range():
+    assert parse_digits("2,1,0", 5, 3) == 7
+    assert parse_digits("0", 2, 1) == 0
+    for text, p, n, message in [
+            ("2,x", 5, 2, "malformed integer 'x'"),      # each digit first
+            ("2,1", 5, 3, "digit count does not match N"),
+            ("2,7", 4, 3, "digit count does not match N"),
+            ("2,7", 4, 2, "not prime"),
+            ("2,7", 5, 2, "digit out of range"),
+            ("", 5, 1, "malformed integer ''")]:
+        with pytest.raises(ValueError, match=message):
+            parse_digits(text, p, n)
+
+
+def test_from_integer_is_the_one_constructor():
+    assert "__init__" not in vars(PAdicInt)
+    with pytest.raises(TypeError):
+        PAdicInt(5, [2, 1])
 
 
 @given(st.integers(2, 30).filter(lambda p: all(p % d for d in range(2, p))),
        st.lists(st.integers(0, 100), min_size=1, max_size=6))
 def test_text_round_trip_property(p, raw):
-    x = PAdicInt(p, [d % p for d in raw])
+    digits = [d % p for d in raw]
+    x = PAdicInt.from_integer(from_digits(digits, p), p, len(digits))
+    assert x.digits == tuple(digits)
     assert parse_padic(x.to_text()) == x
 
 
@@ -242,4 +270,4 @@ def test_pow_and_int_coercion():
 def test_hash_agrees_with_int_equality():
     assert PAdicInt.from_integer(7, 5, 2) == 7
     assert len({PAdicInt.from_integer(7, 5, 2), 7}) == 1
-    assert len({PAdicInt(5, [2, 1]), PAdicInt.from_integer(7, 5, 2)}) == 1
+    assert len({parse_padic("p=5;N=2;digits=2,1"), PAdicInt.from_integer(7, 5, 2)}) == 1
