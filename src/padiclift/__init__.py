@@ -3,10 +3,9 @@ p-adic Gamma/Beta, character sums, and cocycle/coboundary verification."""
 
 from .errors import InvariantError, PrecisionError
 from .gfq import FqElem, FqField, fq_make
-from .zp_ring import (PAdicInt, buium_carry, carry_cocycle, cocycle_sum,
-                      parse_padic)
+from .zp_ring import PAdicInt, buium_carry, carry_cocycle, cocycle_sum
 from .witt_zq import (ZqElem, ZqRing, frobenius_lift, from_teich_digits,
-                      parse_zq, teich_digits, teichmuller_int, zq_ring)
+                      teich_digits, teichmuller_int, zq_ring)
 from .buium import (LawReport, fermat_quotient, p_derivation, ring_carry,
                     verify_laws, verify_product_rule, verify_sum_rule)
 from .gamma import (beta_p, functional_equation_check, gamma_p,

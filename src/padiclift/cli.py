@@ -1,9 +1,12 @@
 """Command-line surface: one subcommand per operation plus verify suites.
 
 Each command and each input has one spelling: no command aliases, and no
-two flags that set the same value.  jacobi and fermat-count read the field
-from its order -q, and fermat-count works out its own precision N (printed
-in its report) from q and m.
+two flags that set the same value.  An element -x is an integer or
+comma-separated coefficients over the ring that -p, -n and -N name, and
+every integer the CLI reads goes through int_exact: an optional '-' and
+ASCII digits.  jacobi and fermat-count read the field from its order -q,
+and fermat-count works out its own precision N (printed in its report)
+from q and m.
 
 Machine-readable output (json, csv, or text key=value rows) goes to stdout
 through _emit: one value prints a JSON object, a table (gk-check, gamma
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import charsum, gamma
@@ -28,8 +32,17 @@ from .charsum import PiRingElem
 from .errors import InvariantError, PrecisionError
 from .gfq import FqElem, fq_make
 from .residue import from_digits, prime_power, to_digits
-from .witt_zq import ZqElem, frobenius_lift, parse_zq, zq_ring
-from .zp_ring import PAdicInt, int_exact, parse_padic
+from .witt_zq import ZqElem, frobenius_lift, zq_ring
+from .zp_ring import PAdicInt
+
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def int_exact(token: str) -> int:
+    """An integer with no whitespace, '+' or '_': an optional '-' and ASCII digits."""
+    if not _INT_RE.fullmatch(token):
+        raise ValueError(f"malformed integer {token!r}")
+    return int(token)
 
 
 def _dumps(obj) -> str:
@@ -104,13 +117,11 @@ def _ints(flag: str, raw: str, form: str) -> list[int]:
 
 
 def _parse_element(args):
-    """Build a Z_q element from -x: integer, comma coeffs or canonical text."""
+    """Build a Z_q element from -x: an integer or comma-separated coefficients."""
     if args.x is None:
         raise ValueError("provide -x")
-    if ";" in args.x:
-        return parse_zq(args.x)  # the text fixes p, n and N
     ring = zq_ring(fq_make(args.p, args.n), args.N)
-    ints = _ints("-x", args.x, "integer, comma-separated coefficients or canonical text")
+    ints = _ints("-x", args.x, "integer or comma-separated coefficients")
     return ring.element(ints) if len(ints) > 1 else ring.from_int(ints[0])
 
 
@@ -153,10 +164,10 @@ def cmd_delta(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    if not args.sweep and args.x is None:
-        raise ValueError("provide -x or --sweep")
+    if (args.sweep is None) == (args.x is None):
+        raise ValueError("provide one of -x and --sweep")
     p, N = args.p, args.N
-    if args.sweep:
+    if args.sweep is not None:
         try:
             lo, hi = map(int_exact, args.sweep.split(":"))
         except ValueError:
@@ -166,11 +177,9 @@ def cmd_gamma(args) -> int:
         rows = [{"op": "gamma_p", "m": m, **jsonable(gamma.gamma_p_integer(m, p, N))}
                 for m in range(lo, hi)]
     else:
-        x = parse_padic(args.x) if ";" in args.x else PAdicInt.from_integer(
-            _int("-x", args.x, "integer or canonical text"), args.p, args.N)
-        p, N = x.p, x.precision  # canonical text fixes its own p and N
+        x = PAdicInt.from_integer(_int("-x", args.x, "integer"), p, N)
         rows = [{"op": "gamma_p", "x": jsonable(x), **jsonable(gamma.gamma_p(x))}]
-    _emit(args.format, rows if args.sweep else rows[0])  # a sweep is a table
+    _emit(args.format, rows if args.sweep is not None else rows[0])  # a sweep is a table
     print(f"gamma_p: {len(rows)} value(s) at p={p}, N={N}", file=sys.stderr)
     return 0
 
@@ -318,7 +327,7 @@ _N = _arg("-N", type=_integer, required=True, help="p-adic precision")
 _FORMAT = _arg("--format", choices=("json", "csv", "text"), default="json")
 _A, _B = _arg("-a", type=_integer, required=True), _arg("-b", type=_integer, required=True)
 _ELEMENT = (_P, _n, _N, _FORMAT,
-            _arg("-x", help="element: integer, comma coeffs, or canonical text"))
+            _arg("-x", help="element: integer or comma coeffs"))
 
 # (name, help, handler, arguments), in the order -h lists them
 COMMANDS = (
@@ -328,7 +337,7 @@ COMMANDS = (
     ("frobenius", "canonical Frobenius lift", cmd_frobenius, _ELEMENT),
     ("delta", "p-derivation (phi(x) - x^p)/p", cmd_delta, _ELEMENT),
     ("gamma", "Morita p-adic Gamma", cmd_gamma,
-     (_P, _N, _FORMAT, _arg("-x", help="argument: integer or canonical text"),
+     (_P, _N, _FORMAT, _arg("-x", help="argument: integer"),
       _arg("--sweep", help="emit a table for m in lo:hi"))),
     ("beta", "p-adic Beta unit", cmd_beta, (_P, _N, _FORMAT, _A, _B)),
     ("jacobi", "Jacobi sum as a character convolution", cmd_jacobi,

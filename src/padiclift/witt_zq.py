@@ -19,8 +19,9 @@ teich_digits already cached at precision N - i, so only its p-th power is
 new.  The digit-wise route that lifts every t_i^p afresh at precision N,
 sum tau(t_i^p) p^i, stays as _frobenius_digitwise, the oracle of the tests.
 
-Canonical text form (CLI interchange): "p=3;n=2;N=4;coeffs=[1,0,2,1|0,0,1,2]"
-with one little-endian digit vector per polynomial coefficient.
+ZqElem.to_text renders an element as "p=3;n=2;N=4;coeffs=[1,0,2,1|0,0,1,2]",
+one little-endian digit vector per polynomial coefficient; the benchmark
+digests its outputs through it, and nothing reads the text back.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .errors import PrecisionError
-from .gfq import FqElem, FqField, fq_make
+from .gfq import FqElem, FqField
 from .quotient import QuotientElem, QuotientRing
 from .residue import to_digits
-from .zp_ring import PAdicInt, int_exact, parse_digits, parse_fields
+from .zp_ring import PAdicInt
 
 
 @lru_cache(maxsize=None)
@@ -130,17 +131,6 @@ class ZqRing(QuotientRing):
 
     def __repr__(self):
         return f"ZqRing(q={self.field.q}, N={self.precision})"
-
-
-def parse_zq(text: str) -> ZqElem:
-    """Parse "p=3;n=2;N=4;coeffs=[...|...]" against the canonical field."""
-    fields = parse_fields(text, ("p", "n", "N", "coeffs"))
-    p, n, prec = (int_exact(fields[key]) for key in ("p", "n", "N"))
-    raw = fields["coeffs"]
-    if not (raw.startswith("[") and raw.endswith("]")):
-        raise ValueError("coeffs must be bracketed")
-    ring = zq_ring(fq_make(p, n), prec)
-    return ring.element([parse_digits(block, p, prec) for block in raw[1:-1].split("|")])
 
 
 # ---------------------------------------------------------------------------

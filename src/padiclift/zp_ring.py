@@ -2,9 +2,8 @@
 
 A PAdicInt stores its residue as one int value in [0, p^N) together with
 the precision N, so the value is known exactly mod p^N.  It comes from
-PAdicInt.from_integer or from parse_padic; its little-endian base-p digits
-are a read-only view (digits), and parse_digits is the one reader of a
-digit vector in text.  Binary operations propagate the minimum precision
+PAdicInt.from_integer, and its little-endian base-p digits are a
+read-only view (digits).  Binary operations propagate the minimum precision
 of their operands, and exact division by p costs one digit of precision.
 
 Every operation works on the int value.  The digits and their carries
@@ -14,41 +13,12 @@ carry into an output digit is a sum of two values of carry_cocycle, the
 by divmod on the two values and adds each output digit into an int at its
 place value p^i.  The carry out of the top digit would leave Z/p^N, so it
 is never formed.  The carry suite checks the sum against + exhaustively.
-
-Canonical text form (CLI interchange): "p=5;N=3;digits=2,1,0".
 """
 
 from __future__ import annotations
 
-import re
-
 from .errors import InvariantError, PrecisionError
-from .residue import from_digits, is_prime, to_digits
-
-_INT_RE = re.compile(r"-?[0-9]+")
-
-
-def int_exact(token: str) -> int:
-    """Integer parse with no whitespace or sign sloppiness inside fields."""
-    if not _INT_RE.fullmatch(token):
-        raise ValueError(f"malformed integer {token!r}")
-    return int(token)
-
-
-def parse_fields(text: str, keys: tuple[str, ...]) -> dict[str, str]:
-    """The "key=value" fields of a ';'-separated text form; exactly keys."""
-    parts = text.strip().split(";")
-    if len(parts) != len(keys):
-        raise ValueError(f"expected {len(keys)} ';'-separated fields")
-    fields = {}
-    for part in parts:
-        key, eq, val = part.partition("=")
-        if not eq:
-            raise ValueError(f"malformed field {part!r}")
-        fields[key] = val
-    if set(fields) != set(keys):
-        raise ValueError(f"expected fields {', '.join(keys)}")
-    return fields
+from .residue import is_prime, to_digits
 
 
 def carry_cocycle(x: int, y: int, p: int) -> int:
@@ -173,10 +143,6 @@ class PAdicInt:
     def __repr__(self):
         return f"PAdicInt({self.value} mod {self.p}^{self.precision})"
 
-    def to_text(self) -> str:
-        digits = ",".join(str(d) for d in self.digits)
-        return f"p={self.p};N={self.precision};digits={digits}"
-
 
 def _unchecked(p: int, value: int, precision: int) -> PAdicInt:
     """A PAdicInt from a prime p, precision >= 1 and value in [0, p^precision)."""
@@ -227,26 +193,6 @@ def scalar_residue(x, p: int, precision: int) -> int:
             raise PrecisionError("scalar carries too little precision")
         x = x.value
     return int(x) % p**precision
-
-
-def parse_digits(text: str, p: int, precision: int) -> int:
-    """The residue mod p^precision whose little-endian base-p digits text
-    lists, comma-separated, one per place: the one reader of a digit vector."""
-    digits = [int_exact(d) for d in text.split(",")]
-    if len(digits) != precision:
-        raise ValueError("digit count does not match N")
-    if not is_prime(p):
-        raise ValueError("not prime")
-    if any(not 0 <= d < p for d in digits):
-        raise ValueError("digit out of range")
-    return from_digits(digits, p)
-
-
-def parse_padic(text: str) -> PAdicInt:
-    """Parse the canonical text form "p=5;N=3;digits=2,1,0" (exact grammar)."""
-    fields = parse_fields(text, ("p", "N", "digits"))
-    p, n = int_exact(fields["p"]), int_exact(fields["N"])
-    return PAdicInt.from_integer(parse_digits(fields["digits"], p, n), p, n)
 
 
 def buium_carry(x: PAdicInt, y: PAdicInt) -> PAdicInt:

@@ -55,6 +55,8 @@ def test_char_eval_examples():
     assert quad.eval(F5.from_int(2), 2) == -ring.one()
     chi = MultChar(F5, 3)
     assert chi.eval(F5.generator, 2) == ring.teichmuller(F5.generator) ** 3
+    with pytest.raises(ValueError, match="field mismatch"):
+        chi.eval(F7.one(), 2)
 
 
 def test_char_convolution_trivial():

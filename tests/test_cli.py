@@ -12,6 +12,7 @@ import pytest
 
 from padiclift import InvariantError, charsum
 from padiclift.cli import COMMANDS, build_parser, main
+from padiclift.residue import from_digits
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,10 +51,9 @@ def test_frobenius_and_delta(capsys):
                      "-x", "5,7")
     assert rc == 0
     first = json.loads(out)
-    rc, out, _ = run(capsys, "frobenius", "-x",
-                     "p=3;n=2;N=4;coeffs=[" + "|".join(
-                         ",".join(map(str, c)) for c in first["coeffs"]) + "]",
-                     "-p", "3", "-n", "2", "-N", "4")
+    # each printed digit vector is one -x coefficient, read back as an integer
+    coeffs = ",".join(str(from_digits(c, 3)) for c in first["coeffs"])
+    rc, out, _ = run(capsys, "frobenius", "-p", "3", "-n", "2", "-N", "4", "-x", coeffs)
     assert rc == 0
     second = json.loads(out)
     # applying the lift twice returns to the original element
@@ -168,10 +168,16 @@ def test_verify_all_seed0_stdout_is_pinned(capsys):
      "541e001eb86bd10bfeef4a43c9b8827ecd3039ca81a9a921daafa20147c2760f"),
     ("frobenius -p 2 -n 8 -N 12 -x 5,0,7,1,0,3,9,2",
      "2404d6b0387ca76e372860bbb047dab73ef61734edb2e2308631a4057d23383d"),
-], ids=["frobenius", "delta", "verify-buium", "frobenius-(3,6,10)", "frobenius-(2,8,12)"])
+    ("delta -p 5 -N 3 -x 2",
+     "d2dd3a87f67d4e33620a007f225e3531e3ecf7c224423a42413fb9129554af66"),
+    ("gamma -p 5 -N 3 -x 19",
+     "281741c648235b3d6b830e6863e234a2a7b3ac4d82c31b46cb189e92a7c68f7b"),
+], ids=["frobenius", "delta", "verify-buium", "frobenius-(3,6,10)", "frobenius-(2,8,12)",
+        "delta-Z5", "gamma-Z5"])
 def test_frobenius_stdout_is_pinned(capsys, argv, digest):
     # the first three were taken with the digit-wise Frobenius, before it
-    # became a matrix; the last two are the zq-lift rings that CI pins
+    # became a matrix; the next two are the zq-lift rings that CI pins, and
+    # the last two the README's integer -x examples, which CI pins too
     rc, out, _ = run(capsys, *argv.split())
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -360,6 +366,21 @@ def test_fixtures_mismatch_names_first_record(tmp_path, capsys):
     assert "3 records in the fixture, 2 in the report" in err
 
 
+@pytest.mark.parametrize("edit,cause", [
+    (lambda data: [data], "the fixture is not a verify report"),
+    (lambda data: {**data, "config": {**data["config"], "seed": 1}}, "config differs"),
+    (lambda data: {**data, "passed": False}, "a top-level field differs"),
+], ids=["array", "config", "passed"])
+def test_fixtures_mismatch_names_its_cause(tmp_path, capsys, edit, cause):
+    fx = tmp_path / "carry.json"
+    args = ("verify", "--suite", "carry", "-p", "3", "--fixtures", str(fx))
+    assert run(capsys, *args)[0] == 0
+    fx.write_text(json.dumps(edit(json.loads(fx.read_text()))))
+    rc, out, err = run(capsys, *args)
+    assert rc == 1 and json.loads(out)["passed"]
+    assert err.splitlines()[-1] == f"fixtures mismatch against {fx}: {cause}"
+
+
 @pytest.mark.parametrize("where", ["missing directory", "a directory", "not JSON"])
 def test_unusable_fixtures_path_is_a_usage_error(tmp_path, capsys, where):
     # exit 1 means a check failed; a path that can be neither read nor written,
@@ -417,8 +438,7 @@ def test_verify_other_formats(capsys):
 
 
 def test_gamma_summary_names_the_parsed_argument(capsys):
-    # canonical text fixes its own p and N; the -p/-N flags are not used
-    rc, out, err = run(capsys, "gamma", "-p", "7", "-N", "3", "-x", "p=5;N=2;digits=1,1")
+    rc, out, err = run(capsys, "gamma", "-p", "5", "-N", "2", "-x", "6")
     assert rc == 0
     assert json.loads(out)["p"] == 5
     assert err == "gamma_p: 1 value(s) at p=5, N=2\n"
@@ -426,17 +446,13 @@ def test_gamma_summary_names_the_parsed_argument(capsys):
     assert (rc, err) == (0, "gamma_p: 2 value(s) at p=7, N=3\n")
 
 
-def test_gamma_accepts_canonical_text(capsys):
-    rc, out, _ = run(capsys, "gamma", "-p", "5", "-N", "3", "-x",
-                     "p=5;N=3;digits=4,3,0")
-    assert rc == 0
-    payload = json.loads(out)
-    assert payload["x"]["digits"] == [4, 3, 0]
-
-
 def test_missing_value_flags(capsys):
     rc, _, err = run(capsys, "gamma", "-p", "5", "-N", "3")
     assert rc == 2 and "provide" in err
+    # -x beside --sweep is refused, not dropped, even when -x is malformed
+    for x in ("1", "zz"):
+        rc, out, err = run(capsys, "gamma", "-p", "5", "-N", "3", "-x", x, "--sweep", "0:2")
+        assert (rc, out, err) == (2, "", "error: provide one of -x and --sweep\n")
     with pytest.raises(SystemExit) as exc:
         main(["jacobi", "-N", "3", "-a", "1", "-b", "1"])
     assert exc.value.code == 2
@@ -480,7 +496,6 @@ def test_empty_sweep_is_a_usage_error(capsys, sweep, fmt):
 
 
 COEFFS = "integer or comma-separated coefficients"
-ELEMENT = "integer, comma-separated coefficients or canonical text"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -489,14 +504,14 @@ ELEMENT = "integer, comma-separated coefficients or canonical text"
     (["teich", "-p", "5", "-N", "2", "-v", "2.5"],
      f"-v: malformed integer '2.5' ({COEFFS})"),
     (["frobenius", "-p", "3", "-n", "2", "-N", "2", "-x", "1,,2"],
-     f"-x: malformed integer '' ({ELEMENT})"),
+     f"-x: malformed integer '' ({COEFFS})"),
     (["delta", "-p", "3", "-n", "2", "-N", "2", "-x", "z"],
-     f"-x: malformed integer 'z' ({ELEMENT})"),
+     f"-x: malformed integer 'z' ({COEFFS})"),
     (["gamma", "-p", "5", "-N", "3", "-x", "abc"],
-     "-x: malformed integer 'abc' (integer or canonical text)"),
+     "-x: malformed integer 'abc' (integer)"),
     (["gamma", "-p", "5", "-N", "3", "-x", "1,2"],
-     "-x: malformed integer '1,2' (integer or canonical text)"),
-    # the grammar of the canonical text: no '_', '+' or inner whitespace
+     "-x: malformed integer '1,2' (integer)"),
+    # int_exact's grammar: no '_', '+' or inner whitespace
     (["teich", "-p", "3", "-n", "2", "-N", "2", "-v", "1_0"],
      f"-v: malformed integer '1_0' ({COEFFS})"),
     (["teich", "-p", "5", "-N", "2", "-v", "+5"],
@@ -504,9 +519,9 @@ ELEMENT = "integer, comma-separated coefficients or canonical text"
     (["teich", "-p", "5", "-N", "2", "-v", " 5"],
      f"-v: malformed integer ' 5' ({COEFFS})"),
     (["frobenius", "-p", "3", "-n", "2", "-N", "2", "-x", "1, 2"],
-     f"-x: malformed integer ' 2' ({ELEMENT})"),
+     f"-x: malformed integer ' 2' ({COEFFS})"),
     (["gamma", "-p", "5", "-N", "3", "-x", "1_9"],
-     "-x: malformed integer '1_9' (integer or canonical text)"),
+     "-x: malformed integer '1_9' (integer)"),
 ], ids=["teich", "teich-float", "frobenius", "delta", "gamma", "gamma-coeffs",
         "teich-underscore", "teich-plus", "teich-space", "frobenius-space",
         "gamma-underscore"])
@@ -524,7 +539,7 @@ TYPED_FLAGS = [(name, flags[0]) for name, _, _, arguments in COMMANDS
 @pytest.mark.parametrize("token", ["1_0", "+5", " 5"])
 @pytest.mark.parametrize("command,flag", TYPED_FLAGS)
 def test_typed_flags_refuse_what_the_text_grammar_refuses(capsys, command, flag, token):
-    # int() reads all three tokens; the canonical text's grammar reads none
+    # int() reads all three tokens; int_exact reads none
     with pytest.raises(SystemExit) as exc:
         main([command, flag, token])
     out, err = capsys.readouterr()
@@ -580,15 +595,30 @@ def test_only_verify_loads_the_suites_harness():
     assert proc.stdout.split("\n") == ["False", "True True", ""]
 
 
-def test_canonical_text_ignores_the_ring_flags(capsys):
-    # the text fixes p, n and N; -p 4 must not be tried as a field
-    text = "p=3;n=2;N=4;coeffs=[1,0,0,0|0,1,0,0]"
-    rc, out, err = run(capsys, "frobenius", "-p", "4", "-N", "4", "-x", text)
-    assert rc == 0, err
-    rc, want, _ = run(capsys, "frobenius", "-p", "3", "-n", "2", "-N", "4", "-x", text)
-    assert rc == 0 and out == want
-    rc, _, err = run(capsys, "delta", "-p", "4", "-N", "4", "-x", "1,2")
-    assert rc == 2 and "not prime" in err
+F9_TEXT = "p=3;n=2;N=4;coeffs=[1,0,0,0|0,1,0,0]"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (f"frobenius -p 3 -n 2 -N 4 -x {F9_TEXT}",
+     f"-x: malformed integer 'p=3;n=2;N=4;coeffs=[1' ({COEFFS})"),
+    ("frobenius -p 7 -N 9 -x p=3;n=2;N=4;coeffs=[2,1,0,0|2,0,2,2]",
+     f"-x: malformed integer 'p=3;n=2;N=4;coeffs=[2' ({COEFFS})"),
+    (f"delta -p 3 -n 2 -N 4 -x {F9_TEXT}",
+     f"-x: malformed integer 'p=3;n=2;N=4;coeffs=[1' ({COEFFS})"),
+    ("gamma -p 5 -N 3 -x p=5;N=3;digits=4,3,0",
+     "-x: malformed integer 'p=5;N=3;digits=4,3,0' (integer)"),
+    ("gamma -p 7 -N 3 -x p=5;N=2;digits=1,1",
+     "-x: malformed integer 'p=5;N=2;digits=1,1' (integer)"),
+    # the ring flags are read, so -p 4 is tried as a field, text or not
+    (f"frobenius -p 4 -N 4 -x {F9_TEXT}", "not prime"),
+    ("delta -p 4 -N 4 -x 1,2", "not prime"),
+], ids=["frobenius-F9", "frobenius-p7", "delta-F9", "gamma-Z5", "gamma-p7",
+        "frobenius-p4", "delta-p4"])
+def test_canonical_text_is_refused(capsys, argv, message):
+    # -x is an integer or coefficients over the ring -p, -n and -N name: text
+    # that fixes its own p, n and N exits 2, one error line, nothing on stdout
+    rc, out, err = run(capsys, *argv.split())
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 # Every argv the tests above pass to main, then missing and trailing
@@ -670,6 +700,8 @@ gamma -p 7 -N 3 -x p=5;N=2;digits=1,1
 gamma -p 7 -N 3 --sweep 0:2
 gamma -p 5 -N 3 -x p=5;N=3;digits=4,3,0
 gamma -p 5 -N 3
+gamma -p 5 -N 3 -x 1 --sweep 0:2
+gamma -p 5 -N 3 -x zz --sweep 0:2
 jacobi -N 3 -a 1 -b 1
 frobenius -p 3 -n 2 -N 2
 gk -p 7 -N 3
@@ -677,6 +709,9 @@ frobenius --elem p=3;n=2;N=4;coeffs=[2,1,0,0|2,0,2,2] -p 3 -N 4
 jacobi -q 9 -p 5 -n 3 -a 1 -b 2 -N 3
 frobenius -p 4 -N 4 -x p=3;n=2;N=4;coeffs=[1,0,0,0|0,1,0,0]
 frobenius -p 3 -n 2 -N 4 -x p=3;n=2;N=4;coeffs=[1,0,0,0|0,1,0,0]
+frobenius -p 7 -N 9 -x p=3;n=2;N=4;coeffs=[2,1,0,0|2,0,2,2]
+delta -p 3 -n 2 -N 4 -x p=3;n=2;N=4;coeffs=[1,0,0,0|0,1,0,0]
+gamma -p 5 -N 3 -x 19
 delta -p 4 -N 4 -x 1,2
 gk-check -p 7
 beta -p 5 -N 3 -a 1

@@ -44,6 +44,13 @@ def test_shared_quotient_semantics(ring):
     assert ring.from_int(4) != PAdicInt.from_integer(4, p, N - 1)
     assert ring.from_int(4) != PAdicInt.from_integer(4, 7, N)
     assert x - 3 == -(3 - x)
+    # a float is no scalar: each arithmetic operator raises, and == is False
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(x, 2.0)
+        with pytest.raises(TypeError):
+            op(2.0, x)
+    assert (x == 2.0) is False and (2.0 == x) is False
 
     # exact division by p and truncation
     assert (x * p).div_exact_by_p() == x.truncate(N - 1)

@@ -134,6 +134,45 @@ def test_wrong_product_delta_on_one_pair_is_reported_with_its_pair(monkeypatch):
     assert rec.residual == suites.jsonable(zq_ring(fq_make(5, 1), 3).one())
 
 
+def test_wrong_delta_on_one_teichmuller_lift_is_reported(monkeypatch):
+    # the detail record names the F_9 element whose lift failed as the JSON
+    # of an FqElem: its p, n and coefficients
+    cfg = suites.RunConfig(p=3, n=2, precision=3, count=2, seed=0, suite="buium")
+    ring = zq_ring(fq_make(3, 2), 3)
+    v = ring.field.element([1, 2])
+    tau = ring.teichmuller(v)
+    real = buium.p_derivation
+
+    def wrong_on_one_lift(z):
+        d = real(z)
+        return d + 1 if z == tau else d
+
+    monkeypatch.setattr(buium, "p_derivation", wrong_on_one_lift)
+    records = suites.run_buium_suite(cfg)
+    teich, detail = _by_op(records, "p_derivation/vanishes_on_teichmuller")
+    assert (teich.passed, teich.checks, teich.failures) == (False, 9, 1)
+    [rec] = detail
+    assert (rec.suite, rec.passed, rec.checks, rec.failures) == ("buium", False, 1, 0)
+    assert rec.inputs == {"p": 3, "n": 2, "N": 3,
+                          "v": {"p": 3, "n": 2, "coeffs": [1, 2]}}
+    assert rec.residual == suites.jsonable(ring.with_precision(2).one())
+    assert json.loads(json.dumps(rec.inputs)) == rec.inputs
+    for op in ("verify_sum_rule", "verify_product_rule"):
+        law, law_detail = _by_op(records, op)
+        assert (law.passed, law_detail) == (True, [])
+
+
+def test_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        suites.run_suites(suites.RunConfig(suite="nope"))
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_rng_bound_must_be_positive(bound):
+    with pytest.raises(ValueError, match="bound must be positive"):
+        CounterRng(0).below(bound)
+
+
 def test_import_loads_no_dataclasses_or_inspect():
     # the records are named tuples, so a cold `padiclift` start skips the
     # dataclasses import and the inspect/ast/dis/tokenize chain behind it

@@ -4,14 +4,16 @@ from hypothesis import example, given, strategies as st
 from padiclift import zp_ring
 from padiclift.errors import PrecisionError
 from padiclift.residue import from_digits
-from padiclift.zp_ring import (PAdicInt, buium_carry, carry_cocycle, cocycle_sum,
-                               parse_digits, parse_fields, parse_padic)
+from padiclift.zp_ring import PAdicInt, buium_carry, carry_cocycle, cocycle_sum
 
 
 def test_from_integer_examples():
     assert PAdicInt.from_integer(7, 5, 2).digits == (2, 1)
     assert PAdicInt.from_integer(-6, 5, 2).digits == (4, 3)   # -6 = 19 mod 25
     assert PAdicInt.from_integer(0, 3, 4).digits == (0, 0, 0, 0)
+    for composite in (1, 4, 9, 15):
+        with pytest.raises(ValueError, match="not prime"):
+            PAdicInt.from_integer(1, composite, 2)
 
 
 def test_add_examples():
@@ -163,6 +165,8 @@ def test_buium_carry_examples():
     assert buium_carry(x, PAdicInt.from_integer(0, 7, 4)) == 0
     with pytest.raises(PrecisionError, match="insufficient precision"):
         buium_carry(PAdicInt.from_integer(1, 3, 1), PAdicInt.from_integer(1, 3, 1))
+    with pytest.raises(ValueError, match="prime mismatch"):
+        buium_carry(PAdicInt.from_integer(1, 3, 3), PAdicInt.from_integer(1, 5, 3))
 
 
 @given(st.integers(0, 5**4 - 1), st.integers(0, 5**4 - 1))
@@ -179,6 +183,11 @@ def test_unit_inverse():
     assert x.unit_inverse() == x
     with pytest.raises(ValueError, match="not a unit"):
         PAdicInt.from_integer(10, 5, 3).unit_inverse()
+    # a negative power goes through unit_inverse
+    x = PAdicInt.from_integer(2, 5, 2)
+    assert x ** -1 == 13 and x ** -2 == 13 * 13 % 25
+    with pytest.raises(ValueError, match="not a unit"):
+        PAdicInt.from_integer(10, 5, 2) ** -1
 
 
 @given(st.integers(0, 7**3 - 1))
@@ -198,35 +207,12 @@ def test_div_exact_by_p():
         PAdicInt.from_integer(0, 5, 1).div_exact_by_p()
 
 
-def test_text_form_round_trip():
-    x = PAdicInt.from_integer(7, 5, 3)
-    assert x.to_text() == "p=5;N=3;digits=2,1,0"
-    assert parse_padic("p=5;N=3;digits=2,1,0") == x
-    assert parse_padic("  p=5;N=3;digits=2,1,0  ") == x  # trimming only
-    with pytest.raises(ValueError, match="digit count does not match N"):
-        parse_padic("p=5;N=2;digits=2,1,0")
-    with pytest.raises(ValueError):
-        parse_padic("p=5;digits=2,1,0")
-    with pytest.raises(ValueError, match="digit out of range"):
-        parse_padic("p=5;N=1;digits=7")
-    with pytest.raises(ValueError, match="digit out of range"):
-        parse_padic("p=5;N=1;digits=-1")
-    with pytest.raises(ValueError, match="not prime"):
-        parse_padic("p=4;N=1;digits=0")
-
-
-def test_parse_digits_checks_count_then_prime_then_range():
-    assert parse_digits("2,1,0", 5, 3) == 7
-    assert parse_digits("0", 2, 1) == 0
-    for text, p, n, message in [
-            ("2,x", 5, 2, "malformed integer 'x'"),      # each digit first
-            ("2,1", 5, 3, "digit count does not match N"),
-            ("2,7", 4, 3, "digit count does not match N"),
-            ("2,7", 4, 2, "not prime"),
-            ("2,7", 5, 2, "digit out of range"),
-            ("", 5, 1, "malformed integer ''")]:
-        with pytest.raises(ValueError, match=message):
-            parse_digits(text, p, n)
+def test_truncate():
+    x = PAdicInt.from_integer(57, 5, 3)  # digits 2, 1, 2
+    assert x.truncate(3) == x and x.truncate(1).digits == (2,)
+    for precision in (0, 4):
+        with pytest.raises(PrecisionError, match="cannot truncate to that precision"):
+            x.truncate(precision)
 
 
 def test_from_integer_is_the_one_constructor():
@@ -237,25 +223,10 @@ def test_from_integer_is_the_one_constructor():
 
 @given(st.integers(2, 30).filter(lambda p: all(p % d for d in range(2, p))),
        st.lists(st.integers(0, 100), min_size=1, max_size=6))
-def test_text_round_trip_property(p, raw):
+def test_digits_round_trip_property(p, raw):
     digits = [d % p for d in raw]
     x = PAdicInt.from_integer(from_digits(digits, p), p, len(digits))
     assert x.digits == tuple(digits)
-    assert parse_padic(x.to_text()) == x
-
-
-def test_parse_fields_rejections():
-    assert parse_fields(" a=1;b=2 ", ("b", "a")) == {"a": "1", "b": "2"}
-    for bad in ("a=1", "a=1;b=2;c=3", "a=1;b2", "a=1;a=2", "a=1;c=2"):
-        with pytest.raises(ValueError):
-            parse_fields(bad, ("a", "b"))
-
-
-def test_parse_rejects_inner_whitespace():
-    with pytest.raises(ValueError):
-        parse_padic("p=5;N=2;digits=2, 1")
-    with pytest.raises(ValueError):
-        parse_padic("p= 5;N=1;digits=2")
 
 
 def test_pow_and_int_coercion():
@@ -265,9 +236,16 @@ def test_pow_and_int_coercion():
     assert (2 * x) == 6
     assert (x - 1) == 2
     assert int(x) == 3
+    # a float is no scalar: each arithmetic operator raises, and == is False
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(x, 2.0)
+        with pytest.raises(TypeError):
+            op(2.0, x)
+    assert (x == 2.0) is False and (2.0 == x) is False
 
 
 def test_hash_agrees_with_int_equality():
     assert PAdicInt.from_integer(7, 5, 2) == 7
     assert len({PAdicInt.from_integer(7, 5, 2), 7}) == 1
-    assert len({parse_padic("p=5;N=2;digits=2,1"), PAdicInt.from_integer(7, 5, 2)}) == 1
+    assert len({PAdicInt.from_integer(-18, 5, 2), PAdicInt.from_integer(7, 5, 2)}) == 1
