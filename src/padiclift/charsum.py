@@ -85,14 +85,6 @@ class MultChar:
             return ring.zero()
         return ring.teichmuller(x**self.exponent)
 
-    def __eq__(self, other):
-        if not isinstance(other, MultChar):
-            return NotImplemented
-        return self.field == other.field and self.exponent == other.exponent
-
-    def __hash__(self):
-        return hash((self.field, self.exponent))
-
     def __repr__(self):
         return f"MultChar(exponent={self.exponent} over F_{self.field.q})"
 
@@ -359,7 +351,7 @@ def gross_koblitz_check(a: int, p: int, precision: int) -> GrossKoblitzReport:
     arg = PAdicInt.from_integer(a * pow(d, -1, ring.modulus), p, precision)
     # the a-th basis vector (a < p-1), already reduced, so no coordinate is coerced
     pi_a = ring.element_type(ring, (0,) * a + (1,) + (0,) * (d - 1 - a))
-    rhs = -(pi_a * gamma_p(arg))
+    rhs = -(pi_a * gamma_p(arg).value)
     return GrossKoblitzReport(a, lhs, rhs, lhs == rhs)
 
 

@@ -242,13 +242,11 @@ def cmd_fermat(args) -> int:
     return 0 if brute == viaj else 1
 
 
-def _first_difference(expected, actual: dict) -> str:
+def _first_difference(expected: dict, actual: dict) -> str:
     """Where a fixture and a verify report first differ."""
-    if not isinstance(expected, dict):
-        return "the fixture is not a verify report"
     if expected.get("config") != actual["config"]:
         return "config differs"
-    old, new = expected.get("records") or [], actual["records"]
+    old, new = expected["records"], actual["records"]
     for i, (want, got) in enumerate(zip(old, new)):
         if want != got:
             return f"record #{i} differs (suite {got['suite']}, op {got['op']})"
@@ -287,11 +285,14 @@ def cmd_verify(args) -> int:
             with open(args.fixtures, "r" if compare else "w", encoding="utf-8") as fh:
                 if compare:
                     expected = json.load(fh)
+                    records = expected.get("records") if isinstance(expected, dict) else None
+                    if not isinstance(records, list):
+                        raise ValueError("not an object with a list of records")
                 else:
                     fh.write(_dumps(report) + "\n")
         except OSError as exc:  # an unusable path is a usage error, not a failed check
             raise ValueError(f"fixtures {args.fixtures}: {exc.strerror or exc}") from None
-        except ValueError as exc:  # not JSON, or not text
+        except ValueError as exc:  # not JSON, not text, or not shaped as a report
             raise ValueError(f"fixtures {args.fixtures}: could not be parsed as a "
                              f"verify report: {exc}") from None
         if not compare:

@@ -19,22 +19,22 @@ Rings compare by identity: the cached gfq.fq_make, witt_zq.zq_ring and
 charsum.pi_ring build the one ring object per key, and with_precision
 goes through them.
 
-Scalars follow scalar_residue: an int is reduced, a PAdicInt must carry at
-least the ring's precision.  from_int is the one map from scalars to
+The one scalar type is int, reduced mod p^N; element and from_int raise
+TypeError on anything else, and any other operand (a PAdicInt included)
+is no scalar in arithmetic.  from_int is the one map from ints to
 constant elements, in F_q as in Z_q and the pi-ring, so reduction mod p
 sends from_int(k) to from_int(k) of the field.
 Elements of two different quotient-ring classes never mix (binary
 operators return NotImplemented); elements of two rings of one class
-raise "ring mismatch".  An element equals the int or PAdicInt scalars
-that coerce to it, and a scalar element hashes as its residue, as they
-do; a scalar that cannot coerce compares unequal.
+raise "ring mismatch".  An element equals the ints that reduce to it, and
+a scalar element hashes as its residue, as they do; any other object
+compares unequal.
 """
 
 from __future__ import annotations
 
 from .errors import PrecisionError
 from .residue import mulmod, powmod
-from .zp_ring import PAdicInt, scalar_residue
 
 
 class QuotientRing:
@@ -52,17 +52,22 @@ class QuotientRing:
         self.relation = relation
         self.n = len(relation) - 1
 
+    def _residue(self, k) -> int:
+        """The int k reduced mod p^N; TypeError for anything but an int."""
+        if not isinstance(k, int):
+            raise TypeError(f"a scalar is an int, not {type(k).__name__}")
+        return k % self.modulus
+
     def element(self, coeffs):
-        """Coefficients are ints or PAdicInts, coerced by scalar_residue."""
-        out = tuple(scalar_residue(c, self.p, self.precision) for c in coeffs)
+        """The element with these int coefficients, lowest power first."""
+        out = tuple(self._residue(c) for c in coeffs)
         if len(out) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(out)}")
         return self.element_type(self, out)
 
     def from_int(self, k):
-        """The constant element k, an int or PAdicInt coerced by scalar_residue."""
-        return self.element_type(
-            self, (scalar_residue(k, self.p, self.precision),) + (0,) * (self.n - 1))
+        """The constant element k, an int."""
+        return self.element_type(self, (self._residue(k),) + (0,) * (self.n - 1))
 
     def zero(self):
         return self.from_int(0)
@@ -98,7 +103,7 @@ class QuotientElem:
             if other.ring is not self.ring:
                 raise ValueError("ring mismatch")
             return other
-        if isinstance(other, (int, PAdicInt)):
+        if isinstance(other, int):
             return self.ring.from_int(other)
         return None
 
@@ -127,10 +132,9 @@ class QuotientElem:
 
     def __mul__(self, other):
         ring = self.ring
-        if isinstance(other, (int, PAdicInt)):  # a scalar scales coefficient-wise
-            c = scalar_residue(other, ring.p, ring.precision)
+        if isinstance(other, int):  # a scalar scales coefficient-wise
             mod = ring.modulus
-            return type(self)(ring, tuple(a * c % mod for a in self.residues))
+            return type(self)(ring, tuple(a * other % mod for a in self.residues))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -171,17 +175,14 @@ class QuotientElem:
         return type(self)(lower, tuple(c % lower.modulus for c in self.residues))
 
     def __eq__(self, other):
-        if isinstance(other, (int, PAdicInt)):
-            try:
-                other = self._coerce(other)
-            except ValueError:  # another prime, or too few digits
-                return False
+        if isinstance(other, int):
+            other = self.ring.from_int(other)
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.ring is other.ring and self.residues == other.residues
 
     def __hash__(self):
-        # a scalar hashes as its residue, like the int and PAdicInt it equals
+        # a scalar hashes as its residue, like the int it equals
         if not any(self.residues[1:]):
             return hash(self.residues[0])
         return hash((self.ring, self.residues))

@@ -2,9 +2,11 @@
 
 A PAdicInt stores its residue as one int value in [0, p^N) together with
 the precision N, so the value is known exactly mod p^N.  It comes from
-PAdicInt.from_integer, and its little-endian base-p digits are a
-read-only view (digits).  Binary operations propagate the minimum precision
-of their operands, and exact division by p costs one digit of precision.
+PAdicInt.from_integer; value is the one read of the residue, and its
+little-endian base-p digits are a read-only view (digits).  Binary
+operations propagate the minimum precision of their operands, and exact
+division by p costs one digit of precision.  The quotient rings F_q, Z_q
+and the pi-ring take ints only, so a PAdicInt enters them as its value.
 
 Every operation works on the int value.  The digits and their carries
 appear in one named operation, cocycle_sum: the schoolbook sum whose every
@@ -137,9 +139,6 @@ class PAdicInt:
         # equal to the hash of the int in [0, p^N) that compares equal
         return hash(self.value)
 
-    def __int__(self):
-        return self.value
-
     def __repr__(self):
         return f"PAdicInt({self.value} mod {self.p}^{self.precision})"
 
@@ -177,22 +176,6 @@ def cocycle_sum(x: PAdicInt, y: PAdicInt) -> PAdicInt:
         carry = carry_cocycle(a, b, p) + carry_cocycle(s, carry, p)
     # u and v are the top digits mod p; any digits past n sit above them
     return _unchecked(p, total + (u + v + carry) % p * place, n)
-
-
-def scalar_residue(x, p: int, precision: int) -> int:
-    """An int or PAdicInt scalar as a residue mod p^precision.
-
-    The one coercion rule of the rings over Z/p^N: a PAdicInt of another
-    prime raises ValueError, one known to fewer digits than the ring's
-    precision raises PrecisionError, and one known to more is reduced.
-    """
-    if isinstance(x, PAdicInt):
-        if x.p != p:
-            raise ValueError("prime mismatch")
-        if x.precision < precision:
-            raise PrecisionError("scalar carries too little precision")
-        x = x.value
-    return int(x) % p**precision
 
 
 def buium_carry(x: PAdicInt, y: PAdicInt) -> PAdicInt:

@@ -367,10 +367,9 @@ def test_fixtures_mismatch_names_first_record(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit,cause", [
-    (lambda data: [data], "the fixture is not a verify report"),
     (lambda data: {**data, "config": {**data["config"], "seed": 1}}, "config differs"),
     (lambda data: {**data, "passed": False}, "a top-level field differs"),
-], ids=["array", "config", "passed"])
+], ids=["config", "passed"])
 def test_fixtures_mismatch_names_its_cause(tmp_path, capsys, edit, cause):
     fx = tmp_path / "carry.json"
     args = ("verify", "--suite", "carry", "-p", "3", "--fixtures", str(fx))
@@ -381,20 +380,24 @@ def test_fixtures_mismatch_names_its_cause(tmp_path, capsys, edit, cause):
     assert err.splitlines()[-1] == f"fixtures mismatch against {fx}: {cause}"
 
 
-@pytest.mark.parametrize("where", ["missing directory", "a directory", "not JSON"])
+@pytest.mark.parametrize("where", ["missing directory", "a directory", "not JSON",
+                                   "records is 5", "an array"])
 def test_unusable_fixtures_path_is_a_usage_error(tmp_path, capsys, where):
     # exit 1 means a check failed; a path that can be neither read nor written,
     # or a file that is not a report, exits 2 with one error line and no traceback
     fx = {"missing directory": tmp_path / "no-such-dir" / "carry.json",
-          "a directory": tmp_path, "not JSON": tmp_path / "notes.md"}[where]
-    if where == "not JSON":
-        fx.write_text("# notes\n")
+          "a directory": tmp_path}.get(where, tmp_path / "carry.json")
+    contents = {"not JSON": "# notes\n",
+                "records is 5": json.dumps({"config": {"suite": "carry"}, "records": 5}),
+                "an array": json.dumps([{"config": {"suite": "carry"}, "records": []}])}
+    if where in contents:
+        fx.write_text(contents[where])
     rc, out, err = run(capsys, "verify", "--suite", "carry", "-p", "3", "--fixtures", str(fx))
     assert rc == 2 and json.loads(out)["passed"]
     *summary, last = err.splitlines()
     assert all(line.startswith("suite carry: ") for line in summary)
     assert last.startswith(f"error: fixtures {fx}: ")
-    if where == "not JSON":
+    if where in contents:
         assert "could not be parsed as a verify report" in last
 
 

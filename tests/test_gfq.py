@@ -334,20 +334,24 @@ def test_int_scalars_land_in_the_constant_slot(p, n):
 
 @SCALAR_FIELDS
 def test_padic_scalars_and_scalar_hashes(p, n):
-    # a same-prime PAdicInt is the scalar it reduces to mod p, and a scalar
-    # element hashes as the residue it equals
+    # the one scalar type is int: a PAdicInt, a float or a string is refused
+    # by element, from_int and the arithmetic, and a PAdicInt compares
+    # unequal; a scalar element hashes as the int residue it equals
     field = fq_make(p, n)
     g = field.generator
-    for k in (p, p + 1, 2 * p + 1, -1):
-        c, s = k % p, PAdicInt.from_integer(k, p, 2)
-        assert g + s == g + c and s - g == c - g and g * s == g * c
-        scalar = field.zero() + k
-        assert scalar == s and scalar == c and hash(scalar) == hash(c)
-        assert len({scalar, c}) == 1
-    other = PAdicInt.from_integer(1, 7, 1)
-    assert g != other
-    with pytest.raises(ValueError, match="prime mismatch"):
-        g + other
+    for bad in ([1.5] + [0] * (n - 1), ["5"] + [0] * (n - 1)):
+        with pytest.raises(TypeError):
+            field.element(bad)
+    with pytest.raises(TypeError):
+        field.from_int(2.7)
+    s = PAdicInt.from_integer(p + 1, p, 2)
+    for op in (lambda: g + s, lambda: s * g, lambda: g * s):
+        with pytest.raises(TypeError):
+            op()
+    assert (g == s) is False and (field.one() == s) is False
+    for k in range(p):
+        scalar = field.from_int(k)
+        assert scalar == k and hash(scalar) == hash(k) and len({scalar, k}) == 1
 
 
 @SCALAR_FIELDS

@@ -59,3 +59,19 @@ def test_no_module_imports_another_modules_private_name():
                 private += [(path.name, node.module, alias.name) for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def test_quotient_and_gfq_import_nothing_from_zp_ring():
+    # int is the one scalar type of the quotient rings, so their base and
+    # F_q on it do not depend on Z/p^N
+    found = []
+    for name in ("quotient.py", "gfq.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(name, n) for n in names if "zp_ring" in n.split(".")]
+    assert found == []

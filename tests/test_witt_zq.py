@@ -185,17 +185,17 @@ def test_text_form_round_trip():
 
 
 def test_coefficient_precision_is_enforced():
+    # coefficients and scalars are ints, known exactly; a PAdicInt, which
+    # carries a precision of its own, is refused whatever that precision is
     ring = zq_ring(F9, 4)
-    with pytest.raises(PrecisionError):
-        ring.element([PAdicInt.from_integer(7, 3, 2), PAdicInt.from_integer(3, 3, 2)])
-    with pytest.raises(ValueError, match="prime mismatch"):
-        ring.element([PAdicInt.from_integer(11, 5, 4), PAdicInt.from_integer(5, 5, 4)])
-    # scalars follow the same rule as coefficients
-    with pytest.raises(PrecisionError):
-        ring.one() + PAdicInt.from_integer(5, 3, 1)  # 5 mod 3 says nothing about 5 mod 81
-    with pytest.raises(ValueError, match="prime mismatch"):
+    for N in (2, 4, 5):
+        with pytest.raises(TypeError):
+            ring.element([PAdicInt.from_integer(7, 3, N), 0])
+        with pytest.raises(TypeError):
+            ring.one() + PAdicInt.from_integer(5, 3, N)
+    with pytest.raises(TypeError):
         ring.one() + PAdicInt.from_integer(5, 5, 4)
-    assert ring.one() + PAdicInt.from_integer(86, 3, 5) == ring.from_int(6)  # 87 = 6 mod 81
+    assert ring.one() + 86 == ring.from_int(6)  # 87 = 6 mod 81
 
 
 def test_truncate_and_div_exact():
@@ -248,7 +248,7 @@ def test_frobenius_matrix_on_lower_precision_rings(case, drop):
 def test_frobenius_matrix_on_padic_coefficients(case, extra):
     ring, residues = case
     p, N = ring.p, ring.precision
-    x = ring.element([PAdicInt.from_integer(c, p, N + extra) for c in residues])
+    x = ring.element([PAdicInt.from_integer(c, p, N + extra).value for c in residues])
     assert x == ring.element(residues)
     assert frobenius_lift(x) == _frobenius_digitwise(x)
 
