@@ -3,7 +3,7 @@
 gamma_p agrees with (-1)^m * prod_{0<j<m, p!|j} j on nonnegative integers
 and extends continuously to Z_p for odd p: arguments congruent mod p^k give
 values congruent mod p^k, which the test suite verifies exhaustively below
-p^4 instead of assuming.  beta_p(a, b) = gamma_p(a) gamma_p(b) /
+p^3 instead of assuming.  beta_p(a, b) = gamma_p(a) gamma_p(b) /
 gamma_p(a+b) is always a unit and coincides bit-for-bit with the generic
 multiplicative 2-coboundary of gamma_p.
 

@@ -6,11 +6,11 @@ is the shape of quotient.QuotientRing at precision 1, so an FqField is one,
 with the polynomial as its relation and q - 1 units, and FqElem adds to
 QuotientElem only Frobenius; the discrete log is the field's, FqField.dlog.
 x ** -1 is x^(q-2), the base's unit inverse, so the inverse of zero raises
-"not a unit" as in Z_q and the pi-ring.  An int k, and from_int(k), is the
-constant k mod p, as in every quotient ring; a scalar that is no int raises
-TypeError, so F_q depends on nothing of Z/p^N.  The primality helpers and all
-F_p[X] arithmetic come from residue: Rabin's irreducibility test runs on
-residue.powmod, with no gcd.
+"not a unit" as in Z_q and the pi-ring.  In arithmetic an int k, like
+from_int(k), is the constant k mod p, as in every quotient ring; a scalar
+that is no int raises TypeError, so F_q depends on nothing of Z/p^N.  The
+primality helpers and all F_p[X] arithmetic come from residue: Rabin's
+irreducibility test runs on residue.powmod, with no gcd.
 
 The one constructor is FqField(p, n), and it runs the canonical search:
 the lexicographically smallest irreducible modulus (coefficients compared

@@ -19,16 +19,15 @@ Rings compare by identity: the cached gfq.fq_make, witt_zq.zq_ring and
 charsum.pi_ring build the one ring object per key, and with_precision
 goes through them.
 
-The one scalar type is int, reduced mod p^N; element and from_int raise
-TypeError on anything else, and any other operand (a PAdicInt included)
-is no scalar in arithmetic.  from_int is the one map from ints to
+The one scalar type is int, reduced mod p^N in arithmetic; element and
+from_int raise TypeError on anything else, and any other operand (a
+PAdicInt included) is no scalar.  from_int is the one map from ints to
 constant elements, in F_q as in Z_q and the pi-ring, so reduction mod p
-sends from_int(k) to from_int(k) of the field.
-Elements of two different quotient-ring classes never mix (binary
-operators return NotImplemented); elements of two rings of one class
-raise "ring mismatch".  An element equals the ints that reduce to it, and
-a scalar element hashes as its residue, as they do; any other object
-compares unequal.
+sends from_int(k) to from_int(k) of the field.  Two quotient-ring classes
+never mix (operators return NotImplemented); two rings of one class raise
+"ring mismatch".  == never reduces: an element equals the int k only when
+k is its constant residue and every other coefficient is 0, so
+0 <= k < p^N, and then hashes as k; any other object compares unequal.
 """
 
 from __future__ import annotations
@@ -176,16 +175,15 @@ class QuotientElem:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = self.ring.from_int(other)
+            return other == self.residues[0] and not any(self.residues[1:])
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.ring is other.ring and self.residues == other.residues
 
     def __hash__(self):
-        # a scalar hashes as its residue, like the int it equals
-        if not any(self.residues[1:]):
-            return hash(self.residues[0])
-        return hash((self.ring, self.residues))
+        # a scalar equals only the int residue it holds, and hashes as it
+        r = self.residues
+        return hash(r[0] if not any(r[1:]) else (self.ring, r))
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.residues)} in {self.ring!r})"

@@ -13,14 +13,14 @@ into a dict in field order.  A RunConfig field left at
 None selects the suite's default; any value given, 0 too, is used as
 given, so a bad -p, -n or -N fails in the ring it reaches instead of
 running the default under the wrong label.  p must be prime, n is given
-only together with p, and count is at least 1.
+only together with p, and N and count are at least 1.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from . import buium, charsum, cohomo, gamma
+from . import buium, charsum, cohomo, errors, gamma
 from .charsum import jacobi_sum, pi_ring
 from .cli import jsonable
 from .gfq import fq_make
@@ -336,6 +336,8 @@ def run_suites(cfg: RunConfig) -> list[CheckRecord]:
         raise ValueError("n is only read together with p")
     if cfg.count < 1:
         raise ValueError("count must be at least 1")
+    if cfg.precision is not None and cfg.precision < 1:
+        raise errors.PrecisionError("precision must be >= 1")
     records: list[CheckRecord] = []
     for name, runner in SUITE_RUNNERS.items():
         if cfg.suite in ("all", name):

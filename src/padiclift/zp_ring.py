@@ -1,12 +1,12 @@
 """Truncated arithmetic in Z/p^N, and its sum built digit by digit.
 
-A PAdicInt stores its residue as one int value in [0, p^N) together with
-the precision N, so the value is known exactly mod p^N.  It comes from
-PAdicInt.from_integer; value is the one read of the residue, and its
-little-endian base-p digits are a read-only view (digits).  Binary
-operations propagate the minimum precision of their operands, and exact
-division by p costs one digit of precision.  The quotient rings F_q, Z_q
-and the pi-ring take ints only, so a PAdicInt enters them as its value.
+A PAdicInt stores its residue as one int value in [0, p^N) and the
+precision N; from_integer builds it, value is the one read of the
+residue, and digits its read-only little-endian base-p view.  Operations
+propagate the minimum precision of their operands and read an int operand
+mod p^N; exact division by p costs one digit.  == never reduces: a
+PAdicInt equals the int k only when k is its value, and hashes as k.
+F_q, Z_q and the pi-ring take ints only: a PAdicInt enters as its value.
 
 Every operation works on the int value.  The digits and their carries
 appear in one named operation, cocycle_sum: the schoolbook sum whose every
@@ -129,14 +129,14 @@ class PAdicInt:
     def __eq__(self, other):
         if type(other) is not PAdicInt:  # the exact type first: the hot path
             if isinstance(other, int):
-                return self.value == other % self.modulus
+                return self.value == other
             if not isinstance(other, PAdicInt):
                 return NotImplemented
         return (self.value == other.value and self.p == other.p
                 and self.precision == other.precision)
 
     def __hash__(self):
-        # equal to the hash of the int in [0, p^N) that compares equal
+        # equal only to the int value it holds, so it hashes as that int
         return hash(self.value)
 
     def __repr__(self):

@@ -290,13 +290,14 @@ def test_fermat_exponent_below_one_is_a_usage_error(capsys, m):
     ("--suite buium -p 5 -N 0", 3, "precision must be >= 1"),
     ("--suite gamma -N 0", 3, "precision must be >= 1"),
     ("--suite charsum -N 0", 3, "precision must be >= 1"),
+    ("--suite carry -N 0", 3, "precision must be >= 1"),
     ("--suite carry -p 0", 2, "not prime"),
     ("--suite carry -p 4", 2, "not prime"),
     ("--suite buium --count 0", 2, "count must be at least 1"),
     ("--suite gamma --count -3", 2, "count must be at least 1"),
     ("--suite buium -n 3", 2, "n is only read together with p"),
-], ids=["n0", "N0-buium", "N0-gamma", "N0-charsum", "p0", "p4", "count0", "count-3",
-        "n-without-p"])
+], ids=["n0", "N0-buium", "N0-gamma", "N0-charsum", "N0-carry", "p0", "p4", "count0",
+        "count-3", "n-without-p"])
 def test_verify_uses_zero_as_given(capsys, argv, code, message):
     # 0 is a value, not "use the default": it reaches the ring checks, and a
     # sweep of no cases cannot pass
@@ -682,6 +683,7 @@ verify --suite buium -p 5 -n 0
 verify --suite buium -p 5 -N 0
 verify --suite gamma -N 0
 verify --suite charsum -N 0
+verify --suite carry -N 0
 verify --suite carry -p 0
 verify --suite carry -p 4
 verify --suite buium --count 0

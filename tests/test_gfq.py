@@ -321,7 +321,7 @@ def test_int_scalars_land_in_the_constant_slot(p, n):
     for k in (p, p + 1, 2 * p + 1, -1):
         c = k % p
         scalar = field.from_int(k)
-        assert scalar.coeffs == (c,) + zero[1:] and scalar == k
+        assert scalar.coeffs == (c,) + zero[1:] and scalar == c and scalar != k
         assert scalar == field.zero() + k == field.one() * k
         assert zq_ring(field, 3).from_int(k).reduce_mod_p() == scalar
         for x in sample:
@@ -329,7 +329,7 @@ def test_int_scalars_land_in_the_constant_slot(p, n):
             assert (x + k).coeffs == ((v[0] + c) % p,) + v[1:] == (k + x).coeffs
             assert (k - x).coeffs == ((c - v[0]) % p,) + tuple(-a % p for a in v[1:])
             assert (x * k).coeffs == tuple(a * c % p for a in v) == (k * x).coeffs
-            assert (x == k) is (v == (c,) + (0,) * (n - 1))
+            assert (x == c) is (v == (c,) + (0,) * (n - 1))
 
 
 @SCALAR_FIELDS

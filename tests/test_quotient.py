@@ -1,4 +1,5 @@
-"""The semantics Z_q and the pi-ring share through their quotient-ring base."""
+"""The semantics Z_q and the pi-ring share through their quotient-ring base,
+and the equality/hash contract every element type keeps."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,7 @@ def test_shared_quotient_semantics(ring):
     assert x != other.one()
 
     # equality with ints, and hashing; a PAdicInt is no int and compares unequal
-    assert ring.from_int(-1) == mod - 1
+    assert ring.from_int(-1) == mod - 1 and ring.from_int(-1) != -1
     for k in range(mod):
         assert ring.from_int(k) == k and hash(ring.from_int(k)) == hash(k)
     assert (ring.from_int(4) == PAdicInt.from_integer(4, p, N)) is False
@@ -112,3 +113,26 @@ def test_weighted_sum_matches_element_sum(kind, data):
         with pytest.raises(ValueError):
             ring.weighted_sum(terms + [(1, bad)])
 
+
+@settings(max_examples=200)
+@given(st.sampled_from(["padic", "fq", "zq", "pi"]), st.data())
+def test_int_equality_agrees_with_hash(kind, data):
+    # an element equals only the int residue it holds, so x == k exactly
+    # when {x, k} has one element; equal elements hash alike
+    if kind == "padic":
+        p, N = 5, 3
+        mod = p**N
+        r = data.draw(st.integers(0, mod - 1))
+        x, twin = PAdicInt.from_integer(r, p, N), PAdicInt.from_integer(r - 2 * mod, p, N)
+    else:
+        ring = {"fq": fq_make(3, 2), "zq": zq_ring(fq_make(3, 2), 3), "pi": pi_ring(5, 3)}[kind]
+        mod = ring.modulus
+        top = data.draw(st.sampled_from([0, mod - 1]))  # scalars, and the rest
+        coeffs = [data.draw(st.integers(0, mod - 1))] + [
+            data.draw(st.integers(0, top)) for _ in range(ring.n - 1)]
+        r = coeffs[0]
+        x, twin = ring.element(coeffs), ring.element([c + 3 * mod for c in coeffs])
+    k = data.draw(st.one_of(st.integers(-3 * mod, 3 * mod),
+                            st.sampled_from([r - mod, r, r + mod])))
+    assert (x == k) == (len({x, k}) == 1) == (k == x)
+    assert twin == x and hash(twin) == hash(x) and len({x, twin}) == 1
