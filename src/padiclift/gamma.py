@@ -2,10 +2,10 @@
 
 gamma_p agrees with (-1)^m * prod_{0<j<m, p!|j} j on nonnegative integers
 and extends continuously to Z_p for odd p: arguments congruent mod p^k give
-values congruent mod p^k, which the test suite verifies exhaustively below
-p^3 instead of assuming.  beta_p(a, b) = gamma_p(a) gamma_p(b) /
-gamma_p(a+b) is always a unit and coincides bit-for-bit with the generic
-multiplicative 2-coboundary of gamma_p.
+values congruent mod p^k, which the tests and verify (at N >= 3) check
+exhaustively below p^3 instead of assuming.  beta_p(a, b) =
+gamma_p(a) gamma_p(b) / gamma_p(a+b) is always a unit and coincides
+bit-for-bit with the generic multiplicative 2-coboundary of gamma_p.
 
 The product is never walked factor by factor.  By continuity m may first
 be reduced mod p^N.  The p-1 units of each block of p consecutive integers

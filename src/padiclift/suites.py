@@ -9,11 +9,15 @@ offsets, so a (config, seed) pair reproduces byte-identical reports.
 
 RunConfig and CheckRecord are named tuples, like the reports the checks
 return; jsonable (in cli, which owns serialisation) turns any of them
-into a dict in field order.  A RunConfig field left at
-None selects the suite's default; any value given, 0 too, is used as
-given, so a bad -p, -n or -N fails in the ring it reaches instead of
-running the default under the wrong label.  p must be prime, n is given
-only together with p, and N and count are at least 1.
+into a dict in field order.  A RunConfig field left at None selects the
+suite's default; any value given, 0 too, is used as given, so a bad -p,
+-n or -N fails in the ring it reaches instead of running the default
+under the wrong label.  N is the precision of every check in a suite
+that reads it, save the Gauss coboundary (at max(N, 4)), the Fermat
+quotient spot value (at 3) and the integer Fermat counts.  p must be
+prime, N and count are at least 1, and a flag no selected suite reads is
+refused, as is a sub-check with no cases: n is read beside p by buium
+alone, N by every suite but carry (Z/p^2).
 """
 
 from __future__ import annotations
@@ -71,6 +75,8 @@ class _Collector:
                 if len(detail) < MAX_FAILURE_RECORDS:
                     detail.append(CheckRecord(self.suite, op, jsonable(case_inputs),
                                               False, residual=jsonable(residual)))
+        if checks == 0:  # a sweep of no cases cannot pass
+            raise ValueError(f"{self.suite} suite: {op} at {jsonable(inputs)} has no cases")
         self.records.append(CheckRecord(self.suite, op, jsonable(inputs),
                                         failures == 0, checks, failures))
         self.records.extend(detail)
@@ -174,24 +180,23 @@ def run_gamma_suite(cfg: RunConfig) -> list[CheckRecord]:
     col = _Collector("gamma", records)
     ps = [cfg.p] if cfg.p is not None else [3, 5, 7]
     rng = CounterRng(cfg.seed + SUITE_SEED_OFFSET["gamma"])
+    N = _given(cfg.precision, 3)
+    top = min(N, 3)  # the sweeps cover m < p^top, continuity mod p^k for k < top
 
     for p in ps:
-        N = 3
-        values = [gamma.gamma_p_integer(m, p, N) for m in range(p**N)]
+        values = [gamma.gamma_p_integer(m, p, N) for m in range(p**top)]
 
-        def feq_cases(p=p, N=N):
-            for m in range(p**N):
+        def feq_cases(p=p):
+            for m in range(p**top):
                 rep = gamma.functional_equation_check(PAdicInt.from_integer(m, p, N))
                 yield {"p": p, "x": m}, rep.passed, rep
-        col.run("functional_equation", {"p": p, "N": N, "sweep": p**N}, feq_cases())
+        col.run("functional_equation", {"p": p, "N": N, "sweep": p**top}, feq_cases())
 
-        def unit_cases(p=p):
-            for m, v in enumerate(values):
-                yield {"p": p, "m": m}, v.is_unit(), v
-        col.run("gamma_p/unit_valued", {"p": p, "N": N, "sweep": p**N}, unit_cases())
+        col.run("gamma_p/unit_valued", {"p": p, "N": N, "sweep": p**top},
+                (({"p": p, "m": m}, v.is_unit(), v) for m, v in enumerate(values)))
 
-        def continuity_cases(p=p, N=N):
-            for k in (1, 2):
+        def continuity_cases(p=p):
+            for k in range(1, top):
                 classes: dict[int, PAdicInt] = {}
                 for m, v in enumerate(values):
                     r = m % p**k
@@ -201,11 +206,12 @@ def run_gamma_suite(cfg: RunConfig) -> list[CheckRecord]:
                                vk - classes[r])
                     else:
                         classes[r] = vk
-        col.run("gamma_p/continuity", {"p": p, "N": N, "k_max": 2},
-                continuity_cases())
+        if top > 1:  # at N = 1 there is no k to compare at
+            col.run("gamma_p/continuity", {"p": p, "N": N, "k_max": top - 1},
+                    continuity_cases())
 
     # Beta as the multiplicative coboundary of Gamma, plus its cocycle law
-    p, N = _given(cfg.p, 5), _given(cfg.precision, 3)
+    p = _given(cfg.p, 5)
     gmap = cohomo.GroupValuedMap(gamma.gamma_p, cohomo.MULTIPLICATIVE, name="gamma_p")
     bmap = cohomo.GroupValuedMap(gamma.beta_p, cohomo.MULTIPLICATIVE, name="beta_p")
 
@@ -229,17 +235,23 @@ def run_gamma_suite(cfg: RunConfig) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # charsum suite
 
+def _jacobi_pairs(d: int) -> list[tuple[int, int]]:
+    """The exponent pairs 0 < a, b < d with a + b != 0 mod d."""
+    return [(a, b) for a in range(1, d) for b in range(1, d) if (a + b) % d]
+
+
 def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     col = _Collector("charsum", records)
     ps = [cfg.p] if cfg.p is not None else [5, 7]
+    N = _given(cfg.precision, 3)
+    Ncob = max(N, 4)  # the one check above N; its record states the N it ran at
 
     for p in ps:
-        N = _given(cfg.precision, 3)
         ring = pi_ring(p, N)
         one = ring.one()
 
-        def gate_cases(p=p, N=N, ring=ring, one=one):
+        def gate_cases(p=p, ring=ring, one=one):
             psi1 = charsum.additive_character(1, p, N)
             yield {"p": p, "gate": "psi(1) != 1"}, psi1 != one, psi1
             yield {"p": p, "gate": "psi(1)^p == 1"}, psi1**p == one, psi1**p
@@ -257,7 +269,7 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
 
         col.run("additive_character/gates", {"p": p, "N": N}, gate_cases())
 
-        def norm_cases(p=p, N=N, ring=ring):
+        def norm_cases(p=p, ring=ring):
             for a in range(1, p - 1):
                 lhs = charsum.gauss_sum(a, p, N) \
                     * charsum.gauss_sum(-a, p, N)
@@ -266,24 +278,17 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
 
         col.run("gauss_sum/norm_relation", {"p": p, "N": N}, norm_cases())
 
-        field = fq_make(p, 1)
-        Ncob = max(N, 4)
-
-        def coboundary_cases(p=p, field=field, Ncob=Ncob):
-            d = p - 1
-            for a in range(1, d):
-                for b in range(1, d):
-                    if (a + b) % d == 0:
-                        continue
-                    cob = charsum.gauss_coboundary(a, b, p, Ncob)
-                    jac = jacobi_sum(a, b, field, Ncob)
-                    emb = pi_ring(p, Ncob).from_int(jac.residues[0])
-                    yield {"p": p, "a": a, "b": b}, cob == emb, cob - emb
+        def coboundary_cases(p=p):
+            for a, b in _jacobi_pairs(p - 1):
+                cob = charsum.gauss_coboundary(a, b, p, Ncob)
+                jac = jacobi_sum(a, b, fq_make(p, 1), Ncob)
+                emb = pi_ring(p, Ncob).from_int(jac.residues[0])
+                yield {"p": p, "a": a, "b": b}, cob == emb, cob - emb
 
         col.run("gauss_coboundary/equals_jacobi", {"p": p, "N": Ncob},
                 coboundary_cases())
 
-        def gk_cases(p=p, N=N):
+        def gk_cases(p=p):
             for a in range(1, p - 1):
                 rep = charsum.gross_koblitz_check(a, p, N)
                 yield {"p": p, "a": a}, rep.passed, rep.lhs - rep.rhs
@@ -293,15 +298,10 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
     def jacobi_norm_cases():
         for q in ([cfg.p] if cfg.p is not None else [5, 7, 13]):
             field = charsum.field_for_order(q)
-            N = 3
-            d = q - 1
-            for a in range(1, d):
-                for b in range(1, d):
-                    if (a + b) % d == 0:
-                        continue
-                    lhs = jacobi_sum(a, b, field, N) * jacobi_sum(-a, -b, field, N)
-                    rhs = zq_ring(field, N).from_int(q)
-                    yield {"q": q, "a": a, "b": b}, lhs == rhs, lhs - rhs
+            for a, b in _jacobi_pairs(q - 1):
+                lhs = jacobi_sum(a, b, field, N) * jacobi_sum(-a, -b, field, N)
+                rhs = zq_ring(field, N).from_int(q)
+                yield {"q": q, "a": a, "b": b}, lhs == rhs, lhs - rhs
 
     col.run("jacobi_sum/norm_relation", {"q": _given(cfg.p, [5, 7, 13])},
             jacobi_norm_cases())
@@ -334,10 +334,14 @@ def run_suites(cfg: RunConfig) -> list[CheckRecord]:
         raise ValueError("not prime")
     if cfg.n is not None and cfg.p is None:  # only the buium suite reads n, beside p
         raise ValueError("n is only read together with p")
+    if cfg.n is not None and cfg.suite not in ("buium", "all"):
+        raise ValueError(f"the {cfg.suite} suite reads no n")
     if cfg.count < 1:
         raise ValueError("count must be at least 1")
     if cfg.precision is not None and cfg.precision < 1:
         raise errors.PrecisionError("precision must be >= 1")
+    if cfg.precision is not None and cfg.suite == "carry":  # Z/p^2 by definition
+        raise ValueError("the carry suite reads no N: it runs at N = 2")
     records: list[CheckRecord] = []
     for name, runner in SUITE_RUNNERS.items():
         if cfg.suite in ("all", name):

@@ -218,13 +218,16 @@ def test_frobenius_stdout_is_pinned(capsys, argv, digest):
      "0652295583a7926e9160e98709e4a68c9643c6cf014a234995046ef1030323c0"),
     ("gk-check -p 7 -N 4 --format text",
      "5354d3654b8f9750138091269eaed1533d521d6f3f34486f0d7f3579db3e87a7"),
+    ("verify --suite gamma -p 5 -N 4 --seed 0",
+     "453ea274cf3989b6d8d859da40a3f76988e3ebb770199683deb4c6f6db5a77fc"),
 ], ids=["teich-F256", "teich-F2^20", "teich-F3^12", "jacobi-F49", "verify-csv", "verify-text",
         "verify-seed1", "verify-seed7", "verify-buium-F25", "fermat-F13", "fermat-F729",
         "fermat-F4096", "fermat-F13^4", "fermat-F3^10", "jacobi-F9", "jacobi-F125",
-        "gk-text"])
+        "gk-text", "verify-gamma-N4"])
 def test_fq_and_report_stdout_is_pinned(capsys, argv, digest):
     # the F_q outputs, report formats and further verify seeds (the buium
-    # sweep at F_25 reaches n = 2 at N = 6) that CI pins, byte for byte;
+    # sweep at F_25 reaches n = 2 at N = 6, the gamma sweeps at Z_5 run at
+    # N = 4) that CI pins, byte for byte;
     # fermat-count prints the precision it works out for itself, jacobi
     # reads its field from -q alone, and the text rows of gk-check show both
     # Gross-Koblitz sides for every exponent a
@@ -296,11 +299,19 @@ def test_fermat_exponent_below_one_is_a_usage_error(capsys, m):
     ("--suite buium --count 0", 2, "count must be at least 1"),
     ("--suite gamma --count -3", 2, "count must be at least 1"),
     ("--suite buium -n 3", 2, "n is only read together with p"),
+    ("--suite carry -N 7", 2, "the carry suite reads no N: it runs at N = 2"),
+    ("--suite gamma -p 5 -n 2", 2, "the gamma suite reads no n"),
+    ("--suite charsum -p 5 -n 2", 2, "the charsum suite reads no n"),
+    ("--suite carry -p 5 -n 2", 2, "the carry suite reads no n"),
+    ("--suite charsum -p 3", 2, "charsum suite: gauss_coboundary/equals_jacobi at "
+                                "{'p': 3, 'N': 4} has no cases"),
 ], ids=["n0", "N0-buium", "N0-gamma", "N0-charsum", "N0-carry", "p0", "p4", "count0",
-        "count-3", "n-without-p"])
+        "count-3", "n-without-p", "N-carry", "n-gamma", "n-charsum", "n-carry",
+        "charsum-p3"])
 def test_verify_uses_zero_as_given(capsys, argv, code, message):
     # 0 is a value, not "use the default": it reaches the ring checks, and a
-    # sweep of no cases cannot pass
+    # sweep of no cases cannot pass; a flag that no selected suite reads is
+    # refused, as a value given is never silently dropped
     rc, out, err = run(capsys, "verify", *argv.split())
     assert (rc, out) == (code, "")
     assert err == f"error: {message}\n"
@@ -314,6 +325,49 @@ def test_verify_buium_precision_alone_sets_every_default_config(capsys):
     configs = {(r["inputs"]["p"], r["inputs"]["n"], r["inputs"]["N"])
                for r in report["records"] if r["op"] == "verify_sum_rule"}
     assert configs == {(5, 1, 5), (3, 2, 5), (7, 1, 5)}
+
+
+def test_verify_gamma_precision_sets_every_sweep(capsys):
+    # the sweeps stay below p^3 and continuity below k = 3, so N = 4 runs
+    # the same cases as the default N = 3, each one at N = 4
+    rc, out, _ = run(capsys, "verify", "--suite", "gamma", "-N", "4")
+    assert rc == 0
+    records = json.loads(out)["records"]
+    assert {r["inputs"]["N"] for r in records} == {4}
+    assert sum(r["checks"] for r in records) == 2082
+
+
+def test_verify_gamma_precision_one_has_no_continuity_record(capsys):
+    # continuity mod p^k needs some k < N to compare at
+    rc, out, _ = run(capsys, "verify", "--suite", "gamma", "-N", "1")
+    assert rc == 0
+    records = json.loads(out)["records"]
+    assert {r["inputs"]["N"] for r in records} == {1}
+    assert [r for r in records if r["op"] == "gamma_p/continuity"] == []
+
+
+def test_verify_charsum_precision_reaches_the_jacobi_norm(monkeypatch, capsys):
+    from padiclift import suites
+    seen = set()
+    jacobi_sum = suites.jacobi_sum
+
+    def spy(a, b, field, N):
+        seen.add(N)
+        return jacobi_sum(a, b, field, N)
+    monkeypatch.setattr(suites, "jacobi_sum", spy)
+    rc, out, _ = run(capsys, "verify", "--suite", "charsum", "-N", "5")
+    assert rc == 0 and json.loads(out)["passed"] is True
+    # the coboundary record runs at max(N, 4) = 5 and the norm relation at N
+    assert seen == {5}
+
+
+def test_verify_all_accepts_n_for_its_buium_suite(capsys):
+    rc, out, _ = run(capsys, "verify", "--suite", "all", "-p", "5", "-n", "2", "--count", "3")
+    assert rc == 0
+    records = json.loads(out)["records"]
+    assert {r["inputs"]["n"] for r in records if r["suite"] == "buium" and "n" in r["inputs"]} \
+        == {2}
+    assert {r["suite"] for r in records} == {"carry", "buium", "gamma", "charsum"}
 
 
 def test_verify_buium_precision_one_exits_3(capsys):
@@ -689,7 +743,16 @@ verify --suite carry -p 4
 verify --suite buium --count 0
 verify --suite gamma --count -3
 verify --suite buium -n 3
+verify --suite carry -N 7
+verify --suite gamma -p 5 -n 2
+verify --suite charsum -p 5 -n 2
+verify --suite carry -p 5 -n 2
+verify --suite charsum -p 3
 verify --suite buium -N 5 --count 3
+verify --suite gamma -N 4
+verify --suite gamma -N 1
+verify --suite charsum -N 5
+verify --suite all -p 5 -n 2 --count 3
 verify --suite buium -N 1
 delta -p 5 -N 1 -x 2
 fermat-count -q 13 -m 4 -N 2
@@ -701,6 +764,7 @@ verify --suite carry -p 3 --format text
 verify --suite all --seed 1
 verify --suite all --seed 7
 verify --suite buium -p 5 -n 2 -N 6 --count 50 --seed 3
+verify --suite gamma -p 5 -N 4 --seed 0
 gamma -p 7 -N 3 -x p=5;N=2;digits=1,1
 gamma -p 7 -N 3 --sweep 0:2
 gamma -p 5 -N 3 -x p=5;N=3;digits=4,3,0

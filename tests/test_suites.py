@@ -167,6 +167,18 @@ def test_unknown_suite_is_refused():
         suites.run_suites(suites.RunConfig(suite="nope"))
 
 
+def test_a_sub_check_with_no_cases_is_refused():
+    # at p = 3 every exponent pair has a + b = 0 mod 2, so no Jacobi sum is
+    # left to check; a green record with "checks": 0 would claim a pass
+    assert suites._jacobi_pairs(3 - 1) == []
+    records = []
+    col = suites._Collector("charsum", records)
+    with pytest.raises(ValueError, match=r"^charsum suite: jacobi_sum/norm_relation "
+                                         r"at \{'q': 3\} has no cases$"):
+        col.run("jacobi_sum/norm_relation", {"q": 3}, iter([]))
+    assert records == []
+
+
 @pytest.mark.parametrize("bound", [0, -1])
 def test_rng_bound_must_be_positive(bound):
     with pytest.raises(ValueError, match="bound must be positive"):
