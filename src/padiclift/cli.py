@@ -256,9 +256,14 @@ def _first_difference(expected: dict, actual: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    from .suites import CheckRecord, RunConfig, run_suites  # only verify loads the harness
-    cfg = RunConfig(p=args.p, n=args.n, precision=args.N,
-                    seed=args.seed, count=args.count, suite=args.suite)
+    # only verify loads the harness
+    from .suites import SUITE_SEED_OFFSET, CheckRecord, RunConfig, run_suites
+    # seed and count are given only to suites that draw random numbers
+    drawn = {k: v for k, v in (("seed", args.seed), ("count", args.count)) if v is not None}
+    if drawn and args.suite not in ("all", *SUITE_SEED_OFFSET):
+        raise ValueError(f"the {args.suite} suite reads no {next(iter(drawn))}: "
+                         "it draws no random numbers")
+    cfg = RunConfig(p=args.p, n=args.n, precision=args.N, suite=args.suite, **drawn)
     records = run_suites(cfg)
     report = {
         "config": {"suite": cfg.suite, "p": cfg.p, "n": cfg.n, "N": cfg.precision,
@@ -353,8 +358,8 @@ COMMANDS = (
     ("verify", "run verification suites", cmd_verify,
      (_arg("--suite", default="all", choices=("carry", "buium", "gamma", "charsum", "all")),
       _arg("-p", type=_integer), _arg("-n", type=_integer), _arg("-N", type=_integer),
-      _arg("--seed", type=_integer, default=0),
-      _arg("--count", type=_integer, default=200, help="random cases per seeded sweep"),
+      _arg("--seed", type=_integer),
+      _arg("--count", type=_integer, help="random cases per seeded sweep"),
       _arg("--fixtures", help="JSON regression file to write or compare"), _FORMAT)),
 )
 

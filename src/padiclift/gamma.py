@@ -120,14 +120,16 @@ def gamma_p(x: PAdicInt) -> PAdicInt:
     Well-defined at precision N because of the continuity property; the
     canonical representative in [0, p^N) is the lift actually used.
     """
-    return gamma_p_integer(x.value, x.p, x.precision)
+    ring = x.ring
+    return gamma_p_integer(x.residues[0], ring.p, ring.precision)
 
 
 def beta_p(a: PAdicInt, b: PAdicInt) -> PAdicInt:
-    """The Beta unit gamma_p(a) gamma_p(b) / gamma_p(a+b)."""
-    if a.p != b.p:
+    """The Beta unit gamma_p(a) gamma_p(b) / gamma_p(a+b), at the smaller precision."""
+    ra, rb = a.ring, b.ring
+    if ra.p != rb.p:
         raise ValueError("prime mismatch")
-    n = min(a.precision, b.precision)
+    n = min(ra.precision, rb.precision)
     a, b = a.truncate(n), b.truncate(n)
     return gamma_p(a) * gamma_p(b) * gamma_p(a + b).unit_inverse()
 

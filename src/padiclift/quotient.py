@@ -1,33 +1,35 @@
-"""The quotient rings (Z/p^N)[X]/(relation) of F_q, Z_q and the pi-ring.
+"""The quotient rings (Z/p^N)[X]/(relation) of Z/p^N, F_q, Z_q and the pi-ring.
 
-F_q is (Z/p)[X]/(field modulus), and Z_q = W(F_q) mod p^N (relation: the
-field modulus) and the ramified ring Z_p[pi]/(pi^(p-1) + p) are F_q or
-F_p deformed over Z/p^N, so their elements are the same object: a
-length-n tuple of int residues mod p^N (N = 1 for F_q), multiplied and
-powered through the residue kernel.  QuotientRing holds the ring data
-(p, precision, n, modulus = p^N, relation, and the order of the unit
-group) and forms int-weighted sums of residue vectors, reduced mod p^N
-once, for the linear maps built on the ring; QuotientElem holds the
-arithmetic, coercion, equality, the unit test (nonzero mod p), exact
-division by p and truncation, and the one inverse of all three rings:
-unit_inverse, x^(|units| - 1), which x ** -k goes through, so a non-unit
-(in F_q, zero) raises "not a unit".  A subclass supplies with_precision (F_q,
-fixed at precision 1, returns itself), and names its element class as
+F_q is (Z/p)[X]/(field modulus), and Z/p^N = (Z/p^N)[X]/(X), Z_q = W(F_q)
+mod p^N (relation: the field modulus) and the ramified ring
+Z_p[pi]/(pi^(p-1) + p) are F_p or F_q deformed over Z/p^N, so their
+elements are the same object: a length-n tuple of int residues mod p^N
+(N = 1 for F_q, n = 1 for Z/p^N), multiplied and powered through the
+residue kernel.  QuotientRing holds the ring data (p, precision, n,
+modulus = p^N, relation, and the order of the unit group) and forms
+int-weighted sums of residue vectors, reduced mod p^N once, for the linear
+maps built on the ring; QuotientElem holds the arithmetic, coercion,
+equality, the unit test (nonzero mod p), exact division by p and
+truncation, and the one inverse of all four rings: unit_inverse,
+x^(|units| - 1) (at n = 1, pow(x, -1, p^N)), which x ** -k goes through,
+so a non-unit (in F_q, zero) raises "not a unit".  A subclass supplies with_precision (F_q, fixed at
+precision 1, returns itself), and names its element class as
 element_type; the pi-ring, where pi is not a unit, overrides is_unit.
 
-Rings compare by identity: the cached gfq.fq_make, witt_zq.zq_ring and
-charsum.pi_ring build the one ring object per key, and with_precision
-goes through them.
+Rings compare by identity: the cached zp_ring._zp_ring, gfq.fq_make,
+witt_zq.zq_ring and charsum.pi_ring build the one ring object per key, and
+with_precision goes through them.
 
 The one scalar type is int, reduced mod p^N in arithmetic; element and
-from_int raise TypeError on anything else, and any other operand (a
-PAdicInt included) is no scalar.  from_int is the one map from ints to
-constant elements, in F_q as in Z_q and the pi-ring, so reduction mod p
-sends from_int(k) to from_int(k) of the field.  Two quotient-ring classes
-never mix (operators return NotImplemented); two rings of one class raise
-"ring mismatch".  == never reduces: an element equals the int k only when
-k is its constant residue and every other coefficient is 0, so
-0 <= k < p^N, and then hashes as k; any other object compares unequal.
+from_int raise TypeError on anything else, and an element of another
+class is no scalar.  from_int is the one map from ints to constant
+elements, in F_q as in Z_q and the pi-ring, so reduction mod p sends
+from_int(k) to from_int(k) of the field.  Two quotient-ring classes never
+mix (operators return NotImplemented); two rings of one class, such as
+Z/p^N at two precisions or two primes, raise "ring mismatch".  == never
+reduces: an element equals the int k only when k is its constant residue
+and every other coefficient is 0, so 0 <= k < p^N, and then hashes as k;
+any other object compares unequal.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class QuotientElem:
         if o is None:
             return NotImplemented
         mod = self.ring.modulus
-        return type(self)(self.ring, tuple((a + b) % mod for a, b in zip(self.residues, o.residues)))
+        return type(self)(self.ring, tuple([(a + b) % mod for a, b in zip(self.residues, o.residues)]))
 
     __radd__ = __add__
 
@@ -120,14 +122,14 @@ class QuotientElem:
         if o is None:
             return NotImplemented
         mod = self.ring.modulus
-        return type(self)(self.ring, tuple((a - b) % mod for a, b in zip(self.residues, o.residues)))
+        return type(self)(self.ring, tuple([(a - b) % mod for a, b in zip(self.residues, o.residues)]))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
         mod = self.ring.modulus
-        return type(self)(self.ring, tuple(-a % mod for a in self.residues))
+        return type(self)(self.ring, tuple([-a % mod for a in self.residues]))
 
     def __mul__(self, other):
         ring = self.ring
@@ -149,13 +151,19 @@ class QuotientElem:
 
     def is_unit(self) -> bool:
         """Nonzero mod p: the ring mod p is the field F_q."""
-        return any(c % self.ring.p for c in self.residues)
+        p = self.ring.p
+        return any([c % p for c in self.residues])  # a list: n is small
 
     def unit_inverse(self):
-        """x^(|units| - 1), by Lagrange in the finite unit group."""
+        """x^(|units| - 1), by Lagrange in the finite unit group; at n = 1
+        the ring is Z/p^N, and pow(x, -1, p^N) finds the same inverse by
+        Euclid, where the power would cost O(N) products of N-digit ints."""
         if not self.is_unit():
             raise ValueError("not a unit")
-        return self ** (self.ring.units - 1)
+        ring = self.ring
+        if ring.n == 1:
+            return type(self)(ring, (pow(self.residues[0], -1, ring.modulus),))
+        return self ** (ring.units - 1)
 
     def div_exact_by_p(self):
         """Coefficient-wise exact division by p; drops one digit of precision."""
@@ -170,14 +178,18 @@ class QuotientElem:
     def truncate(self, precision: int):
         if not 1 <= precision <= self.ring.precision:
             raise PrecisionError("cannot truncate to that precision")
+        if precision == self.ring.precision:  # elements are immutable
+            return self
         lower = self.ring.with_precision(precision)
-        return type(self)(lower, tuple(c % lower.modulus for c in self.residues))
+        mod = lower.modulus
+        return type(self)(lower, tuple([c % mod for c in self.residues]))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return other == self.residues[0] and not any(self.residues[1:])
-        if not isinstance(other, type(self)):
-            return NotImplemented
+        if type(other) is not type(self):  # the exact type first: the hot path
+            if isinstance(other, int):
+                return other == self.residues[0] and not any(self.residues[1:])
+            if not isinstance(other, type(self)):
+                return NotImplemented
         return self.ring is other.ring and self.residues == other.residues
 
     def __hash__(self):

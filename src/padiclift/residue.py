@@ -1,14 +1,14 @@
 """Arithmetic in (Z/m)[X]/(f), f monic, on tuples of plain int residues.
 
-F_q (m = p, f the field modulus), Z_q (m = p^N, f the lifted field modulus),
-the pi-ring (m = p^N, f = X^(p-1) + p) and the truncated polynomials of
-gamma's block products (m = p^N, f = X^N, where nothing folds back) are all
-this ring shape, so they share one multiplication and one power:
-quotient.QuotientElem, the base of the F_q, Z_q and pi-ring elements,
-calls them, and so does gamma for its truncated products.  An element is
-a length-n tuple of coefficients in [0, m), lowest degree first, with
-n = deg f; f is given as its n + 1 integer coefficients, lowest first,
-ending in 1.
+Z/p^N (m = p^N, f = X), F_q (m = p, f the field modulus), Z_q (m = p^N,
+f the lifted field modulus), the pi-ring (m = p^N, f = X^(p-1) + p) and the
+truncated polynomials of gamma's block products (m = p^N, f = X^N, where
+nothing folds back) are all this ring shape, so they share one
+multiplication and one power: quotient.QuotientElem, the base of the
+Z/p^N, F_q, Z_q and pi-ring elements, calls them, and so does gamma for
+its truncated products.  An element is a length-n tuple of coefficients in
+[0, m), lowest degree first, with n = deg f; f is given as its n + 1
+integer coefficients, lowest first, ending in 1.
 
 Multiplication is Kronecker substitution (D. Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic Comput.

@@ -17,7 +17,9 @@ that reads it, save the Gauss coboundary (at max(N, 4)), the Fermat
 quotient spot value (at 3) and the integer Fermat counts.  p must be
 prime, N and count are at least 1, and a flag no selected suite reads is
 refused, as is a sub-check with no cases: n is read beside p by buium
-alone, N by every suite but carry (Z/p^2).
+alone, N by every suite but carry (Z/p^2), and seed and count by the
+suites in SUITE_SEED_OFFSET (the CLI refuses them for the others, since
+a RunConfig keeps 0 and 200 as its defaults).
 """
 
 from __future__ import annotations

@@ -48,9 +48,9 @@ class ZqElem(QuotientElem):
 
     # Tracer shims: bench/spans.py finds each traced operator in its class's
     # own namespace and wraps it by identity, so ZqElem binds the base
-    # functions and PiRingElem and FqElem delegate to them (a second class
-    # binding them would merge its spans into ZqElem's); the benchmark
-    # refresh (ROADMAP item 6) deletes all three.
+    # functions and PiRingElem, FqElem and PAdicInt delegate to them (a
+    # second class binding them would merge its spans into ZqElem's); the
+    # benchmark refresh (ROADMAP item 6) deletes all four.
     __add__ = __radd__ = QuotientElem.__add__
     __sub__ = QuotientElem.__sub__
     __neg__ = QuotientElem.__neg__

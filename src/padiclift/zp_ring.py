@@ -1,25 +1,31 @@
-"""Truncated arithmetic in Z/p^N, and its sum built digit by digit.
+"""Z/p^N as the degree-1 quotient ring, and its sum built digit by digit.
 
-A PAdicInt stores its residue as one int value in [0, p^N) and the
-precision N; from_integer builds it, value is the one read of the
-residue, and digits its read-only little-endian base-p view.  Operations
-propagate the minimum precision of their operands and read an int operand
-mod p^N; exact division by p costs one digit.  == never reduces: a
-PAdicInt equals the int k only when k is its value, and hashes as k.
-F_q, Z_q and the pi-ring take ints only: a PAdicInt enters as its value.
+Z/p^N is (Z/p^N)[X]/(X), F_p deformed over Z/p^N: the n = 1 case of the
+quotient.QuotientRing that F_q, Z_q and the pi-ring share.  A PAdicInt is
+an element of that ring, one residue in [0, p^N); from_integer builds it,
+value is the one read of the residue, and digits its read-only
+little-endian base-p view.  Arithmetic, coercion, equality, hashing, the
+inverse, exact division by p and truncation are the base's: an int operand
+is read mod p^N, a PAdicInt of another prime or precision raises "ring
+mismatch", and == never reduces.  F_q, Z_q and the pi-ring take ints
+only: a PAdicInt enters as its value.
 
-Every operation works on the int value.  The digits and their carries
-appear in one named operation, cocycle_sum: the schoolbook sum whose every
-carry into an output digit is a sum of two values of carry_cocycle, the
-2-cocycle that glues Z/p^2 out of two copies of Z/p.  It reads the digits
-by divmod on the two values and adds each output digit into an int at its
-place value p^i.  The carry out of the top digit would leave Z/p^N, so it
-is never formed.  The carry suite checks the sum against + exhaustively.
+The digits and their carries appear in one named operation, cocycle_sum:
+the schoolbook sum whose every carry into an output digit is a sum of two
+values of carry_cocycle, the 2-cocycle that glues Z/p^2 out of two copies
+of Z/p.  It reads the digits by divmod on the two residues and adds each
+output digit into an int at its place value p^i.  The carry out of the top
+digit would leave Z/p^N, so it is never formed.  The carry suite checks
+the sum against + exhaustively.  cocycle_sum and buium_carry take operands
+of two precisions at one prime and work at the smaller.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InvariantError, PrecisionError
+from .quotient import QuotientElem, QuotientRing
 from .residue import is_prime, to_digits
 
 
@@ -34,122 +40,82 @@ def carry_cocycle(x: int, y: int, p: int) -> int:
     return 1 if x + y >= p else 0
 
 
-class PAdicInt:
-    """A residue mod p^N: an int value in [0, p^N) and its precision N."""
+@lru_cache(maxsize=None)
+def _zp_ring(p: int, precision: int) -> "_ZpRing":
+    return _ZpRing(p, precision)
 
-    __slots__ = ("p", "value", "precision")
+
+class PAdicInt(QuotientElem):
+    """A residue mod p^N: the element of the degree-1 ring Z/p^N."""
+
+    __slots__ = ()
 
     @classmethod
     def from_integer(cls, k: int, p: int, precision: int) -> "PAdicInt":
-        if precision < 1:
-            raise PrecisionError("precision must be >= 1")
-        if not is_prime(p):
-            raise ValueError("not prime")
-        return _unchecked(p, k % p**precision, precision)
+        return _zp_ring(p, precision).from_int(k)
+
+    @property
+    def p(self) -> int:
+        return self.ring.p
+
+    @property
+    def precision(self) -> int:
+        return self.ring.precision
+
+    @property
+    def value(self) -> int:
+        return self.residues[0]
 
     @property
     def digits(self) -> tuple:
         """The precision little-endian base-p digits (a read-only view)."""
-        return to_digits(self.value, self.p, self.precision)
+        return to_digits(self.residues[0], self.ring.p, self.ring.precision)
 
-    @property
-    def modulus(self) -> int:
-        return self.p**self.precision
-
-    # -- arithmetic -----------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, PAdicInt):
-            if other.p != self.p:
-                raise ValueError("prime mismatch")
-            return other
-        if isinstance(other, int):
-            return _unchecked(self.p, other % self.modulus, self.precision)
-        return None
-
+    # tracer shims, see witt_zq.ZqElem: one function object per span name
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = min(self.precision, o.precision)
-        return _unchecked(self.p, (self.value + o.value) % self.p**n, n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _unchecked(self.p, -self.value % self.modulus, self.precision)
+        return QuotientElem.__add__(self, other)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = min(self.precision, o.precision)
-        return _unchecked(self.p, (self.value - o.value) % self.p**n, n)
+        return QuotientElem.__sub__(self, other)
 
-    def __rsub__(self, other):
-        return (-self) + other
+    def __neg__(self):
+        return QuotientElem.__neg__(self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = min(self.precision, o.precision)
-        return _unchecked(self.p, self.value * o.value % self.p**n, n)
-
-    __rmul__ = __mul__
+        return QuotientElem.__mul__(self, other)
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.unit_inverse() ** (-e)
-        return _unchecked(self.p, pow(self.value, e, self.modulus), self.precision)
-
-    # -- unit and divisibility structure --------------------------------
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
+        return QuotientElem.__pow__(self, e)
 
     def unit_inverse(self) -> "PAdicInt":
-        """Multiplicative inverse mod p^N; the operand must be a unit."""
-        if not self.is_unit():
-            raise ValueError("not a unit")
-        return _unchecked(self.p, pow(self.value, -1, self.modulus), self.precision)
+        return QuotientElem.unit_inverse(self)
 
     def div_exact_by_p(self) -> "PAdicInt":
-        """Shift digits down one place; only defined when digit 0 is zero."""
-        if self.precision == 1:
-            raise PrecisionError("precision exhausted")
-        if self.value % self.p:
-            raise ValueError("not divisible")
-        return _unchecked(self.p, self.value // self.p, self.precision - 1)
+        return QuotientElem.div_exact_by_p(self)
 
     def truncate(self, precision: int) -> "PAdicInt":
-        if not 1 <= precision <= self.precision:
-            raise PrecisionError("cannot truncate to that precision")
-        return _unchecked(self.p, self.value % self.p**precision, precision)
+        return QuotientElem.truncate(self, precision)
 
-    # -- misc ------------------------------------------------------------
-    def __eq__(self, other):
-        if type(other) is not PAdicInt:  # the exact type first: the hot path
-            if isinstance(other, int):
-                return self.value == other
-            if not isinstance(other, PAdicInt):
-                return NotImplemented
-        return (self.value == other.value and self.p == other.p
-                and self.precision == other.precision)
+    __radd__ = __add__
+    __rmul__ = __mul__
 
-    def __hash__(self):
-        # equal only to the int value it holds, so it hashes as that int
-        return hash(self.value)
+
+class _ZpRing(QuotientRing):
+    """Z/p^N as (Z/p^N)[X]/(X); one object per (p, N), built by _zp_ring."""
+
+    element_type = PAdicInt
+
+    def __init__(self, p: int, precision: int):
+        super().__init__(p, precision, (0, 1))  # the precision is checked first
+        if not is_prime(p):
+            raise ValueError("not prime")
+        self.units = (p - 1) * p ** (precision - 1)
+
+    def with_precision(self, precision: int) -> "_ZpRing":
+        return _zp_ring(self.p, precision)
 
     def __repr__(self):
-        return f"PAdicInt({self.value} mod {self.p}^{self.precision})"
-
-
-def _unchecked(p: int, value: int, precision: int) -> PAdicInt:
-    """A PAdicInt from a prime p, precision >= 1 and value in [0, p^precision)."""
-    x = object.__new__(PAdicInt)
-    x.p = p
-    x.value = value
-    x.precision = precision
-    return x
+        return f"ZpRing(p={self.p}, N={self.precision})"
 
 
 def cocycle_sum(x: PAdicInt, y: PAdicInt) -> PAdicInt:
@@ -160,13 +126,14 @@ def cocycle_sum(x: PAdicInt, y: PAdicInt) -> PAdicInt:
     Digits 0..n-2 walk through carry_cocycle; the top digit is one sum mod
     p, since the carry out of it would leave Z/p^n and is never formed.
     """
-    if x.p != y.p:
+    rx, ry = x.ring, y.ring
+    if rx.p != ry.p:
         raise ValueError("prime mismatch")
-    p = x.p
-    n = x.precision if x.precision < y.precision else y.precision
-    u, v = x.value, y.value
+    ring = rx if rx.precision <= ry.precision else ry
+    p = ring.p
+    u, v = x.residues[0], y.residues[0]
     total, place, carry = 0, 1, 0
-    for _ in range(n - 1):
+    for _ in range(ring.precision - 1):
         u, a = divmod(u, p)
         v, b = divmod(v, p)
         s = (a + b) % p
@@ -175,7 +142,7 @@ def cocycle_sum(x: PAdicInt, y: PAdicInt) -> PAdicInt:
         # never both 1: a + b + carry < 2p
         carry = carry_cocycle(a, b, p) + carry_cocycle(s, carry, p)
     # u and v are the top digits mod p; any digits past n sit above them
-    return _unchecked(p, total + (u + v + carry) % p * place, n)
+    return PAdicInt(ring, (total + (u + v + carry) % p * place,))
 
 
 def buium_carry(x: PAdicInt, y: PAdicInt) -> PAdicInt:
@@ -197,4 +164,4 @@ def buium_carry(x: PAdicInt, y: PAdicInt) -> PAdicInt:
     num = a**p + b**p - (a + b) ** p
     if num % p:
         raise InvariantError("carry polynomial is not divisible by p")
-    return _unchecked(p, num // p % p ** (n - 1), n - 1)
+    return _zp_ring(p, n - 1).from_int(num // p)

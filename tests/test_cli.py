@@ -220,14 +220,20 @@ def test_frobenius_stdout_is_pinned(capsys, argv, digest):
      "5354d3654b8f9750138091269eaed1533d521d6f3f34486f0d7f3579db3e87a7"),
     ("verify --suite gamma -p 5 -N 4 --seed 0",
      "453ea274cf3989b6d8d859da40a3f76988e3ebb770199683deb4c6f6db5a77fc"),
+    ("beta -p 5 -N 3 -a 2 -b 3",
+     "9bf1d43ef2400e45c5ac655945c9047ff20f4ea3194ffedb707a1f49f08176d1"),
+    ("beta -p 13 -N 4 -a 100 -b 7",
+     "ad0a7ad87090018e9cc38423eb1a4a34efce247771c6bd1ef2b1611eb3eb35e7"),
+    ("gamma -p 7 -N 4 --sweep 0:50",
+     "2851f3c68415adbfd401f447a8850c50e58eaaae5970ae99a853ecd3b1c37eca"),
 ], ids=["teich-F256", "teich-F2^20", "teich-F3^12", "jacobi-F49", "verify-csv", "verify-text",
         "verify-seed1", "verify-seed7", "verify-buium-F25", "fermat-F13", "fermat-F729",
         "fermat-F4096", "fermat-F13^4", "fermat-F3^10", "jacobi-F9", "jacobi-F125",
-        "gk-text", "verify-gamma-N4"])
+        "gk-text", "verify-gamma-N4", "beta-Z5", "beta-Z13", "gamma-sweep-Z7"])
 def test_fq_and_report_stdout_is_pinned(capsys, argv, digest):
     # the F_q outputs, report formats and further verify seeds (the buium
     # sweep at F_25 reaches n = 2 at N = 6, the gamma sweeps at Z_5 run at
-    # N = 4) that CI pins, byte for byte;
+    # N = 4), and the Beta and Gamma values in Z/p^N, that CI pins, byte for byte;
     # fermat-count prints the precision it works out for itself, jacobi
     # reads its field from -q alone, and the text rows of gk-check show both
     # Gross-Koblitz sides for every exponent a
@@ -305,9 +311,15 @@ def test_fermat_exponent_below_one_is_a_usage_error(capsys, m):
     ("--suite carry -p 5 -n 2", 2, "the carry suite reads no n"),
     ("--suite charsum -p 3", 2, "charsum suite: gauss_coboundary/equals_jacobi at "
                                 "{'p': 3, 'N': 4} has no cases"),
+    ("--suite carry --count 5 --seed 9", 2,
+     "the carry suite reads no seed: it draws no random numbers"),
+    ("--suite charsum --seed 3", 2, "the charsum suite reads no seed: it draws no random numbers"),
+    ("--suite carry --seed 0", 2, "the carry suite reads no seed: it draws no random numbers"),
+    ("--suite charsum --count 200", 2,
+     "the charsum suite reads no count: it draws no random numbers"),
 ], ids=["n0", "N0-buium", "N0-gamma", "N0-charsum", "N0-carry", "p0", "p4", "count0",
         "count-3", "n-without-p", "N-carry", "n-gamma", "n-charsum", "n-carry",
-        "charsum-p3"])
+        "charsum-p3", "seed-count-carry", "seed-charsum", "seed0-carry", "count-charsum"])
 def test_verify_uses_zero_as_given(capsys, argv, code, message):
     # 0 is a value, not "use the default": it reaches the ring checks, and a
     # sweep of no cases cannot pass; a flag that no selected suite reads is
@@ -748,6 +760,10 @@ verify --suite gamma -p 5 -n 2
 verify --suite charsum -p 5 -n 2
 verify --suite carry -p 5 -n 2
 verify --suite charsum -p 3
+verify --suite carry --count 5 --seed 9
+verify --suite charsum --seed 3
+verify --suite carry --seed 0
+verify --suite charsum --count 200
 verify --suite buium -N 5 --count 3
 verify --suite gamma -N 4
 verify --suite gamma -N 1

@@ -1,5 +1,5 @@
-"""The semantics Z_q and the pi-ring share through their quotient-ring base,
-and the equality/hash contract every element type keeps."""
+"""The semantics Z/p^N, Z_q and the pi-ring share through their quotient-ring
+base, and the equality/hash contract every element type keeps."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,12 +11,26 @@ from padiclift.witt_zq import zq_ring
 from padiclift.zp_ring import PAdicInt
 
 
-@pytest.mark.parametrize("ring", [zq_ring(fq_make(3, 2), 3), pi_ring(5, 3)],
-                         ids=["zq", "pi"])
-def test_shared_quotient_semantics(ring):
-    p, N, mod = ring.p, ring.precision, ring.modulus
-    other = zq_ring(fq_make(3, 2), 3) if ring.n == 4 else pi_ring(5, 3)
+# each kind's ring at (p, N), one ring object per key
+RINGS = {
+    "padic": lambda p, N: PAdicInt.from_integer(0, p, N).ring,
+    "zq": lambda p, N: zq_ring(fq_make(p, 2), N),
+    "pi": pi_ring,
+}
+
+
+@pytest.mark.parametrize("kind", ["padic", "zq", "pi"])
+def test_shared_quotient_semantics(kind):
+    p, N = (3 if kind == "zq" else 5), 3
+    ring = RINGS[kind](p, N)
+    mod = ring.modulus
+    other = RINGS["pi" if kind == "zq" else "zq"](p, N)
     x = ring.element([7] + [1] * (ring.n - 1))
+    # an element of another class at the same p and N: no int, so no scalar
+    if kind == "padic":
+        s = zq_ring(fq_make(p, 1), N).from_int(5)  # Z_p as Z_q of degree 1
+    else:
+        s = PAdicInt.from_integer(5, p, N)
 
     # scalars are ints, reduced mod p^N; anything else is a TypeError
     assert ring.from_int(mod + 2) == ring.from_int(2)
@@ -25,25 +39,26 @@ def test_shared_quotient_semantics(ring):
             ring.element(bad)
     with pytest.raises(TypeError):
         ring.from_int(2.7)
-    s = PAdicInt.from_integer(5, p, N)
     for op in (lambda: x + s, lambda: s * x, lambda: x * s):
         with pytest.raises(TypeError):
             op()
-    with pytest.raises(ValueError, match=f"expected {ring.n} coefficients, got 1"):
-        ring.element([1])
+    with pytest.raises(ValueError, match=f"expected {ring.n} coefficients, got {ring.n + 1}"):
+        ring.element([1] * (ring.n + 1))
 
-    # one ring class: precisions must agree; two classes: no coercion
+    # one ring class: precisions and primes must agree; two classes: no coercion
     with pytest.raises(ValueError, match="ring mismatch"):
         x + ring.with_precision(N + 1).one()
+    with pytest.raises(ValueError, match="ring mismatch"):
+        x * RINGS[kind](7, N).one()
     with pytest.raises(TypeError):
         x + other.one()
     assert x != other.one()
 
-    # equality with ints, and hashing; a PAdicInt is no int and compares unequal
+    # equality with ints, and hashing; another class is no int and compares unequal
     assert ring.from_int(-1) == mod - 1 and ring.from_int(-1) != -1
     for k in range(mod):
         assert ring.from_int(k) == k and hash(ring.from_int(k)) == hash(k)
-    assert (ring.from_int(4) == PAdicInt.from_integer(4, p, N)) is False
+    assert (ring.from_int(5) == s) is False and (s == ring.from_int(5)) is False
     assert (x == s) is False
     y = ring.element(list(x.residues))
     assert y == x and y is not x and hash(y) == hash(x)
@@ -70,7 +85,7 @@ def test_shared_quotient_semantics(ring):
     assert x.truncate(1).ring is ring.with_precision(1)
 
     # one ring object per key, since rings compare by identity
-    assert (zq_ring(fq_make(3, 2), 3) if ring.n == 2 else pi_ring(5, 3)) is ring
+    assert RINGS[kind](p, N) is ring
     assert ring.with_precision(N) is ring
     y = x.truncate(N)
     assert y.ring is ring and y == x and hash(y) == hash(x)
@@ -84,19 +99,19 @@ def test_shared_quotient_semantics(ring):
 
 
 @settings(max_examples=60)
-@given(st.sampled_from(["zq", "pi"]), st.integers(-10**30, 10**30),
+@given(st.sampled_from(["padic", "zq", "pi"]), st.integers(-10**30, 10**30),
        st.lists(st.integers(0, 10**6), min_size=6, max_size=6))
 def test_scalar_products_scale_coefficient_wise(kind, k, coeffs):
-    ring = zq_ring(fq_make(3, 2), 4) if kind == "zq" else pi_ring(5, 3)
+    ring = RINGS[kind](3, 4) if kind == "zq" else RINGS[kind](5, 3)
     x = ring.element(coeffs[:ring.n])
     assert k * x == ring.from_int(k) * x == x * k
     assert (k * x).residues == tuple(k * c % ring.modulus for c in x.residues)
 
 
 @settings(max_examples=60)
-@given(st.sampled_from(["zq", "pi"]), st.data())
+@given(st.sampled_from(["padic", "zq", "pi"]), st.data())
 def test_weighted_sum_matches_element_sum(kind, data):
-    ring = zq_ring(fq_make(3, 2), 4) if kind == "zq" else pi_ring(5, 3)
+    ring = RINGS[kind](3, 4) if kind == "zq" else RINGS[kind](5, 3)
     weights = st.one_of(st.just(0), st.integers(-10**12, 10**12),
                         st.integers(ring.modulus, 10**30))
     vectors = st.lists(st.integers(0, ring.modulus - 1), min_size=ring.n, max_size=ring.n)
@@ -136,3 +151,20 @@ def test_int_equality_agrees_with_hash(kind, data):
                             st.sampled_from([r - mod, r, r + mod])))
     assert (x == k) == (len({x, k}) == 1) == (k == x)
     assert twin == x and hash(twin) == hash(x) and len({x, twin}) == 1
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["padic", "fp", "zp"]), st.sampled_from([2, 3, 5, 13]),
+       st.integers(1, 40), st.integers())
+def test_degree_one_inverse_matches_lagrange(kind, p, N, k):
+    # at n = 1 unit_inverse is pow(x, -1, p^N); x^(|units| - 1) is its oracle
+    ring = {"padic": lambda: RINGS["padic"](p, N), "fp": lambda: fq_make(p, 1),
+            "zp": lambda: zq_ring(fq_make(p, 1), N)}[kind]()
+    x = ring.from_int(k)
+    if not x.is_unit():
+        with pytest.raises(ValueError, match="not a unit"):
+            x.unit_inverse()
+        return
+    inv = x.unit_inverse()
+    assert type(inv) is type(x) and inv.ring is ring
+    assert inv == x ** (ring.units - 1) and x * inv == 1

@@ -3,6 +3,7 @@ from hypothesis import example, given, strategies as st
 
 from padiclift import zp_ring
 from padiclift.errors import PrecisionError
+from padiclift.quotient import QuotientElem
 from padiclift.residue import from_digits
 from padiclift.zp_ring import PAdicInt, buium_carry, carry_cocycle, cocycle_sum
 
@@ -27,7 +28,7 @@ def test_add_examples():
     for x, y, digits in examples:
         assert (x + y).digits == digits
         assert cocycle_sum(x, y).digits == digits
-    with pytest.raises(ValueError, match="prime mismatch"):
+    with pytest.raises(ValueError, match="ring mismatch"):
         PAdicInt.from_integer(1, 5, 1) + PAdicInt.from_integer(1, 3, 1)
     with pytest.raises(ValueError, match="prime mismatch"):
         cocycle_sum(PAdicInt.from_integer(1, 5, 1), PAdicInt.from_integer(1, 3, 1))
@@ -44,7 +45,7 @@ def test_cocycle_sum_agrees_with_integer_addition(p, m, n, j, k):
                  (PAdicInt.from_integer(j, p, n), PAdicInt.from_integer(k, p, n))]:
         got = cocycle_sum(x, y)
         assert (got.p, got.precision, got.value) == (p, n, (j + k) % p**n)
-        assert got == x + y == cocycle_sum(y, x)
+        assert got == x.truncate(n) + y.truncate(n) == cocycle_sum(y, x)
 
 
 def tuple_walk_cocycle_sum(x, y):
@@ -127,11 +128,13 @@ def test_ring_axioms(a, b, c):
 
 
 def test_min_precision_propagation():
+    # two precisions are two rings: + - * raise, and truncation is explicit
     x = PAdicInt.from_integer(7, 5, 4)
     y = PAdicInt.from_integer(9, 5, 2)
-    assert (x + y).precision == 2
-    assert (x * y).precision == 2
-    assert (x - y).precision == 2
+    for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a - b):
+        with pytest.raises(ValueError, match="ring mismatch"):
+            op(x, y)
+    assert (x.truncate(2) + y).precision == 2
 
 
 def test_carry_cocycle_values():
@@ -217,8 +220,30 @@ def test_truncate():
 
 def test_from_integer_is_the_one_constructor():
     assert "__init__" not in vars(PAdicInt)
-    with pytest.raises(TypeError):
-        PAdicInt(5, [2, 1])
+
+
+def test_padic_int_is_the_degree_one_quotient_element():
+    # Z/p^N = (Z/p^N)[X]/(X): the base holds the arithmetic, PAdicInt keeps
+    # its constructor, four read-only views and the tracer shims
+    x = PAdicInt.from_integer(7, 5, 3)
+    assert isinstance(x, QuotientElem) and x.residues == (7,)
+    assert (x.ring.n, x.ring.relation, x.ring.units) == (1, (0, 1), 4 * 25)
+    assert PAdicInt.from_integer(1, 5, 3).ring is x.ring
+    assert x.ring.with_precision(2) is PAdicInt.from_integer(0, 5, 2).ring
+    own = {k for k in vars(PAdicInt) if k not in ("__module__", "__doc__", "__slots__")}
+    assert own == {"from_integer", "p", "precision", "value", "digits",
+                   "__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__",
+                   "__pow__", "unit_inverse", "div_exact_by_p", "truncate"}
+    for name in ("value", "p", "precision", "digits"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+
+
+def test_from_integer_refuses_a_non_int():
+    # the residue is an int, as in every quotient ring
+    for bad in (2.5, "7", None):
+        with pytest.raises(TypeError):
+            PAdicInt.from_integer(bad, 5, 2)
 
 
 @given(st.integers(2, 30).filter(lambda p: all(p % d for d in range(2, p))),
