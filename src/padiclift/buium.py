@@ -7,7 +7,9 @@ laws checked here are
     delta(x+y) = delta(x) + delta(y) + C_p(x, y)
     delta(xy)  = x^p delta(y) + delta(x) y^p + p delta(x) delta(y)
 
-with C_p the universal carry polynomial.  The verifiers return structured
+with C_p the universal carry polynomial, written once as
+zp_ring.buium_carry.  On Z_p = Z/p^N, where phi is the identity, delta is
+the Fermat quotient (k - k^p) / p.  The verifiers return structured
 reports rather than booleans so the CLI can name inputs and residuals on
 failure.  verify_laws checks both laws at one pair and forms x^p, y^p,
 delta(x) and delta(y) once for the two; its reports equal those of
@@ -18,9 +20,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InvariantError, PrecisionError
+from .errors import PrecisionError
 from .witt_zq import ZqElem, frobenius_lift
-from .zp_ring import PAdicInt
+from .zp_ring import PAdicInt, buium_carry
 
 
 LawReport = namedtuple("LawReport", "law lhs rhs residual passed")
@@ -46,14 +48,8 @@ def _check_pair(x: ZqElem, y: ZqElem) -> None:
 
 
 def ring_carry(x: ZqElem, y: ZqElem) -> ZqElem:
-    """C_p on Z_q, by the same polynomial formula evaluated with ring ops.
-
-    Z_q elements have no canonical integer lift, but the binomial
-    coefficients still supply the factor of p, so the division stays exact.
-    """
-    _check_pair(x, y)
-    p = x.ring.p
-    return (x**p + y**p - (x + y) ** p).div_exact_by_p()
+    """C_p on Z_q: zp_ring.buium_carry, the one copy of the polynomial."""
+    return buium_carry(x, y)
 
 
 def _power_and_delta(x: ZqElem) -> tuple[ZqElem, ZqElem]:
@@ -98,14 +94,5 @@ def verify_laws(x: ZqElem, y: ZqElem) -> tuple[LawReport, LawReport]:
 
 
 def fermat_quotient(k: int, p: int, precision: int) -> PAdicInt:
-    """(k - k^p) / p mod p^(N-1): delta on Z_p, where phi is the identity.
-
-    Computed over unbounded integers; Fermat's little theorem makes the
-    division exact.
-    """
-    if precision < 2:
-        raise PrecisionError("insufficient precision")
-    num = k - k**p
-    if num % p:
-        raise InvariantError("Fermat quotient numerator is not divisible by p")
-    return PAdicInt.from_integer(num // p, p, precision - 1)
+    """(k - k^p) / p mod p^(N-1): delta on Z/p^N, where phi is the identity."""
+    return p_derivation(PAdicInt.from_integer(k, p, precision))

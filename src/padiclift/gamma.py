@@ -4,7 +4,8 @@ gamma_p agrees with (-1)^m * prod_{0<j<m, p!|j} j on nonnegative integers
 and extends continuously to Z_p for odd p: arguments congruent mod p^k give
 values congruent mod p^k, which the tests and verify (at N >= 3) check
 exhaustively below p^3 instead of assuming.  beta_p(a, b) =
-gamma_p(a) gamma_p(b) / gamma_p(a+b) is always a unit and coincides
+gamma_p(a) gamma_p(b) / gamma_p(a+b), for a and b in one ring (two rings
+raise "ring mismatch", as + does), is always a unit and coincides
 bit-for-bit with the generic multiplicative 2-coboundary of gamma_p.
 
 The product is never walked factor by factor.  By continuity m may first
@@ -17,7 +18,9 @@ truncation; the truncated products are residue.mulmod in (Z/p^N)[x]/(x^N).
 The product below m is then one Horner evaluation of F_l per unit of the
 l-th base-p digit of m // p, times fewer than p tail factors: at most
 (p-1)(N-1) evaluations of degree < N.  The N-1 levels of each
-(p, N) are built once and kept in a bounded cache (_LEVEL_KEYS keys).
+(p, N) are built once and kept in a bounded cache (_LEVEL_KEYS keys);
+each new level takes p truncated products and p Taylor shifts of degree
+< N, so the build grows about as N^3, and no N is refused.
 
 The values themselves are memoized too: after validation gamma_p_integer
 reads a bounded least-recently-used cache (_VALUE_KEYS keys) keyed on
@@ -125,13 +128,9 @@ def gamma_p(x: PAdicInt) -> PAdicInt:
 
 
 def beta_p(a: PAdicInt, b: PAdicInt) -> PAdicInt:
-    """The Beta unit gamma_p(a) gamma_p(b) / gamma_p(a+b), at the smaller precision."""
-    ra, rb = a.ring, b.ring
-    if ra.p != rb.p:
-        raise ValueError("prime mismatch")
-    n = min(ra.precision, rb.precision)
-    a, b = a.truncate(n), b.truncate(n)
-    return gamma_p(a) * gamma_p(b) * gamma_p(a + b).unit_inverse()
+    """The Beta unit gamma_p(a) gamma_p(b) / gamma_p(a+b), for a, b in one ring."""
+    # a + b first: two rings raise "ring mismatch" before any Gamma_p is formed
+    return gamma_p(a + b).unit_inverse() * gamma_p(a) * gamma_p(b)
 
 
 def functional_equation_check(x: PAdicInt) -> EquationReport:

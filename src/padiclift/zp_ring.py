@@ -16,15 +16,19 @@ values of carry_cocycle, the 2-cocycle that glues Z/p^2 out of two copies
 of Z/p.  It reads the digits by divmod on the two residues and adds each
 output digit into an int at its place value p^i.  The carry out of the top
 digit would leave Z/p^N, so it is never formed.  The carry suite checks
-the sum against + exhaustively.  cocycle_sum and buium_carry take operands
-of two precisions at one prime and work at the smaller.
+the sum against + exhaustively.
+
+buium_carry is the one place the universal carry polynomial C_p is
+written, for an element of any quotient ring (buium.ring_carry is the
+same call on Z_q).  cocycle_sum and buium_carry take two elements of one
+ring, as + does.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InvariantError, PrecisionError
+from .errors import PrecisionError
 from .quotient import QuotientElem, QuotientRing
 from .residue import is_prime, to_digits
 
@@ -121,15 +125,14 @@ class _ZpRing(QuotientRing):
 def cocycle_sum(x: PAdicInt, y: PAdicInt) -> PAdicInt:
     """The cocycle-twisted sum that presents Z/p^N as an iterated extension
     of F_p: digits add in F_p and the carry into each digit is a sum of two
-    values of carry_cocycle.  It equals x + y at the smaller precision n.
+    values of carry_cocycle.  It equals x + y.
 
-    Digits 0..n-2 walk through carry_cocycle; the top digit is one sum mod
-    p, since the carry out of it would leave Z/p^n and is never formed.
+    Digits 0..N-2 walk through carry_cocycle; the top digit is one sum mod
+    p, since the carry out of it would leave Z/p^N and is never formed.
     """
-    rx, ry = x.ring, y.ring
-    if rx.p != ry.p:
-        raise ValueError("prime mismatch")
-    ring = rx if rx.precision <= ry.precision else ry
+    ring = x.ring
+    if y.ring is not ring:
+        raise ValueError("ring mismatch")
     p = ring.p
     u, v = x.residues[0], y.residues[0]
     total, place, carry = 0, 1, 0
@@ -141,27 +144,21 @@ def cocycle_sum(x: PAdicInt, y: PAdicInt) -> PAdicInt:
         place *= p
         # never both 1: a + b + carry < 2p
         carry = carry_cocycle(a, b, p) + carry_cocycle(s, carry, p)
-    # u and v are the top digits mod p; any digits past n sit above them
+    # u and v are now the top digits
     return PAdicInt(ring, (total + (u + v + carry) % p * place,))
 
 
-def buium_carry(x: PAdicInt, y: PAdicInt) -> PAdicInt:
+def buium_carry(x: QuotientElem, y: QuotientElem) -> QuotientElem:
     """The universal carry polynomial C_p(x, y) = [x^p + y^p - (x+y)^p] / p.
 
-    Evaluated exactly over unbounded integers on the canonical
-    representatives, then reduced: (x+y)^p would overflow any fixed word,
-    and the binomial coefficients C(p, k), 0 < k < p, supply the factor of
-    p that makes the division exact.  Output precision drops by one.
+    Evaluated with the ring operations of x and y, so in Z/p^N and Z_q
+    alike; the binomial coefficients C(p, k), 0 < k < p, supply the factor
+    of p that makes the division exact.  Output precision drops by one.
     """
-    if x.p != y.p:
-        raise ValueError("prime mismatch")
-    n = min(x.precision, y.precision)
-    if n < 2:
+    ring = x.ring
+    if y.ring is not ring:
+        raise ValueError("ring mismatch")
+    if ring.precision < 2:
         raise PrecisionError("insufficient precision")
-    p = x.p
-    a = x.value % p**n
-    b = y.value % p**n
-    num = a**p + b**p - (a + b) ** p
-    if num % p:
-        raise InvariantError("carry polynomial is not divisible by p")
-    return _zp_ring(p, n - 1).from_int(num // p)
+    p = ring.p
+    return (x**p + y**p - (x + y) ** p).div_exact_by_p()

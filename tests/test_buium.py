@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
 from padiclift import buium
 from padiclift.buium import (fermat_quotient, p_derivation, ring_carry,
@@ -177,6 +178,15 @@ def test_fermat_quotient_examples():
         assert fermat_quotient(p, p, n) == (1 - p ** (p - 1)) % p ** (n - 1)
     with pytest.raises(PrecisionError):
         fermat_quotient(2, 5, 1)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(2, 8), st.integers())
+@example(13, 8, -13**40 - 1)
+@example(2, 2, 2**200 + 1)
+def test_fermat_quotient_matches_the_integer_formula(p, n, k):
+    # the oracle is the exact-integer quotient on the unreduced k
+    fq = fermat_quotient(k, p, n)
+    assert (fq.p, fq.precision, fq.value) == (p, n - 1, (k - k**p) // p % p ** (n - 1))
 
 
 def test_fermat_quotient_matches_p_derivation():

@@ -226,14 +226,20 @@ def test_frobenius_stdout_is_pinned(capsys, argv, digest):
      "ad0a7ad87090018e9cc38423eb1a4a34efce247771c6bd1ef2b1611eb3eb35e7"),
     ("gamma -p 7 -N 4 --sweep 0:50",
      "2851f3c68415adbfd401f447a8850c50e58eaaae5970ae99a853ecd3b1c37eca"),
+    ("beta -p 5 -N 40 -a 2 -b 3",
+     "3c5180106bc98168aba1ba8c0c0fb6e30383603ab32a7dcc28c77a2a787b31dc"),
+    ("gamma -p 13 -N 25 --sweep 0:40",
+     "70e92456bde92aad1d667cc62bebb3d254c76202551a630abd0e2f291736d965"),
 ], ids=["teich-F256", "teich-F2^20", "teich-F3^12", "jacobi-F49", "verify-csv", "verify-text",
         "verify-seed1", "verify-seed7", "verify-buium-F25", "fermat-F13", "fermat-F729",
         "fermat-F4096", "fermat-F13^4", "fermat-F3^10", "jacobi-F9", "jacobi-F125",
-        "gk-text", "verify-gamma-N4", "beta-Z5", "beta-Z13", "gamma-sweep-Z7"])
+        "gk-text", "verify-gamma-N4", "beta-Z5", "beta-Z13", "gamma-sweep-Z7",
+        "beta-Z5-N40", "gamma-sweep-Z13-N25"])
 def test_fq_and_report_stdout_is_pinned(capsys, argv, digest):
     # the F_q outputs, report formats and further verify seeds (the buium
     # sweep at F_25 reaches n = 2 at N = 6, the gamma sweeps at Z_5 run at
-    # N = 4), and the Beta and Gamma values in Z/p^N, that CI pins, byte for byte;
+    # N = 4), and the Beta and Gamma values in Z/p^N (at depth too, N = 40
+    # and 25), that CI pins, byte for byte;
     # fermat-count prints the precision it works out for itself, jacobi
     # reads its field from -q alone, and the text rows of gk-check show both
     # Gross-Koblitz sides for every exponent a

@@ -167,7 +167,7 @@ def test_beta_examples():
     assert beta_p(a, PAdicInt.from_integer(0, 7, 3)) == 1  # normalized coboundary
     one = PAdicInt.from_integer(1, 5, 3)
     assert beta_p(one, one) == 1  # (-1)^2 / Gamma_5(2)
-    with pytest.raises(ValueError, match="prime mismatch"):
+    with pytest.raises(ValueError, match="ring mismatch"):
         beta_p(PAdicInt.from_integer(1, 5, 3), PAdicInt.from_integer(1, 7, 3))
 
 

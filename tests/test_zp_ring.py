@@ -2,9 +2,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from padiclift import zp_ring
+from padiclift.buium import ring_carry
 from padiclift.errors import PrecisionError
+from padiclift.gfq import fq_make
 from padiclift.quotient import QuotientElem
 from padiclift.residue import from_digits
+from padiclift.witt_zq import zq_ring
 from padiclift.zp_ring import PAdicInt, buium_carry, carry_cocycle, cocycle_sum
 
 
@@ -30,22 +33,23 @@ def test_add_examples():
         assert cocycle_sum(x, y).digits == digits
     with pytest.raises(ValueError, match="ring mismatch"):
         PAdicInt.from_integer(1, 5, 1) + PAdicInt.from_integer(1, 3, 1)
-    with pytest.raises(ValueError, match="prime mismatch"):
+    with pytest.raises(ValueError, match="ring mismatch"):
         cocycle_sum(PAdicInt.from_integer(1, 5, 1), PAdicInt.from_integer(1, 3, 1))
 
 
 @given(st.sampled_from([2, 3, 5, 13]), st.integers(1, 12), st.integers(1, 12),
        st.integers(), st.integers())
 def test_cocycle_sum_agrees_with_integer_addition(p, m, n, j, k):
-    # the oracle is int addition at the smaller precision; st.integers()
-    # draws negative and many-word ints, and each case runs at mixed
-    # precisions (m >= n) and at equal ones
+    # the oracle is int addition; st.integers() draws negative and
+    # many-word ints, and two precisions (m > n) are two rings, as for +
     n = min(m, n)
-    for x, y in [(PAdicInt.from_integer(j, p, m), PAdicInt.from_integer(k, p, n)),
-                 (PAdicInt.from_integer(j, p, n), PAdicInt.from_integer(k, p, n))]:
-        got = cocycle_sum(x, y)
-        assert (got.p, got.precision, got.value) == (p, n, (j + k) % p**n)
-        assert got == x.truncate(n) + y.truncate(n) == cocycle_sum(y, x)
+    x, y = PAdicInt.from_integer(j, p, n), PAdicInt.from_integer(k, p, n)
+    got = cocycle_sum(x, y)
+    assert (got.p, got.precision, got.value) == (p, n, (j + k) % p**n)
+    assert got == x + y == cocycle_sum(y, x)
+    if m > n:
+        with pytest.raises(ValueError, match="ring mismatch"):
+            cocycle_sum(PAdicInt.from_integer(j, p, m), y)
 
 
 def tuple_walk_cocycle_sum(x, y):
@@ -64,11 +68,13 @@ def tuple_walk_cocycle_sum(x, y):
        st.integers(-13**64, 13**64), st.integers(-13**64, 13**64))
 @example(2, 1, 1, 1, 1)  # precision 1: the top digit is digit 0, no carry walked
 @example(13, 1, 1, 12, 12)
-@example(7, 1, 5, -1, 6)  # precision 1 beside a longer operand, both ways
+@example(7, 1, 5, -1, 6)  # precision 1 drawn beside a longer one, both ways
 @example(7, 5, 1, 6, -1)
 def test_cocycle_sum_matches_tuple_walk(p, m, n, j, k):
-    # bounded draws fill all 64 digits, where st.integers() keeps to a few
-    x, y = PAdicInt.from_integer(j, p, m), PAdicInt.from_integer(k, p, n)
+    # bounded draws fill all 64 digits, where st.integers() keeps to a few;
+    # both operands sit in one ring, at the smaller drawn precision
+    n = min(m, n)
+    x, y = PAdicInt.from_integer(j, p, n), PAdicInt.from_integer(k, p, n)
     got, want = cocycle_sum(x, y), tuple_walk_cocycle_sum(x, y)
     assert (got.p, got.value, got.precision) == (want.p, want.value, want.precision)
 
@@ -87,7 +93,7 @@ def test_cocycle_sum_forms_no_carry_out_of_the_top_digit(monkeypatch, n):
     for p in (2, 3, 7):
         for j, k in [(0, 0), (-1, -1), (-1, 1), (p**n // 3, 2 * p**n // 3)]:
             calls.clear()
-            got = cocycle_sum(PAdicInt.from_integer(j, p, n + 1), PAdicInt.from_integer(k, p, n))
+            got = cocycle_sum(PAdicInt.from_integer(j, p, n), PAdicInt.from_integer(k, p, n))
             assert got.value == (j + k) % p**n
             assert len(calls) == 2 * (n - 1)
 
@@ -97,7 +103,7 @@ def test_cocycle_sum_large_and_negative_examples():
     x, y = PAdicInt.from_integer(big, 3, 40), PAdicInt.from_integer(-big, 3, 40)
     assert cocycle_sum(x, y) == 0
     assert cocycle_sum(PAdicInt.from_integer(-1, 2, 64), PAdicInt.from_integer(1, 2, 64)) == 0
-    x, y = PAdicInt.from_integer(-1, 13, 3), PAdicInt.from_integer(-1, 13, 5)
+    x, y = PAdicInt.from_integer(-1, 13, 3), PAdicInt.from_integer(-1, 13, 3)
     assert cocycle_sum(x, y).digits == (11, 12, 12)
 
 
@@ -168,8 +174,24 @@ def test_buium_carry_examples():
     assert buium_carry(x, PAdicInt.from_integer(0, 7, 4)) == 0
     with pytest.raises(PrecisionError, match="insufficient precision"):
         buium_carry(PAdicInt.from_integer(1, 3, 1), PAdicInt.from_integer(1, 3, 1))
-    with pytest.raises(ValueError, match="prime mismatch"):
+    with pytest.raises(ValueError, match="ring mismatch"):
         buium_carry(PAdicInt.from_integer(1, 3, 3), PAdicInt.from_integer(1, 5, 3))
+
+
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(2, 8), st.integers(), st.integers())
+@example(13, 8, -13**40 - 1, 2**200 + 7)
+@example(2, 2, -1, -1)
+def test_buium_carry_matches_the_integer_formula(p, n, a, b):
+    # the oracle is the exact-integer C_p on the unreduced ints, negative
+    # and many-word ones included; C_p has integer coefficients, so its
+    # value mod p^(N-1) depends only on a, b mod p^N.  The same residues
+    # in Z_q at n = 1 give the same carry through buium.ring_carry.
+    out = buium_carry(PAdicInt.from_integer(a, p, n), PAdicInt.from_integer(b, p, n))
+    want = (a**p + b**p - (a + b) ** p) // p % p ** (n - 1)
+    assert (out.p, out.precision, out.value) == (p, n - 1, want)
+    ring = zq_ring(fq_make(p, 1), n)
+    z = ring_carry(ring.from_int(a), ring.from_int(b))
+    assert (z.ring.precision, z.residues) == (n - 1, (want,))
 
 
 @given(st.integers(0, 5**4 - 1), st.integers(0, 5**4 - 1))
