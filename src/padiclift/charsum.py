@@ -81,7 +81,7 @@ class MultChar:
         if x.field != self.field:
             raise ValueError("field mismatch")
         ring = zq_ring(self.field, precision)
-        if x.is_zero():
+        if x == 0:
             return ring.zero()
         return ring.teichmuller(x**self.exponent)
 
@@ -99,7 +99,7 @@ def char_convolution(chi: MultChar, chi2: MultChar, z: FqElem,
     acc = ring.zero()
     for x in field.elements():
         y = z - x
-        if x.is_zero() or y.is_zero():
+        if x == 0 or y == 0:
             continue  # characters vanish at 0
         acc = acc + chi.eval(x, precision) * chi2.eval(y, precision)
     return acc

@@ -4,7 +4,8 @@ Elements live in the polynomial basis: an FqElem is a length-n coefficient
 vector over F_p reduced modulo a fixed monic irreducible polynomial.  That
 is the shape of quotient.QuotientRing at precision 1, so an FqField is one,
 with the polynomial as its relation and q - 1 units, and FqElem adds to
-QuotientElem only Frobenius; the discrete log is the field's, FqField.dlog.
+QuotientElem only Frobenius (zero is == 0); the field needs no
+with_precision, and the discrete log is the field's, FqField.dlog.
 x ** -1 is x^(q-2), the base's unit inverse, so the inverse of zero raises
 "not a unit" as in Z_q and the pi-ring.  In arithmetic an int k, like
 from_int(k), is the constant k mod p, as in every quotient ring; a scalar
@@ -108,19 +109,14 @@ class FqElem(QuotientElem):
         """x -> x^p, the generating automorphism over F_p."""
         return self ** self.field.p
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
 
 class FqField(QuotientRing):
     """The finite field F_{p^n} = (Z/p)[t]/(relation), in polynomial basis.
 
     FqField(p, n) is the one constructor: it checks p, n and Q_CAP and runs
-    the canonical search for the relation.  The quotient ring at precision
-    1: units = q - 1, and the arithmetic, coercion and equality are
-    quotient.QuotientElem's.  The generator, the first nonzero element of
-    elements() of multiplicative order exactly q - 1, and the log tables
-    are built on first read.
+    the canonical search for the relation.  The generator, the first
+    nonzero element of elements() of multiplicative order exactly q - 1,
+    and the log tables are built on first read.
     """
 
     element_type = FqElem
@@ -148,10 +144,6 @@ class FqField(QuotientRing):
             if self._is_generator(g):
                 return g
         raise InvariantError("no generator found")  # impossible: F_q^* is cyclic
-
-    def with_precision(self, precision: int) -> "FqField":
-        """The field itself, the one precision F_q has: truncate(1) is the identity."""
-        return self
 
     def elements(self):
         """All q elements, in base-p integer order: element k has base-p digits k."""
@@ -197,7 +189,7 @@ class FqField(QuotientRing):
 
     def dlog(self, x: FqElem) -> int:
         """Exponent e with generator^e = x; table built on first use."""
-        if x.is_zero():
+        if x == 0:
             raise ValueError("log of zero")
         return self._logs[0][x.coeffs]
 

@@ -12,9 +12,10 @@ maps built on the ring; QuotientElem holds the arithmetic, coercion,
 equality, the unit test (nonzero mod p), exact division by p and
 truncation, and the one inverse of all four rings: unit_inverse,
 x^(|units| - 1) (at n = 1, pow(x, -1, p^N)), which x ** -k goes through,
-so a non-unit (in F_q, zero) raises "not a unit".  A subclass supplies with_precision (F_q, fixed at
-precision 1, returns itself), and names its element class as
-element_type; the pi-ring, where pi is not a unit, overrides is_unit.
+so a non-unit (in F_q, zero) raises "not a unit", and division by p with
+no digit left "insufficient precision".  A subclass names element_type
+and, above precision 1, supplies with_precision (F_q's truncate(1)
+returns early); the pi-ring, where pi is not a unit, overrides is_unit.
 
 Rings compare by identity: the cached zp_ring._zp_ring, gfq.fq_make,
 witt_zq.zq_ring and charsum.pi_ring build the one ring object per key, and
@@ -169,7 +170,7 @@ class QuotientElem:
         """Coefficient-wise exact division by p; drops one digit of precision."""
         ring = self.ring
         if ring.precision == 1:
-            raise PrecisionError("precision exhausted")
+            raise PrecisionError("insufficient precision")
         if any(c % ring.p for c in self.residues):
             raise ValueError("not divisible")
         lower = ring.with_precision(ring.precision - 1)

@@ -17,7 +17,7 @@ builds the columns once, taking phi(t) through the digit expansion of t:
 phi(sum tau(t_i) p^i) = sum tau(t_i)^p p^i, where each tau(t_i) is the lift
 teich_digits already cached at precision N - i, so only its p-th power is
 new.  The digit-wise route that lifts every t_i^p afresh at precision N,
-sum tau(t_i^p) p^i, stays as _frobenius_digitwise, the oracle of the tests.
+sum tau(t_i^p) p^i, is the oracle in tests/test_witt_zq.py.
 
 ZqElem.to_text renders an element as "p=3;n=2;N=4;coeffs=[1,0,2,1|0,0,1,2]",
 one little-endian digit vector per polynomial coefficient; the benchmark
@@ -99,7 +99,7 @@ class ZqRing(QuotientRing):
         last digit's, at precision 1, is its naive lift), so each term is
         a p-th power there (log2 p products) rather than a
         fresh lift of t_i^p at precision N (about kn log2 p products, the
-        route _frobenius_digitwise keeps as the oracle).
+        tests' digit-wise oracle).
         """
         p, N = self.p, self.precision
         digits = teich_digits(self.element([0, 1] + [0] * (self.n - 2)))
@@ -167,11 +167,6 @@ def from_teich_digits(digits, ring: ZqRing) -> ZqElem:
         raise PrecisionError("more digits than the ring precision")
     return ring.weighted_sum((ring.p**i, ring.teichmuller(v).residues)
                              for i, v in enumerate(digits))
-
-
-def _frobenius_digitwise(x: ZqElem) -> ZqElem:
-    """phi(sum tau(x_i) p^i) = sum tau(x_i^p) p^i, through the digits of x."""
-    return from_teich_digits([v.frobenius() for v in teich_digits(x)], x.ring)
 
 
 def frobenius_lift(x: ZqElem) -> ZqElem:

@@ -19,16 +19,15 @@ digit would leave Z/p^N, so it is never formed.  The carry suite checks
 the sum against + exhaustively.
 
 buium_carry is the one place the universal carry polynomial C_p is
-written, for an element of any quotient ring (buium.ring_carry is the
-same call on Z_q).  cocycle_sum and buium_carry take two elements of one
-ring, as + does.
+written, for two elements of any one quotient ring (buium.ring_carry is
+the same call on Z_q); its errors are the base's.  cocycle_sum takes two
+PAdicInts of one ring: TypeError for any other element.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import PrecisionError
 from .quotient import QuotientElem, QuotientRing
 from .residue import is_prime, to_digits
 
@@ -130,6 +129,8 @@ def cocycle_sum(x: PAdicInt, y: PAdicInt) -> PAdicInt:
     Digits 0..N-2 walk through carry_cocycle; the top digit is one sum mod
     p, since the carry out of it would leave Z/p^N and is never formed.
     """
+    if type(x) is not PAdicInt or type(y) is not PAdicInt:
+        raise TypeError("cocycle_sum adds two elements of Z/p^N")
     ring = x.ring
     if y.ring is not ring:
         raise ValueError("ring mismatch")
@@ -153,12 +154,8 @@ def buium_carry(x: QuotientElem, y: QuotientElem) -> QuotientElem:
 
     Evaluated with the ring operations of x and y, so in Z/p^N and Z_q
     alike; the binomial coefficients C(p, k), 0 < k < p, supply the factor
-    of p that makes the division exact.  Output precision drops by one.
+    of p that makes the division exact.  Output precision drops by one; the
+    errors are the base's ("ring mismatch", "insufficient precision").
     """
-    ring = x.ring
-    if y.ring is not ring:
-        raise ValueError("ring mismatch")
-    if ring.precision < 2:
-        raise PrecisionError("insufficient precision")
-    p = ring.p
+    p = x.ring.p
     return (x**p + y**p - (x + y) ** p).div_exact_by_p()

@@ -114,7 +114,7 @@ def test_field_axioms_f25(j, k):
     assert x + y == y + x
     assert x * F.one() == x
     assert x + F.zero() == x
-    if not y.is_zero():
+    if y != 0:
         assert x * y ** -1 * y == x
 
 
@@ -356,14 +356,15 @@ def test_padic_scalars_and_scalar_hashes(p, n):
 
 @SCALAR_FIELDS
 def test_truncate_to_precision_one_is_the_identity(p, n):
-    # F_q is the quotient ring at precision 1: truncate(1) keeps the element,
-    # and there is no digit left to spend on a division by p
+    # F_q is the quotient ring at precision 1: truncate(1) is the base's
+    # early return, and there is no digit left to spend on a division by p,
+    # so F_q needs no with_precision
     field = fq_make(p, n)
-    assert field.with_precision(1) is field
+    assert not hasattr(field, "with_precision")
     for x in (field.zero(), field.one(), field.generator, _indexed(field, field.q - 1)):
         y = x.truncate(1)
         assert y.field is field and y.coeffs == x.coeffs
         with pytest.raises(PrecisionError, match="cannot truncate"):
             x.truncate(2)
-        with pytest.raises(PrecisionError, match="precision exhausted"):
+        with pytest.raises(PrecisionError, match="insufficient precision"):
             x.div_exact_by_p()

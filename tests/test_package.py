@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import padiclift
-from padiclift import witt_zq, zp_ring
-from padiclift.gfq import FqElem, fq_make
+from padiclift import buium, witt_zq, zp_ring
+from padiclift.gfq import FqElem, FqField, fq_make
 from padiclift.witt_zq import ZqRing
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "padiclift"
@@ -17,10 +17,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "padiclift"
 def test_one_entry_point_per_operation():
     # an int becomes a PAdicInt through PAdicInt.from_integer, tau(v) is
     # zq_ring(v.field, N).teichmuller(v), and F_q inverts through the
-    # quotient base's unit_inverse, x^(q-2), as Z_q and the pi-ring do
+    # quotient base's unit_inverse, x^(q-2), as Z_q and the pi-ring do; zero
+    # is == 0, F_q has no precision to change, and + alone checks the rings
     removed = [(padiclift, "from_integer"), (zp_ring, "from_integer"),
                (padiclift, "teichmuller"), (witt_zq, "teichmuller"),
-               (FqElem, "inverse"), (FqElem, "__truediv__"), (ZqRing, "naive_lift")]
+               (FqElem, "inverse"), (FqElem, "__truediv__"), (ZqRing, "naive_lift"),
+               (FqElem, "is_zero"), (FqField, "with_precision"), (buium, "_check_pair")]
     assert [(owner.__name__, name) for owner, name in removed if hasattr(owner, name)] == []
     assert "unit_inverse" not in vars(FqElem)
     F5 = fq_make(5, 1)

@@ -76,7 +76,7 @@ def test_shared_quotient_semantics(kind):
     assert (x * p).div_exact_by_p() == x.truncate(N - 1)
     with pytest.raises(ValueError, match="not divisible"):
         x.div_exact_by_p()
-    with pytest.raises(PrecisionError, match="precision exhausted"):
+    with pytest.raises(PrecisionError, match="insufficient precision"):
         ring.with_precision(1).from_int(p).div_exact_by_p()
     with pytest.raises(PrecisionError):
         x.truncate(N + 1)

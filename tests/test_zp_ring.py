@@ -3,6 +3,7 @@ from hypothesis import example, given, strategies as st
 
 from padiclift import zp_ring
 from padiclift.buium import ring_carry
+from padiclift.charsum import pi_ring
 from padiclift.errors import PrecisionError
 from padiclift.gfq import fq_make
 from padiclift.quotient import QuotientElem
@@ -107,6 +108,19 @@ def test_cocycle_sum_large_and_negative_examples():
     assert cocycle_sum(x, y).digits == (11, 12, 12)
 
 
+def test_cocycle_sum_refuses_elements_that_are_not_z_mod_p_n():
+    # a digit walk over residues[0] alone would drop every other coefficient
+    # and keep the other ring: any quotient element but a PAdicInt is refused
+    F9 = fq_make(3, 2)
+    others = [zq_ring(fq_make(5, 1), 3).from_int(7), zq_ring(F9, 3).element([5, 7]),
+              pi_ring(5, 4).element([6, 2, 0, 0]), fq_make(5, 1).from_int(3)]
+    x = PAdicInt.from_integer(7, 5, 3)
+    for z in others:
+        for pair in [(z, z), (x, z), (z, x)]:
+            with pytest.raises(TypeError):
+                cocycle_sum(*pair)
+
+
 def test_mul_and_neg_examples():
     x, y = PAdicInt.from_integer(2, 5, 2), PAdicInt.from_integer(3, 5, 2)
     assert (x * y).digits == (1, 1)  # 6 = 1 + 5
@@ -172,10 +186,18 @@ def test_buium_carry_examples():
     assert buium_carry(PAdicInt.from_integer(1, 3, 3), PAdicInt.from_integer(1, 3, 3)) == 3**2 - 2
     x = PAdicInt.from_integer(123, 7, 4)
     assert buium_carry(x, PAdicInt.from_integer(0, 7, 4)) == 0
-    with pytest.raises(PrecisionError, match="insufficient precision"):
-        buium_carry(PAdicInt.from_integer(1, 3, 1), PAdicInt.from_integer(1, 3, 1))
-    with pytest.raises(ValueError, match="ring mismatch"):
-        buium_carry(PAdicInt.from_integer(1, 3, 3), PAdicInt.from_integer(1, 5, 3))
+    # the two errors are the quotient base's, on every ring: x**p + y**p
+    # refuses two rings, and div_exact_by_p a ring with no digit left
+    F9 = fq_make(3, 2)
+    for low, (a, b) in [
+            (PAdicInt.from_integer(1, 3, 1),
+             (PAdicInt.from_integer(1, 3, 3), PAdicInt.from_integer(1, 5, 3))),
+            (zq_ring(F9, 1).one(), (zq_ring(F9, 3).one(), zq_ring(F9, 2).one())),
+            (pi_ring(5, 1).pi(), (pi_ring(5, 1).pi(), pi_ring(5, 2).pi()))]:
+        with pytest.raises(PrecisionError, match="insufficient precision"):
+            buium_carry(low, low)
+        with pytest.raises(ValueError, match="ring mismatch"):
+            buium_carry(a, b)
 
 
 @given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(2, 8), st.integers(), st.integers())
@@ -228,7 +250,7 @@ def test_div_exact_by_p():
     assert PAdicInt.from_integer(6, 3, 3).div_exact_by_p().digits == (2, 0)
     with pytest.raises(ValueError, match="not divisible"):
         PAdicInt.from_integer(1, 5, 2).div_exact_by_p()
-    with pytest.raises(PrecisionError, match="precision exhausted"):
+    with pytest.raises(PrecisionError, match="insufficient precision"):
         PAdicInt.from_integer(0, 5, 1).div_exact_by_p()
 
 
