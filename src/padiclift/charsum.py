@@ -138,25 +138,6 @@ class PiRingElem(QuotientElem):
 
     __slots__ = ()
 
-    # tracer shims, see ZqElem: one function object per span name
-    def __add__(self, other):
-        return QuotientElem.__add__(self, other)
-
-    def __sub__(self, other):
-        return QuotientElem.__sub__(self, other)
-
-    def __mul__(self, other):
-        return QuotientElem.__mul__(self, other)
-
-    def __pow__(self, e: int):
-        return QuotientElem.__pow__(self, e)
-
-    def unit_inverse(self) -> "PiRingElem":
-        return QuotientElem.unit_inverse(self)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
     def is_unit(self) -> bool:
         return self.residues[0] % self.ring.p != 0
 

@@ -13,14 +13,12 @@ be reduced mod p^N.  The p-1 units of each block of p consecutive integers
 multiply to F_0(x) = prod_{0<i<p} (xp + i), whose x^s coefficient is
 divisible by p^s, so mod p^N the polynomial truncated to degree < N is
 exact.  The blocks of p^(l+1) integers multiply to F_{l+1}(x) =
-prod_{d<p} F_l(xp + d), which keeps that divisibility and the same
-truncation; the truncated products are residue.mulmod in (Z/p^N)[x]/(x^N).
-The product below m is then one Horner evaluation of F_l per unit of the
-l-th base-p digit of m // p, times fewer than p tail factors: at most
-(p-1)(N-1) evaluations of degree < N.  The N-1 levels of each
-(p, N) are built once and kept in a bounded cache (_LEVEL_KEYS keys);
-each new level takes p truncated products and p Taylor shifts of degree
-< N, so the build grows about as N^3, and no N is refused.
+prod_{d<p} F_l(xp + d), whose x^s coefficient is divisible by p^(s(l+2)),
+so F_l is exact at n = ceil(N/(l+1)) coefficients, a truncated product in
+(Z/p^N)[x]/(x^n).  The product below m is one Horner evaluation of F_l per
+unit of the l-th base-p digit of m // p, times fewer than p tail factors.
+The N-1 levels of each (p, N) are built once into a bounded cache
+(_LEVEL_KEYS keys), costing about p N^2 N-digit additions; no N is refused.
 
 The values themselves are memoized too: after validation gamma_p_integer
 reads a bounded least-recently-used cache (_VALUE_KEYS keys) keyed on
@@ -49,17 +47,16 @@ _VALUE_KEYS = 1024  # (m mod p^N, p, N) triples whose Gamma_p values stay cached
 EquationReport = namedtuple("EquationReport", "argument lhs rhs branch passed")
 
 
-def _next_level(f: list, p: int, mod: int) -> tuple:
-    """prod_{d<p} f(xp + d), truncated to len(f) coefficients."""
-    n = len(f)
+def _next_level(f: list, p: int, mod: int, n: int) -> tuple:
+    """prod_{d<p} f(xp + d), truncated to n <= len(f) coefficients."""
     truncation = (0,) * n + (1,)  # the relation x^n: nothing folds back
     scale = [pow(p, s, mod) for s in range(n)]
     g = list(f)  # f(x + d), starting at d = 0
     acc = (1,) + (0,) * (n - 1)
     for _ in range(p):
         acc = mulmod(acc, tuple(c * t % mod for c, t in zip(g, scale)), truncation, mod)
-        for i in range(n - 1):  # Taylor shift g(x) -> g(x + 1)
-            for j in range(n - 2, i - 1, -1):
+        for i in range(len(g) - 1):  # Taylor shift g(x) -> g(x + 1)
+            for j in range(len(g) - 2, i - 1, -1):
                 g[j] += g[j + 1]
         g = [c % mod for c in g]
     return acc
@@ -67,14 +64,14 @@ def _next_level(f: list, p: int, mod: int) -> tuple:
 
 @lru_cache(maxsize=_LEVEL_KEYS)
 def _block_levels(p: int, precision: int) -> tuple:
-    """F_0, ..., F_{N-2} mod p^N, lowest coefficient first, degree < N."""
+    """F_0, ..., F_{N-2} mod p^N, lowest first, F_l at ceil(N/(l+1)) coefficients."""
     mod = p**precision
     f = [1] + [0] * (precision - 1)
     for i in range(1, p):  # times (i + p x)
         f = [(i * c + p * b) % mod for c, b in zip(f, [0] + f)]
     levels = [f]
-    for _ in range(precision - 2):
-        levels.append(_next_level(levels[-1], p, mod))
+    for level in range(1, precision - 1):
+        levels.append(_next_level(levels[-1], p, mod, -(-precision // (level + 1))))
     return tuple(tuple(f) for f in levels)
 
 

@@ -89,22 +89,6 @@ class FqElem(QuotientElem):
     field = QuotientElem.ring
     coeffs = QuotientElem.residues
 
-    # tracer shims, see ZqElem: one function object per span name
-    def __add__(self, other):
-        return QuotientElem.__add__(self, other)
-
-    def __sub__(self, other):
-        return QuotientElem.__sub__(self, other)
-
-    def __mul__(self, other):
-        return QuotientElem.__mul__(self, other)
-
-    def __pow__(self, e: int):
-        return QuotientElem.__pow__(self, e)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
     def frobenius(self) -> "FqElem":
         """x -> x^p, the generating automorphism over F_p."""
         return self ** self.field.p

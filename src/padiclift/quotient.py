@@ -16,6 +16,8 @@ so a non-unit (in F_q, zero) raises "not a unit", and division by p with
 no digit left "insufficient precision".  A subclass names element_type
 and, above precision 1, supplies with_precision (F_q's truncate(1)
 returns early); the pi-ring, where pi is not a unit, overrides is_unit.
+__init_subclass__ gives each element class its own copy of the base's
+operator functions, so bench/spans.py traces each class apart.
 
 Rings compare by identity: the cached zp_ring._zp_ring, gfq.fq_make,
 witt_zq.zq_ring and charsum.pi_ring build the one ring object per key, and
@@ -34,6 +36,8 @@ any other object compares unequal.
 """
 
 from __future__ import annotations
+
+import types
 
 from .errors import PrecisionError
 from .residue import mulmod, powmod
@@ -91,6 +95,11 @@ class QuotientRing:
         return self.from_int(1)
 
 
+# copied onto each element class, which overrides none of them
+_OWN_OPERATORS = ("__add__", "__sub__", "__neg__", "__mul__", "__pow__",
+                  "unit_inverse", "div_exact_by_p", "truncate")
+
+
 class QuotientElem:
     """Element of a QuotientRing: length-n tuple of int residues mod p^N."""
 
@@ -99,6 +108,13 @@ class QuotientElem:
     def __init__(self, ring: QuotientRing, residues: tuple):
         self.ring = ring
         self.residues = residues
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in _OWN_OPERATORS:
+            f = vars(QuotientElem)[name]
+            setattr(cls, name, types.FunctionType(f.__code__, f.__globals__, name, f.__defaults__))
+        cls.__radd__, cls.__rmul__ = cls.__add__, cls.__mul__
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -115,8 +131,6 @@ class QuotientElem:
             return NotImplemented
         mod = self.ring.modulus
         return type(self)(self.ring, tuple([(a + b) % mod for a, b in zip(self.residues, o.residues)]))
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -141,8 +155,6 @@ class QuotientElem:
         if o is None:
             return NotImplemented
         return type(self)(ring, mulmod(self.residues, o.residues, ring.relation, ring.modulus))
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:

@@ -46,20 +46,6 @@ class ZqElem(QuotientElem):
 
     __slots__ = ()
 
-    # Tracer shims: bench/spans.py finds each traced operator in its class's
-    # own namespace and wraps it by identity, so ZqElem binds the base
-    # functions and PiRingElem, FqElem and PAdicInt delegate to them (a
-    # second class binding them would merge its spans into ZqElem's); the
-    # benchmark refresh (ROADMAP item 6) deletes all four.
-    __add__ = __radd__ = QuotientElem.__add__
-    __sub__ = QuotientElem.__sub__
-    __neg__ = QuotientElem.__neg__
-    __mul__ = __rmul__ = QuotientElem.__mul__
-    __pow__ = QuotientElem.__pow__
-    unit_inverse = QuotientElem.unit_inverse
-    div_exact_by_p = QuotientElem.div_exact_by_p
-    truncate = QuotientElem.truncate
-
     def reduce_mod_p(self) -> FqElem:
         return self.ring.field.element(self.residues)
 

@@ -74,34 +74,6 @@ class PAdicInt(QuotientElem):
         """The precision little-endian base-p digits (a read-only view)."""
         return to_digits(self.residues[0], self.ring.p, self.ring.precision)
 
-    # tracer shims, see witt_zq.ZqElem: one function object per span name
-    def __add__(self, other):
-        return QuotientElem.__add__(self, other)
-
-    def __sub__(self, other):
-        return QuotientElem.__sub__(self, other)
-
-    def __neg__(self):
-        return QuotientElem.__neg__(self)
-
-    def __mul__(self, other):
-        return QuotientElem.__mul__(self, other)
-
-    def __pow__(self, e: int):
-        return QuotientElem.__pow__(self, e)
-
-    def unit_inverse(self) -> "PAdicInt":
-        return QuotientElem.unit_inverse(self)
-
-    def div_exact_by_p(self) -> "PAdicInt":
-        return QuotientElem.div_exact_by_p(self)
-
-    def truncate(self, precision: int) -> "PAdicInt":
-        return QuotientElem.truncate(self, precision)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
 
 class _ZpRing(QuotientRing):
     """Z/p^N as (Z/p^N)[X]/(X); one object per (p, N), built by _zp_ring."""

@@ -112,6 +112,47 @@ def test_deep_levels_keep_the_laws(p, N, data):
     assert gamma_p(x) * gamma_p(1 - x) == REFLECTION_SIGNS[p][x.value % p] % mod
 
 
+def _full_levels(p, N):
+    """F_0, ..., F_{N-2} mod p^N at N coefficients each: the untruncated
+    level build, kept as the oracle of the truncated one."""
+    mod = p**N
+    f = [1] + [0] * (N - 1)
+    for i in range(1, p):  # times (i + p x)
+        f = [(i * c + p * b) % mod for c, b in zip(f, [0] + f)]
+    levels = [f]
+    for _ in range(N - 2):
+        g = list(levels[-1])  # F_l(x + d), starting at d = 0
+        acc = [1] + [0] * (N - 1)
+        for _ in range(p):  # acc *= F_l(xp + d), truncated to degree < N
+            term = [c * p**s % mod for s, c in enumerate(g)]
+            acc = [sum(acc[i] * term[s - i] for i in range(s + 1)) % mod for s in range(N)]
+            for i in range(N - 1):  # Taylor shift g(x) -> g(x + 1)
+                for j in range(N - 2, i - 1, -1):
+                    g[j] += g[j + 1]
+            g = [c % mod for c in g]
+        levels.append(acc)
+    return levels
+
+
+@pytest.mark.parametrize("p,N", [(3, 12), (5, 20), (7, 10), (13, 8)])
+def test_block_levels_keep_only_the_coefficients_that_survive(p, N):
+    # p^(s(l+1)) divides F_l's x^s coefficient, so level l keeps ceil(N/(l+1))
+    levels = gamma._block_levels(p, N)
+    full = _full_levels(p, N)
+    assert len(levels) == len(full) == N - 1
+    for level, (f, want) in enumerate(zip(levels, full)):
+        assert len(f) == -(-N // (level + 1)), level
+        assert list(f) == want[:len(f)], level
+        assert not any(want[len(f):]), level
+
+
+@pytest.mark.parametrize("p,N", [(5, 300), (7, 200), (13, 120)])
+def test_gamma_at_one_half_squares_to_a_sign_at_depth(p, N):
+    # the reflection formula at x = 1/2: Gamma_p(1/2)^2 = (-1)^((p+1)/2)
+    half = PAdicInt.from_integer(2, p, N).unit_inverse()
+    assert gamma_p(half) ** 2 == (-1) ** ((p + 1) // 2) % p**N
+
+
 def test_gamma_p_of_quarter():
     # 1/4 in Z/25 is 19; the continuous extension evaluates the product there
     x = PAdicInt.from_integer(4, 5, 2).unit_inverse()

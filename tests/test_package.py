@@ -8,8 +8,11 @@ import pytest
 
 import padiclift
 from padiclift import buium, witt_zq, zp_ring
+from padiclift.charsum import PiRingElem
 from padiclift.gfq import FqElem, FqField, fq_make
-from padiclift.witt_zq import ZqRing
+from padiclift.quotient import QuotientElem
+from padiclift.witt_zq import ZqElem, ZqRing
+from padiclift.zp_ring import PAdicInt
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "padiclift"
 
@@ -24,7 +27,17 @@ def test_one_entry_point_per_operation():
                (FqElem, "inverse"), (FqElem, "__truediv__"), (ZqRing, "naive_lift"),
                (FqElem, "is_zero"), (FqField, "with_precision"), (buium, "_check_pair")]
     assert [(owner.__name__, name) for owner, name in removed if hasattr(owner, name)] == []
-    assert "unit_inverse" not in vars(FqElem)
+    # each element class holds its own copy of the base's operators, and +
+    # and * serve both sides
+    copied = ["__add__", "__sub__", "__neg__", "__mul__", "__pow__",
+              "unit_inverse", "div_exact_by_p", "truncate"]
+    classes = [FqElem, PAdicInt, ZqElem, PiRingElem]
+    for name in copied:
+        functions = [vars(cls)[name] for cls in classes]
+        assert all(f.__code__ is vars(QuotientElem)[name].__code__ for f in functions), name
+        assert len({id(f) for f in functions + [vars(QuotientElem)[name]]}) == 5, name
+    for cls in classes:
+        assert cls.__radd__ is cls.__add__ and cls.__rmul__ is cls.__mul__
     F5 = fq_make(5, 1)
     for invert in (lambda x: x.unit_inverse(), lambda x: x ** -1):
         with pytest.raises(ValueError, match="not a unit"):
