@@ -95,7 +95,7 @@ class QuotientRing:
         return self.from_int(1)
 
 
-# copied onto each element class, which overrides none of them
+# each element class gets its own copy of every one it does not define
 _OWN_OPERATORS = ("__add__", "__sub__", "__neg__", "__mul__", "__pow__",
                   "unit_inverse", "div_exact_by_p", "truncate")
 
@@ -112,8 +112,10 @@ class QuotientElem:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         for name in _OWN_OPERATORS:
-            f = vars(QuotientElem)[name]
-            setattr(cls, name, types.FunctionType(f.__code__, f.__globals__, name, f.__defaults__))
+            if name not in vars(cls):
+                f = getattr(cls, name)
+                setattr(cls, name, types.FunctionType(f.__code__, f.__globals__, name,
+                                                      f.__defaults__, f.__closure__))
         cls.__radd__, cls.__rmul__ = cls.__add__, cls.__mul__
 
     def _coerce(self, other):

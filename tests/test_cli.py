@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,19 +116,6 @@ def test_gk_check(capsys):
     assert row["passed"] and row["a"] == 2
 
 
-@pytest.mark.parametrize("p,N,digest", [
-    (7, 8, "33c24f12d47c9fbb346552001abb9c45fd46517993199a5e3c1261e40ce3c58f"),
-    (13, 5, "59aa9a91de690353cb809459e387abf50ac5257d1b55e941e142575b5c12fab4"),
-    (53, 6, "bb60c6bb4494f04f3701383b435d1e6d66c46ef5564fcc08368253ca7fde611d"),
-    (211, 6, "04905e51c2d3a49c1c4810e1e0a168340b4801150b67a2dd6acd2f65494df782"),
-], ids=["(7,8)", "(13,5)", "(53,6)", "(211,6)"])
-def test_gk_check_stdout_is_pinned(capsys, p, N, digest):
-    # the benchmark's two Gross-Koblitz cases and a large p, byte for byte
-    rc, out, _ = run(capsys, "gk-check", "-p", str(p), "-N", str(N))
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 def test_gamma_arguments_are_uncapped(capsys):
     rc, out, _ = run(capsys, "gk-check", "-p", "31", "-N", "5")
     assert rc == 0
@@ -149,103 +137,71 @@ def test_verify_suite(capsys):
     assert "suite carry" in err
 
 
+# every stdout pin, from the one table that CI runs in fresh processes too
+PIN_TABLE = Path(__file__).with_name("stdout_pins.txt")
+PIN_ROW = re.compile(r"[0-9a-f]{64}  \S+( \S+)*")
+
+
+def read_pins():
+    """(test, id, argv, digest) per table row; a `#:` line tags the row below."""
+    pins, tag = [], None
+    for line in PIN_TABLE.read_text().splitlines():
+        if line.startswith("#:"):
+            tag = line[2:].strip()
+        elif line and not line.startswith("#"):
+            digest, _, argv = line.partition("  ")
+            test, _, row_id = (tag or f"test_stdout_is_pinned[{argv}]").partition("[")
+            pins.append((test, row_id.removesuffix("]"), argv, digest))
+            tag = None
+    return pins
+
+
+PINS = read_pins()
+
+
+def stdout_sha256(capsys, argv):
+    rc, out, _ = run(capsys, *argv.split())
+    assert rc == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_pin_table_rows_are_well_formed():
+    # a typo fails here instead of dropping a pin: each row is 64 lowercase
+    # hex digits, two spaces and an argv, no argv is pinned twice, every
+    # command has a row, and every tag names a test below
+    rows = [line for line in PIN_TABLE.read_text().splitlines()
+            if line and not line.startswith("#")]
+    assert [row for row in rows if not PIN_ROW.fullmatch(row)] == []
+    argvs = [argv for _, _, argv, _ in PINS]
+    assert len(set(argvs)) == len(argvs) == len(rows)
+    assert {argv.split()[0] for argv in argvs} >= {name for name, *_ in COMMANDS}
+    assert {test for test, *_ in PINS} <= set(globals())
+
+
 def test_verify_all_seed0_stdout_is_pinned(capsys):
     # the behaviour invariant: the full report at seed 0, byte for byte
-    rc, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "0")
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "2d4142838f451e7499f51acb115a5a5599789a56bcea3453c676658f6b973eff"
+    (argv, digest), = [(argv, digest) for test, _, argv, digest in PINS
+                       if test == "test_verify_all_seed0_stdout_is_pinned"]
+    assert argv == "verify --suite all --seed 0"
+    assert digest.startswith("2d4142") and digest.endswith("3eff")
+    assert stdout_sha256(capsys, argv) == digest
 
 
-@pytest.mark.parametrize("argv,digest", [
-    ("frobenius -p 2 -n 8 -N 12 -x 5,7,1,0,3,9,2,4",
-     "149f5adc1f02b495e4a5d562c21c2c56b79ef8573c717fde4edeac42a945abc8"),
-    ("delta -p 3 -n 2 -N 4 -x 5,7",
-     "f39070ce117896b4bfe755b5fc4efda081a5dbf763503c309baf57af202f952b"),
-    ("verify --suite buium -p 3 -n 6 -N 10 --count 4 --seed 0",
-     "afeb79316f49964ee72e905dd45825928137dbb16032831e9d1aebd5569edb15"),
-    ("frobenius -p 3 -n 6 -N 10 -x 1,2,3,4,5,6",
-     "541e001eb86bd10bfeef4a43c9b8827ecd3039ca81a9a921daafa20147c2760f"),
-    ("frobenius -p 2 -n 8 -N 12 -x 5,0,7,1,0,3,9,2",
-     "2404d6b0387ca76e372860bbb047dab73ef61734edb2e2308631a4057d23383d"),
-    ("delta -p 5 -N 3 -x 2",
-     "d2dd3a87f67d4e33620a007f225e3531e3ecf7c224423a42413fb9129554af66"),
-    ("gamma -p 5 -N 3 -x 19",
-     "281741c648235b3d6b830e6863e234a2a7b3ac4d82c31b46cb189e92a7c68f7b"),
-], ids=["frobenius", "delta", "verify-buium", "frobenius-(3,6,10)", "frobenius-(2,8,12)",
-        "delta-Z5", "gamma-Z5"])
-def test_frobenius_stdout_is_pinned(capsys, argv, digest):
-    # the first three were taken with the digit-wise Frobenius, before it
-    # became a matrix; the next two are the zq-lift rings that CI pins, and
-    # the last two the README's integer -x examples, which CI pins too
-    rc, out, _ = run(capsys, *argv.split())
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def pytest_generate_tests(metafunc):
+    # each pin test runs the rows whose tag names it
+    if "digest" in metafunc.fixturenames:
+        metafunc.parametrize("argv,digest", [
+            pytest.param(argv, digest, id=row_id)
+            for test, row_id, argv, digest in PINS if test == metafunc.definition.name])
 
 
-@pytest.mark.parametrize("argv,digest", [
-    ("teich -p 2 -n 8 -N 6 -v 1,0,1,1,0,0,0,1",
-     "6f0b0e2b6ca48adde107bff7c935e784290e907e5f60cc89bec8ab65bbab288d"),
-    ("teich -p 2 -n 20 -N 3 -v 5",
-     "1488b108352ece79a9742bf0db3b5a6ec1fc4538a3a6abe78b4de23db1ea6061"),
-    ("teich -p 3 -n 12 -N 3 -v 7",
-     "143af13a096b933073df0ef08e45e82620cf44797bac565bd1ec9544c1003be0"),
-    ("jacobi -q 49 -a 3 -b 5 -N 3",
-     "12cf9a9ed4c18f7a051dac7d71f426e78a16592826e8a45ee38a65d7f9376194"),
-    ("verify --suite all --seed 0 --format csv",
-     "3227c91d5fc558f1d67ec7191470980941233132b86c69e842878f868b95df69"),
-    ("verify --suite all --seed 0 --format text",
-     "43fb39359e74f07e408c355f916a7502a4343c7ef1ae9b15566f3b915b177fe7"),
-    ("verify --suite all --seed 1",
-     "ed46808e6bda690390ba892535c4700688ef6dad72e5bf8294c8d4a480b47d68"),
-    ("verify --suite all --seed 7",
-     "a118bc236176739e489b1fbedfee1fd11b0171a360090c4c7ed2fb338d49514a"),
-    ("verify --suite buium -p 5 -n 2 -N 6 --count 50 --seed 3",
-     "39eeaf8df01b7d83e98547881fe1c397f7299f41ca631e37b1a9b3f2e2ce9c9b"),
-    ("fermat-count -q 13 -m 4",
-     "9f2346865625d1f6c8f2b086a34bcb686423e5d440fb7cf1a7cec56ffca280c5"),
-    ("fermat-count -q 729 -m 4",
-     "e9293d3e4d02d643e4cfc18da25d2c6dbf2d86c7ec5daf1754b848a215d70954"),
-    ("fermat-count -q 4096 -m 3",
-     "1daf12221822406949caf3d81527e45a0fcd8819350e0d5d3521f6eee7c88ab5"),
-    ("fermat-count -q 28561 -m 4",
-     "f746316d30d9407e41ff3bafd3b9e0420d3aab9876f0904985da9b94841eb052"),
-    ("fermat-count -q 59049 -m 4",
-     "ff7d46a2f661997dbdc2fd29026e9d6ed6d14df71eafb1c79666e01cafec6cf4"),
-    ("jacobi -q 9 -a 1 -b 2 -N 3",
-     "d643f6f4b8fa8207e47f5dd482c93c4e95b28b723c5fe35d0ee079c871351aad"),
-    ("jacobi -q 125 -a 3 -b 7 -N 2",
-     "0652295583a7926e9160e98709e4a68c9643c6cf014a234995046ef1030323c0"),
-    ("gk-check -p 7 -N 4 --format text",
-     "5354d3654b8f9750138091269eaed1533d521d6f3f34486f0d7f3579db3e87a7"),
-    ("verify --suite gamma -p 5 -N 4 --seed 0",
-     "453ea274cf3989b6d8d859da40a3f76988e3ebb770199683deb4c6f6db5a77fc"),
-    ("beta -p 5 -N 3 -a 2 -b 3",
-     "9bf1d43ef2400e45c5ac655945c9047ff20f4ea3194ffedb707a1f49f08176d1"),
-    ("beta -p 13 -N 4 -a 100 -b 7",
-     "ad0a7ad87090018e9cc38423eb1a4a34efce247771c6bd1ef2b1611eb3eb35e7"),
-    ("gamma -p 7 -N 4 --sweep 0:50",
-     "2851f3c68415adbfd401f447a8850c50e58eaaae5970ae99a853ecd3b1c37eca"),
-    ("beta -p 5 -N 40 -a 2 -b 3",
-     "3c5180106bc98168aba1ba8c0c0fb6e30383603ab32a7dcc28c77a2a787b31dc"),
-    ("gamma -p 13 -N 25 --sweep 0:40",
-     "70e92456bde92aad1d667cc62bebb3d254c76202551a630abd0e2f291736d965"),
-], ids=["teich-F256", "teich-F2^20", "teich-F3^12", "jacobi-F49", "verify-csv", "verify-text",
-        "verify-seed1", "verify-seed7", "verify-buium-F25", "fermat-F13", "fermat-F729",
-        "fermat-F4096", "fermat-F13^4", "fermat-F3^10", "jacobi-F9", "jacobi-F125",
-        "gk-text", "verify-gamma-N4", "beta-Z5", "beta-Z13", "gamma-sweep-Z7",
-        "beta-Z5-N40", "gamma-sweep-Z13-N25"])
-def test_fq_and_report_stdout_is_pinned(capsys, argv, digest):
-    # the F_q outputs, report formats and further verify seeds (the buium
-    # sweep at F_25 reaches n = 2 at N = 6, the gamma sweeps at Z_5 run at
-    # N = 4), and the Beta and Gamma values in Z/p^N (at depth too, N = 40
-    # and 25), that CI pins, byte for byte;
-    # fermat-count prints the precision it works out for itself, jacobi
-    # reads its field from -q alone, and the text rows of gk-check show both
-    # Gross-Koblitz sides for every exponent a
-    rc, out, _ = run(capsys, *argv.split())
-    assert rc == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_stdout_is_pinned(capsys, argv, digest):
+    assert stdout_sha256(capsys, argv) == digest
+
+
+# the tagged rows run under the names they had before the table
+test_frobenius_stdout_is_pinned = test_fq_and_report_stdout_is_pinned = \
+    test_gk_check_stdout_is_pinned = test_stdout_is_pinned
 
 
 def test_verify_determinism(capsys):

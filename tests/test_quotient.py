@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from padiclift.charsum import pi_ring
 from padiclift.errors import PrecisionError
 from padiclift.gfq import fq_make
+from padiclift.quotient import QuotientElem
 from padiclift.witt_zq import zq_ring
 from padiclift.zp_ring import PAdicInt
 
@@ -168,3 +169,23 @@ def test_degree_one_inverse_matches_lagrange(kind, p, N, k):
     inv = x.unit_inverse()
     assert type(inv) is type(x) and inv.ring is ring
     assert inv == x ** (ring.units - 1) and x * inv == 1
+
+
+def test_an_element_class_keeps_the_operators_it_defines():
+    # the base copies onto a class only the operators it does not define, and
+    # a subclass gets its own copy of the one it inherits; the right-hand +
+    # and * stay the class's own + and *
+    class Own(QuotientElem):
+        __slots__ = ()
+
+        def __mul__(self, other):
+            return "own"
+
+    class Inherited(Own):
+        __slots__ = ()
+
+    for cls in (Own, Inherited):
+        assert cls.__mul__(None, None) == "own" and cls.__rmul__ is cls.__mul__
+        assert cls.__add__.__code__ is QuotientElem.__add__.__code__
+        assert cls.__radd__ is cls.__add__
+    assert Inherited.__mul__ is not Own.__mul__
