@@ -14,8 +14,8 @@ through _emit: one value prints a JSON object, a table (gk-check, gamma
 verification failed, 2 usage or domain error, 3 precision error, 4 a
 mathematical invariant failed inside a computation (an InvariantError).
 Reports are byte-identical across runs with the same flags and seed.
-This module owns serialisation: jsonable lives here, the verify harness
-(suites) imports it from here, and only verify loads suites.
+This module is the one serialiser: the verify harness (suites), which
+only verify loads, returns raw values, and jsonable turns them into JSON.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def jsonable(v):
         return {str(k): jsonable(x) for k, x in v.items()}
     if isinstance(v, (int, str, bool)) or v is None:
         return v
-    return repr(v)
+    raise TypeError(f"no JSON form for a {type(v).__name__}")
 
 
 def _digit_lists(v) -> list:
@@ -269,7 +269,7 @@ def cmd_verify(args) -> int:
         "config": {"suite": cfg.suite, "p": cfg.p, "n": cfg.n, "N": cfg.precision,
                    # "K" was the series-term hint; pinned reports keep the field
                    "K": 0, "seed": cfg.seed, "count": cfg.count},
-        "records": [r._asdict() for r in records],
+        "records": [jsonable(r) for r in records],
         "passed": all(r.passed for r in records),
     }
     _emit(args.format, report if args.format == "json" else report["records"])  # csv, text: a table

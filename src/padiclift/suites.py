@@ -1,15 +1,16 @@
 """Reproducible verification suites behind the CLI's verify subcommand.
 
-Each suite runs a battery of identity checks and returns CheckRecord rows:
-aggregate rows carry check/failure counts, and every failing case is also
-emitted individually with its inputs and residual so a red run is
-diagnosable from the report alone.  All randomness flows through the
-counter-based stream in rng.py, seeded per sampling suite with fixed
+Each suite runs a battery of identity checks and returns one CheckRecord
+row per sub-check, with its check and failure counts.  A row's residual
+is None when every case passed, and otherwise lists its first
+MAX_FAILURE_RECORDS failing cases as {"inputs", "residual"}, so a red
+run is diagnosable from the report alone.  All randomness flows through
+the counter-based stream in rng.py, seeded per sampling suite with fixed
 offsets, so a (config, seed) pair reproduces byte-identical reports.
 
 RunConfig and CheckRecord are named tuples, like the reports the checks
-return; jsonable (in cli, which owns serialisation) turns any of them
-into a dict in field order.  A RunConfig field left at None selects the
+return, and keep raw package values: jsonable, in cli, the one serialiser,
+turns them into JSON.  A RunConfig field left at None selects the
 suite's default; any value given, 0 too, is used as given, so a bad -p,
 -n or -N fails in the ring it reaches instead of running the default
 under the wrong label.  N is the precision of every check in a suite
@@ -28,18 +29,13 @@ from collections import namedtuple
 
 from . import buium, charsum, cohomo, errors, gamma
 from .charsum import jacobi_sum, pi_ring
-from .cli import jsonable
 from .gfq import fq_make
 from .residue import is_prime
 from .rng import CounterRng
 from .witt_zq import ZqElem, ZqRing, zq_ring
 from .zp_ring import PAdicInt, carry_cocycle, cocycle_sum
 
-MAX_FAILURE_RECORDS = 20  # per sub-check, to keep reports bounded
-
-# a passing case's (inputs, passed, residual): the collector reads inputs and
-# residual of failing cases only, so the exhaustive sweeps yield this constant
-PASSED = (None, True, None)
+MAX_FAILURE_RECORDS = 20  # failing cases kept per sub-check, to keep reports bounded
 
 # the carry and charsum suites draw no random numbers
 SUITE_SEED_OFFSET = {
@@ -51,8 +47,7 @@ SUITE_SEED_OFFSET = {
 RunConfig = namedtuple("RunConfig", "p n precision seed count suite",
                        defaults=(None, None, None, 0, 200, "all"))
 
-CheckRecord = namedtuple("CheckRecord", "suite op inputs passed checks failures residual",
-                         defaults=(1, 0, None))
+CheckRecord = namedtuple("CheckRecord", "suite op inputs passed checks failures residual")
 
 
 def _given(value, default):
@@ -60,28 +55,23 @@ def _given(value, default):
     return default if value is None else value
 
 
-class _Collector:
-    """Accumulates one aggregate record per sub-check plus failure detail."""
+def run_check(suite: str, op: str, inputs: dict, cases) -> CheckRecord:
+    """One sub-check's row: every case counted, the first failing ones kept.
 
-    def __init__(self, suite: str, records: list[CheckRecord]):
-        self.suite = suite
-        self.records = records
-
-    def run(self, op: str, inputs: dict, cases) -> None:
-        checks = failures = 0
-        detail: list[CheckRecord] = []
-        for case_inputs, passed, residual in cases:
-            checks += 1
-            if not passed:
-                failures += 1
-                if len(detail) < MAX_FAILURE_RECORDS:
-                    detail.append(CheckRecord(self.suite, op, jsonable(case_inputs),
-                                              False, residual=jsonable(residual)))
-        if checks == 0:  # a sweep of no cases cannot pass
-            raise ValueError(f"{self.suite} suite: {op} at {jsonable(inputs)} has no cases")
-        self.records.append(CheckRecord(self.suite, op, jsonable(inputs),
-                                        failures == 0, checks, failures))
-        self.records.extend(detail)
+    A case is None when it passed and (inputs, residual) when it failed.
+    """
+    checks = failures = 0
+    failing = []
+    for case in cases:
+        checks += 1
+        if case is not None:
+            failures += 1
+            if failures <= MAX_FAILURE_RECORDS:
+                case_inputs, residual = case
+                failing.append({"inputs": case_inputs, "residual": residual})
+    if checks == 0:  # a sweep of no cases cannot pass
+        raise ValueError(f"{suite} suite: {op} at {inputs} has no cases")
+    return CheckRecord(suite, op, inputs, failures == 0, checks, failures, failing or None)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +79,6 @@ class _Collector:
 
 def run_carry_suite(cfg: RunConfig) -> list[CheckRecord]:
     records: list[CheckRecord] = []
-    col = _Collector("carry", records)
     ps = [cfg.p] if cfg.p is not None else [2, 3, 5, 7, 11, 13]
 
     for p in ps:
@@ -102,12 +91,11 @@ def run_carry_suite(cfg: RunConfig) -> list[CheckRecord]:
                 for b in range(p):
                     for c in range(p):
                         rep = cohomo.cocycle2_check(F, a, b, c)
-                        if rep.passed:
-                            yield PASSED
-                        else:
-                            yield {"p": p, "triple": [a, b, c]}, False, rep.residual
+                        yield None if rep.passed else \
+                            ({"p": p, "triple": [a, b, c]}, rep.residual)
 
-        col.run("carry_cocycle/cocycle2", {"p": p, "triples": p**3}, cocycle_cases())
+        records.append(run_check("carry", "carry_cocycle/cocycle2",
+                                 {"p": p, "triples": p**3}, cocycle_cases()))
 
         def star_cases(p=p):
             mod = p * p
@@ -116,12 +104,10 @@ def run_carry_suite(cfg: RunConfig) -> list[CheckRecord]:
                 for y in range(mod):
                     got = cocycle_sum(operands[x], operands[y])
                     want = operands[(x + y) % mod]
-                    if got == want:
-                        yield PASSED
-                    else:
-                        yield {"p": p, "pair": [x, y]}, False, got - want
+                    yield None if got == want else ({"p": p, "pair": [x, y]}, got - want)
 
-        col.run("add/star_product_vs_integers", {"p": p, "pairs": p**4}, star_cases())
+        records.append(run_check("carry", "add/star_product_vs_integers",
+                                 {"p": p, "pairs": p**4}, star_cases()))
     return records
 
 
@@ -139,7 +125,6 @@ def sample_padic(p: int, precision: int, rng: CounterRng) -> PAdicInt:
 
 def run_buium_suite(cfg: RunConfig) -> list[CheckRecord]:
     records: list[CheckRecord] = []
-    col = _Collector("buium", records)
     rng = CounterRng(cfg.seed + SUITE_SEED_OFFSET["buium"])
     if cfg.p is not None:
         configs = [(cfg.p, _given(cfg.n, 1), _given(cfg.precision, 4))]
@@ -155,22 +140,23 @@ def run_buium_suite(cfg: RunConfig) -> list[CheckRecord]:
         laws = [buium.verify_laws(x, y) for x, y in pairs]  # (sum, product) reports
         base = {"p": p, "n": n, "N": N, "pairs": cfg.count, "seed": cfg.seed}
         for i, op in enumerate(("verify_sum_rule", "verify_product_rule")):
-            col.run(op, base, (({"p": p, "n": n, "N": N, "x": x, "y": y},
-                                reports[i].passed, reports[i].residual)
-                               for (x, y), reports in zip(pairs, laws)))
+            records.append(run_check("buium", op, base, (
+                None if reports[i].passed else
+                ({"p": p, "n": n, "N": N, "x": x, "y": y}, reports[i].residual)
+                for (x, y), reports in zip(pairs, laws))))
 
         def teich_cases(ring=ring, p=p, n=n, N=N):
             zero = ring.with_precision(N - 1).zero()
             for v in ring.field.elements():
                 d = buium.p_derivation(ring.teichmuller(v))
-                yield {"p": p, "n": n, "N": N, "v": v}, d == zero, d
+                yield None if d == zero else ({"p": p, "n": n, "N": N, "v": v}, d)
 
-        col.run("p_derivation/vanishes_on_teichmuller",
-                {"p": p, "n": n, "N": N, "values": p**n}, teich_cases())
+        records.append(run_check("buium", "p_derivation/vanishes_on_teichmuller",
+                                 {"p": p, "n": n, "N": N, "values": p**n}, teich_cases()))
 
     fq = buium.fermat_quotient(2, 5, 3)
-    col.run("fermat_quotient/spot", {"k": 2, "p": 5, "N": 3},
-            [({"k": 2}, fq.value == 19, fq)])
+    records.append(run_check("buium", "fermat_quotient/spot", {"k": 2, "p": 5, "N": 3},
+                             [None if fq.value == 19 else ({"k": 2}, fq)]))
     return records
 
 
@@ -179,7 +165,6 @@ def run_buium_suite(cfg: RunConfig) -> list[CheckRecord]:
 
 def run_gamma_suite(cfg: RunConfig) -> list[CheckRecord]:
     records: list[CheckRecord] = []
-    col = _Collector("gamma", records)
     ps = [cfg.p] if cfg.p is not None else [3, 5, 7]
     rng = CounterRng(cfg.seed + SUITE_SEED_OFFSET["gamma"])
     N = _given(cfg.precision, 3)
@@ -191,11 +176,14 @@ def run_gamma_suite(cfg: RunConfig) -> list[CheckRecord]:
         def feq_cases(p=p):
             for m in range(p**top):
                 rep = gamma.functional_equation_check(PAdicInt.from_integer(m, p, N))
-                yield {"p": p, "x": m}, rep.passed, rep
-        col.run("functional_equation", {"p": p, "N": N, "sweep": p**top}, feq_cases())
+                yield None if rep.passed else ({"p": p, "x": m}, rep)
+        records.append(run_check("gamma", "functional_equation",
+                                 {"p": p, "N": N, "sweep": p**top}, feq_cases()))
 
-        col.run("gamma_p/unit_valued", {"p": p, "N": N, "sweep": p**top},
-                (({"p": p, "m": m}, v.is_unit(), v) for m, v in enumerate(values)))
+        records.append(run_check("gamma", "gamma_p/unit_valued",
+                                 {"p": p, "N": N, "sweep": p**top},
+                                 (None if v.is_unit() else ({"p": p, "m": m}, v)
+                                  for m, v in enumerate(values))))
 
         def continuity_cases(p=p):
             for k in range(1, top):
@@ -204,13 +192,14 @@ def run_gamma_suite(cfg: RunConfig) -> list[CheckRecord]:
                     r = m % p**k
                     vk = v.truncate(k)
                     if r in classes:
-                        yield ({"p": p, "k": k, "m": m}, classes[r] == vk,
-                               vk - classes[r])
+                        yield None if classes[r] == vk else \
+                            ({"p": p, "k": k, "m": m}, vk - classes[r])
                     else:
                         classes[r] = vk
         if top > 1:  # at N = 1 there is no k to compare at
-            col.run("gamma_p/continuity", {"p": p, "N": N, "k_max": top - 1},
-                    continuity_cases())
+            records.append(run_check("gamma", "gamma_p/continuity",
+                                     {"p": p, "N": N, "k_max": top - 1},
+                                     continuity_cases()))
 
     # Beta as the multiplicative coboundary of Gamma, plus its cocycle law
     p = _given(cfg.p, 5)
@@ -224,13 +213,13 @@ def run_gamma_suite(cfg: RunConfig) -> list[CheckRecord]:
             c = sample_padic(p, N, rng)
             want = gamma.beta_p(a, b)
             got = cohomo.coboundary2(gmap, a, b)
-            ok1 = want == got
             rep = cohomo.cocycle2_check(bmap, a, b, c)
-            yield ({"p": p, "N": N, "a": a, "b": b, "c": c},
-                   ok1 and rep.passed, rep.residual)
+            yield None if want == got and rep.passed else \
+                ({"p": p, "N": N, "a": a, "b": b, "c": c}, rep.residual)
 
-    col.run("beta_p/coboundary_and_cocycle",
-            {"p": p, "N": N, "triples": cfg.count, "seed": cfg.seed}, beta_cases())
+    records.append(run_check("gamma", "beta_p/coboundary_and_cocycle",
+                             {"p": p, "N": N, "triples": cfg.count, "seed": cfg.seed},
+                             beta_cases()))
     return records
 
 
@@ -244,7 +233,6 @@ def _jacobi_pairs(d: int) -> list[tuple[int, int]]:
 
 def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
     records: list[CheckRecord] = []
-    col = _Collector("charsum", records)
     ps = [cfg.p] if cfg.p is not None else [5, 7]
     N = _given(cfg.precision, 3)
     Ncob = max(N, 4)  # the one check above N; its record states the N it ran at
@@ -255,47 +243,51 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
 
         def gate_cases(p=p, ring=ring, one=one):
             psi1 = charsum.additive_character(1, p, N)
-            yield {"p": p, "gate": "psi(1) != 1"}, psi1 != one, psi1
-            yield {"p": p, "gate": "psi(1)^p == 1"}, psi1**p == one, psi1**p
+            yield None if psi1 != one else ({"p": p, "gate": "psi(1) != 1"}, psi1)
+            power = psi1**p
+            yield None if power == one else ({"p": p, "gate": "psi(1)^p == 1"}, power)
             total = ring.zero()
             for c in range(p):
                 total = total + charsum.additive_character(c, p, N)
-            yield {"p": p, "gate": "sum psi == 0"}, total == ring.zero(), total
+            yield None if total == ring.zero() else ({"p": p, "gate": "sum psi == 0"}, total)
             for a in range(p):
                 for b in range(p):
                     got = charsum.additive_character(a, p, N) \
                         * charsum.additive_character(b, p, N)
                     want = charsum.additive_character(a + b, p, N)
-                    yield {"p": p, "gate": "psi additive", "pair": [a, b]}, \
-                        got == want, got - want
+                    yield None if got == want else \
+                        ({"p": p, "gate": "psi additive", "pair": [a, b]}, got - want)
 
-        col.run("additive_character/gates", {"p": p, "N": N}, gate_cases())
+        records.append(run_check("charsum", "additive_character/gates", {"p": p, "N": N},
+                                 gate_cases()))
 
         def norm_cases(p=p, ring=ring):
             for a in range(1, p - 1):
                 lhs = charsum.gauss_sum(a, p, N) \
                     * charsum.gauss_sum(-a, p, N)
                 rhs = ring.from_int(p if a % 2 == 0 else -p)
-                yield {"p": p, "a": a}, lhs == rhs, lhs - rhs
+                yield None if lhs == rhs else ({"p": p, "a": a}, lhs - rhs)
 
-        col.run("gauss_sum/norm_relation", {"p": p, "N": N}, norm_cases())
+        records.append(run_check("charsum", "gauss_sum/norm_relation", {"p": p, "N": N},
+                                 norm_cases()))
 
         def coboundary_cases(p=p):
             for a, b in _jacobi_pairs(p - 1):
                 cob = charsum.gauss_coboundary(a, b, p, Ncob)
                 jac = jacobi_sum(a, b, fq_make(p, 1), Ncob)
                 emb = pi_ring(p, Ncob).from_int(jac.residues[0])
-                yield {"p": p, "a": a, "b": b}, cob == emb, cob - emb
+                yield None if cob == emb else ({"p": p, "a": a, "b": b}, cob - emb)
 
-        col.run("gauss_coboundary/equals_jacobi", {"p": p, "N": Ncob},
-                coboundary_cases())
+        records.append(run_check("charsum", "gauss_coboundary/equals_jacobi",
+                                 {"p": p, "N": Ncob}, coboundary_cases()))
 
         def gk_cases(p=p):
             for a in range(1, p - 1):
                 rep = charsum.gross_koblitz_check(a, p, N)
-                yield {"p": p, "a": a}, rep.passed, rep.lhs - rep.rhs
+                yield None if rep.passed else ({"p": p, "a": a}, rep.lhs - rep.rhs)
 
-        col.run("gross_koblitz_check", {"p": p, "N": N}, gk_cases())
+        records.append(run_check("charsum", "gross_koblitz_check", {"p": p, "N": N},
+                                 gk_cases()))
 
     def jacobi_norm_cases():
         for q in ([cfg.p] if cfg.p is not None else [5, 7, 13]):
@@ -303,10 +295,10 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
             for a, b in _jacobi_pairs(q - 1):
                 lhs = jacobi_sum(a, b, field, N) * jacobi_sum(-a, -b, field, N)
                 rhs = zq_ring(field, N).from_int(q)
-                yield {"q": q, "a": a, "b": b}, lhs == rhs, lhs - rhs
+                yield None if lhs == rhs else ({"q": q, "a": a, "b": b}, lhs - rhs)
 
-    col.run("jacobi_sum/norm_relation", {"q": _given(cfg.p, [5, 7, 13])},
-            jacobi_norm_cases())
+    records.append(run_check("charsum", "jacobi_sum/norm_relation",
+                             {"q": _given(cfg.p, [5, 7, 13])}, jacobi_norm_cases()))
 
     def fermat_cases():
         chosen = [(cfg.p, 2)] if cfg.p is not None else \
@@ -314,10 +306,11 @@ def run_charsum_suite(cfg: RunConfig) -> list[CheckRecord]:
         for q, m in chosen:
             brute = charsum.count_fermat_brute(q, m)
             viaj = charsum.count_fermat_jacobi(q, m)
-            yield {"q": q, "m": m, "brute": brute, "jacobi": viaj}, \
-                brute == viaj, viaj - brute
+            yield None if brute == viaj else \
+                ({"q": q, "m": m, "brute": brute, "jacobi": viaj}, viaj - brute)
 
-    col.run("count_fermat/jacobi_vs_brute", {}, fermat_cases())
+    records.append(run_check("charsum", "count_fermat/jacobi_vs_brute", {},
+                             fermat_cases()))
     return records
 
 

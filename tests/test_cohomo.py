@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padiclift.buium import p_derivation, ring_carry
+from padiclift.cli import jsonable
 from padiclift.cohomo import (ADDITIVE, MULTIPLICATIVE, CocycleReport, GroupValuedMap,
                               coboundary2, coboundary_of_coboundary_is_trivial,
                               cocycle2_check)
 from padiclift.gamma import beta_p, gamma_p
 from padiclift.gfq import fq_make
 from padiclift.rng import CounterRng
-from padiclift.suites import jsonable, sample_zq
+from padiclift.suites import sample_zq
 from padiclift.witt_zq import zq_ring
 from padiclift.zp_ring import PAdicInt, buium_carry, carry_cocycle
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from padiclift import buium, charsum, cohomo, gamma, suites
+from padiclift.cli import jsonable, main
 from padiclift.gfq import fq_make
 from padiclift.rng import CounterRng
 from padiclift.witt_zq import zq_ring
@@ -19,34 +20,68 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _by_op(records, op):
-    aggregate, *detail = [r for r in records if r.op == op]
-    return aggregate, detail
+    """The one row of a sub-check."""
+    [row] = [r for r in records if r.op == op]
+    return row
+
+
+def _case(row):
+    """The one failing case a row holds, as JSON."""
+    [case] = jsonable(row.residual)
+    return case
 
 
 def test_carry_suite_passes_without_detail_records():
     records = suites.run_carry_suite(suites.RunConfig(p=3))
-    assert [(r.op, r.checks, r.failures) for r in records] == [
-        ("carry_cocycle/cocycle2", 27, 0), ("add/star_product_vs_integers", 81, 0)]
+    assert [(r.op, r.checks, r.failures, r.residual) for r in records] == [
+        ("carry_cocycle/cocycle2", 27, 0, None), ("add/star_product_vs_integers", 81, 0, None)]
+
+
+def _wrong_star_sum(monkeypatch, wrong):
+    """Make cocycle_sum one more than the true sum on the pairs wrong(x, y) names."""
+    real = suites.cocycle_sum
+
+    def wrong_sum(x, y):
+        s = real(x, y)
+        return s + 1 if wrong(x.value, y.value) else s
+
+    monkeypatch.setattr(suites, "cocycle_sum", wrong_sum)
 
 
 def test_wrong_star_sum_on_one_pair_is_reported(monkeypatch):
-    real = suites.cocycle_sum
-
-    def wrong_on_one_pair(x, y):
-        s = real(x, y)
-        return s + 1 if (x.value, y.value) == (2, 7) else s
-
-    monkeypatch.setattr(suites, "cocycle_sum", wrong_on_one_pair)
+    _wrong_star_sum(monkeypatch, lambda x, y: (x, y) == (2, 7))
     records = suites.run_carry_suite(suites.RunConfig(p=3))
-    cocycle, cocycle_detail = _by_op(records, "carry_cocycle/cocycle2")
-    assert (cocycle.passed, cocycle.failures, cocycle_detail) == (True, 0, [])
-    star, detail = _by_op(records, "add/star_product_vs_integers")
-    assert (star.passed, star.checks, star.failures) == (False, 81, 1)
+    assert len(records) == 2
+    cocycle = _by_op(records, "carry_cocycle/cocycle2")
+    assert (cocycle.passed, cocycle.failures, cocycle.residual) == (True, 0, None)
+    star = _by_op(records, "add/star_product_vs_integers")
+    assert (star.suite, star.passed, star.checks, star.failures) == ("carry", False, 81, 1)
     assert star.inputs == {"p": 3, "pairs": 81}
-    [rec] = detail
-    assert (rec.suite, rec.passed, rec.checks, rec.failures) == ("carry", False, 1, 0)
-    assert rec.inputs == {"p": 3, "pair": [2, 7]}
-    assert rec.residual == suites.jsonable(PAdicInt.from_integer(1, 3, 2))
+    assert _case(star) == {"inputs": {"p": 3, "pair": [2, 7]},
+                           "residual": jsonable(PAdicInt.from_integer(1, 3, 2))}
+
+
+@pytest.mark.parametrize("wrong,failures", [
+    (lambda x, y: (x, y) == (2, 7), 1),
+    (lambda x, y: x < 3, 27),  # more than MAX_FAILURE_RECORDS: all counted, 20 kept
+], ids=["one-pair", "27-pairs"])
+def test_failing_cases_nest_in_their_row(monkeypatch, capsys, wrong, failures):
+    # one row per sub-check, so the per-suite stderr line sums the rows' counts,
+    # and the failing pairs are read from the row they failed in
+    _wrong_star_sum(monkeypatch, wrong)
+    assert main(["verify", "--suite", "carry", "-p", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"suite carry: {108 - failures}/108 checks passed [FAILED]\n"
+    cocycle, star = json.loads(out)["records"]
+    assert (cocycle["passed"], cocycle["checks"], cocycle["failures"], cocycle["residual"]) \
+        == (True, 27, 0, None)
+    assert (star["op"], star["passed"], star["checks"], star["failures"]) == \
+        ("add/star_product_vs_integers", False, 81, failures)
+    pairs = [[x, y] for x in range(9) for y in range(9) if wrong(x, y)]
+    assert suites.MAX_FAILURE_RECORDS == 20
+    assert star["residual"] == [{"inputs": {"p": 3, "pair": pair},
+                                 "residual": {"p": 3, "n": 1, "N": 2, "digits": [1, 0]}}
+                                for pair in pairs[:20]]
 
 
 def test_wrong_carry_on_one_triple_is_reported(monkeypatch):
@@ -62,15 +97,15 @@ def test_wrong_carry_on_one_triple_is_reported(monkeypatch):
 
     monkeypatch.setattr(suites, "carry_cocycle", wrong_once)
     records = suites.run_carry_suite(suites.RunConfig(p=3))
-    star, star_detail = _by_op(records, "add/star_product_vs_integers")
-    assert (star.passed, star.failures, star_detail) == (True, 0, [])
-    cocycle, detail = _by_op(records, "carry_cocycle/cocycle2")
-    assert (cocycle.passed, cocycle.checks, cocycle.failures) == (False, 27, 1)
+    star = _by_op(records, "add/star_product_vs_integers")
+    assert (star.passed, star.failures, star.residual) == (True, 0, None)
+    cocycle = _by_op(records, "carry_cocycle/cocycle2")
+    assert (cocycle.suite, cocycle.passed, cocycle.checks, cocycle.failures) == \
+        ("carry", False, 27, 1)
     assert cocycle.inputs == {"p": 3, "triples": 27}
-    [rec] = detail
-    assert (rec.suite, rec.passed) == ("carry", False)
-    assert rec.inputs == {"p": 3, "triple": [1, 1, 2]}  # triple 14 in base 3
-    assert rec.residual in (1, -1)
+    case = _case(cocycle)
+    assert case["inputs"] == {"p": 3, "triple": [1, 1, 2]}  # triple 14 in base 3
+    assert case["residual"] in (1, -1)
 
 
 BUIUM_CFG = suites.RunConfig(p=5, count=12, seed=4, suite="buium")
@@ -84,10 +119,11 @@ def _buium_pairs(cfg):
             for _ in range(cfg.count)]
 
 
-def _names_pair(rec, pair):
+def _names_pair(row, pair):
+    """The row failed at that pair alone, and names it."""
     x, y = pair
-    return (rec.suite, rec.passed, rec.checks, rec.failures) == ("buium", False, 1, 0) \
-        and rec.inputs == suites.jsonable({"p": 5, "n": 1, "N": 4, "x": x, "y": y})
+    return (row.suite, row.passed, row.checks, row.failures) == ("buium", False, 12, 1) \
+        and _case(row)["inputs"] == jsonable({"p": 5, "n": 1, "N": 4, "x": x, "y": y})
 
 
 def test_wrong_ring_carry_on_one_pair_is_reported(monkeypatch):
@@ -103,13 +139,10 @@ def test_wrong_ring_carry_on_one_pair_is_reported(monkeypatch):
 
     monkeypatch.setattr(buium, "ring_carry", wrong_on_one_pair)
     records = suites.run_buium_suite(BUIUM_CFG)
-    total, detail = _by_op(records, "verify_sum_rule")
-    assert (total.passed, total.checks, total.failures) == (False, 12, 1)
-    [rec] = detail
-    assert _names_pair(rec, pairs[7])
-    product, product_detail = _by_op(records, "verify_product_rule")
-    assert (product.passed, product.checks, product.failures, product_detail) == \
-        (True, 12, 0, [])
+    assert _names_pair(_by_op(records, "verify_sum_rule"), pairs[7])
+    product = _by_op(records, "verify_product_rule")
+    assert (product.passed, product.checks, product.failures, product.residual) == \
+        (True, 12, 0, None)
 
 
 def test_wrong_product_delta_on_one_pair_is_reported_with_its_pair(monkeypatch):
@@ -125,17 +158,15 @@ def test_wrong_product_delta_on_one_pair_is_reported_with_its_pair(monkeypatch):
 
     monkeypatch.setattr(buium, "p_derivation", wrong_on_one_product)
     records = suites.run_buium_suite(BUIUM_CFG)
-    total, detail = _by_op(records, "verify_sum_rule")
-    assert (total.passed, total.failures, detail) == (True, 0, [])
-    product, detail = _by_op(records, "verify_product_rule")
-    assert (product.passed, product.checks, product.failures) == (False, 12, 1)
-    [rec] = detail
-    assert _names_pair(rec, pairs[3])
-    assert rec.residual == suites.jsonable(zq_ring(fq_make(5, 1), 3).one())
+    total = _by_op(records, "verify_sum_rule")
+    assert (total.passed, total.failures, total.residual) == (True, 0, None)
+    product = _by_op(records, "verify_product_rule")
+    assert _names_pair(product, pairs[3])
+    assert _case(product)["residual"] == jsonable(zq_ring(fq_make(5, 1), 3).one())
 
 
 def test_wrong_delta_on_one_teichmuller_lift_is_reported(monkeypatch):
-    # the detail record names the F_9 element whose lift failed as the JSON
+    # the failing case names the F_9 element whose lift failed as the JSON
     # of an FqElem: its p, n and coefficients
     cfg = suites.RunConfig(p=3, n=2, precision=3, count=2, seed=0, suite="buium")
     ring = zq_ring(fq_make(3, 2), 3)
@@ -149,17 +180,16 @@ def test_wrong_delta_on_one_teichmuller_lift_is_reported(monkeypatch):
 
     monkeypatch.setattr(buium, "p_derivation", wrong_on_one_lift)
     records = suites.run_buium_suite(cfg)
-    teich, detail = _by_op(records, "p_derivation/vanishes_on_teichmuller")
-    assert (teich.passed, teich.checks, teich.failures) == (False, 9, 1)
-    [rec] = detail
-    assert (rec.suite, rec.passed, rec.checks, rec.failures) == ("buium", False, 1, 0)
-    assert rec.inputs == {"p": 3, "n": 2, "N": 3,
-                          "v": {"p": 3, "n": 2, "coeffs": [1, 2]}}
-    assert rec.residual == suites.jsonable(ring.with_precision(2).one())
-    assert json.loads(json.dumps(rec.inputs)) == rec.inputs
+    teich = _by_op(records, "p_derivation/vanishes_on_teichmuller")
+    assert (teich.suite, teich.passed, teich.checks, teich.failures) == ("buium", False, 9, 1)
+    case = _case(teich)
+    assert case["inputs"] == {"p": 3, "n": 2, "N": 3,
+                              "v": {"p": 3, "n": 2, "coeffs": [1, 2]}}
+    assert case["residual"] == jsonable(ring.with_precision(2).one())
+    assert json.loads(json.dumps(case)) == case
     for op in ("verify_sum_rule", "verify_product_rule"):
-        law, law_detail = _by_op(records, op)
-        assert (law.passed, law_detail) == (True, [])
+        law = _by_op(records, op)
+        assert (law.passed, law.residual) == (True, None)
 
 
 def test_unknown_suite_is_refused():
@@ -171,12 +201,9 @@ def test_a_sub_check_with_no_cases_is_refused():
     # at p = 3 every exponent pair has a + b = 0 mod 2, so no Jacobi sum is
     # left to check; a green record with "checks": 0 would claim a pass
     assert suites._jacobi_pairs(3 - 1) == []
-    records = []
-    col = suites._Collector("charsum", records)
     with pytest.raises(ValueError, match=r"^charsum suite: jacobi_sum/norm_relation "
                                          r"at \{'q': 3\} has no cases$"):
-        col.run("jacobi_sum/norm_relation", {"q": 3}, iter([]))
-    assert records == []
+        suites.run_check("charsum", "jacobi_sum/norm_relation", {"q": 3}, iter([]))
 
 
 @pytest.mark.parametrize("bound", [0, -1])
@@ -223,7 +250,7 @@ def _records():
         "CocycleReport": cohomo.cocycle2_check(F, 1, 2, 2),
         "GroupValuedMap": F,
         "RunConfig": suites.RunConfig(),
-        "CheckRecord": suites.CheckRecord("carry", "op", {}, True),
+        "CheckRecord": suites.CheckRecord("carry", "op", {}, True, 1, 0, None),
     }
 
 
@@ -231,10 +258,15 @@ def _records():
 def test_records_serialise_as_dicts_in_field_order(name):
     record = _records()[name]
     assert type(record).__name__ == name
-    data = suites.jsonable(record)
-    assert isinstance(data, dict)
-    assert list(data) == FIELDS[name].split()
-    assert json.loads(json.dumps(data)) == data
+    assert list(record._fields) == FIELDS[name].split()
+    if name == "GroupValuedMap":  # fn and combine are functions, which have no JSON form
+        with pytest.raises(TypeError, match="^no JSON form for a function$"):
+            jsonable(record)
+    else:
+        data = jsonable(record)
+        assert isinstance(data, dict)
+        assert list(data) == FIELDS[name].split()
+        assert json.loads(json.dumps(data)) == data
     with pytest.raises(AttributeError):
         setattr(record, FIELDS[name].split()[0], None)
     with pytest.raises(AttributeError):
@@ -244,18 +276,18 @@ def test_records_serialise_as_dicts_in_field_order(name):
 def test_record_defaults_are_kept():
     assert suites.RunConfig()._asdict() == {
         "p": None, "n": None, "precision": None, "seed": 0, "count": 200, "suite": "all"}
-    assert suites.CheckRecord("s", "op", {}, True)._asdict() == {
-        "suite": "s", "op": "op", "inputs": {}, "passed": True,
-        "checks": 1, "failures": 0, "residual": None}
+    # a row states its counts and residual: CheckRecord has no defaults
+    assert suites.CheckRecord._field_defaults == {}
+    with pytest.raises(TypeError):
+        suites.CheckRecord("s", "op", {}, True)
     gm = cohomo.GroupValuedMap(gamma.gamma_p, cohomo.MULTIPLICATIVE)
     assert gm.name == "f" and gm.combine(2, 3) == 5
 
 
-def test_failing_report_in_a_detail_record_is_a_dict():
+def test_failing_report_in_a_row_is_a_dict():
     # the gamma suite yields the whole EquationReport as a failing case's residual
     rep = gamma.functional_equation_check(PAdicInt.from_integer(4, 5, 3))
-    col = suites._Collector("gamma", [])
-    col.run("functional_equation", {}, [({"x": 4}, False, rep)])
-    aggregate, detail = col.records
-    assert (aggregate.failures, detail.residual["branch"]) == (1, rep.branch)
-    assert list(detail.residual) == ["argument", "lhs", "rhs", "branch", "passed"]
+    row = suites.run_check("gamma", "functional_equation", {}, [({"x": 4}, rep)])
+    case = _case(row)
+    assert (row.failures, case["residual"]["branch"]) == (1, rep.branch)
+    assert list(case["residual"]) == ["argument", "lhs", "rhs", "branch", "passed"]
