@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -52,7 +51,7 @@ def _dumps(obj) -> str:
 def jsonable(v):
     """Reduce package values to JSON-ready data: flat, self-describing."""
     if isinstance(v, PAdicInt):
-        return {"p": v.p, "n": 1, "N": v.precision, "digits": list(v.digits)}
+        return {"p": v.ring.p, "n": 1, "N": v.ring.precision, "digits": list(v.digits)}
     if isinstance(v, ZqElem):
         return {"p": v.ring.p, "n": v.ring.n, "N": v.ring.precision,
                 "coeffs": _digit_lists(v)}
@@ -284,30 +283,22 @@ def cmd_verify(args) -> int:
         print(f"suite {name}: {checks - fails}/{checks} checks passed [{status}]",
               file=sys.stderr)
 
-    if args.fixtures:
-        compare = os.path.exists(args.fixtures)
+    if args.fixtures:  # a saved report, made by `padiclift verify ... > FILE`
         try:
-            with open(args.fixtures, "r" if compare else "w", encoding="utf-8") as fh:
-                if compare:
-                    expected = json.load(fh)
-                    records = expected.get("records") if isinstance(expected, dict) else None
-                    if not isinstance(records, list):
-                        raise ValueError("not an object with a list of records")
-                else:
-                    fh.write(_dumps(report) + "\n")
-        except OSError as exc:  # an unusable path is a usage error, not a failed check
+            with open(args.fixtures, encoding="utf-8") as fh:
+                expected = json.load(fh)
+            if not isinstance(expected, dict) or not isinstance(expected.get("records"), list):
+                raise ValueError("not an object with a list of records")
+        except OSError as exc:  # a missing or unreadable file is a usage error
             raise ValueError(f"fixtures {args.fixtures}: {exc.strerror or exc}") from None
         except ValueError as exc:  # not JSON, not text, or not shaped as a report
             raise ValueError(f"fixtures {args.fixtures}: could not be parsed as a "
                              f"verify report: {exc}") from None
-        if not compare:
-            print(f"fixtures written to {args.fixtures}", file=sys.stderr)
-        elif expected != (actual := json.loads(_dumps(report))):
+        if expected != (actual := json.loads(_dumps(report))):
             print(f"fixtures mismatch against {args.fixtures}: "
                   f"{_first_difference(expected, actual)}", file=sys.stderr)
             return 1
-        else:
-            print(f"fixtures match {args.fixtures}", file=sys.stderr)
+        print(f"fixtures match {args.fixtures}", file=sys.stderr)
 
     return 0 if report["passed"] else 1
 
@@ -360,7 +351,8 @@ COMMANDS = (
       _arg("-p", type=_integer), _arg("-n", type=_integer), _arg("-N", type=_integer),
       _arg("--seed", type=_integer),
       _arg("--count", type=_integer, help="random cases per seeded sweep"),
-      _arg("--fixtures", help="JSON regression file to write or compare"), _FORMAT)),
+      _arg("--fixtures", metavar="FILE", help="saved JSON report to compare against; "
+           "make one with: padiclift verify ... > FILE"), _FORMAT)),
 )
 
 

@@ -58,14 +58,6 @@ class PAdicInt(QuotientElem):
         return _zp_ring(p, precision).from_int(k)
 
     @property
-    def p(self) -> int:
-        return self.ring.p
-
-    @property
-    def precision(self) -> int:
-        return self.ring.precision
-
-    @property
     def value(self) -> int:
         return self.residues[0]
 

@@ -169,23 +169,24 @@ def stdout_sha256(capsys, argv):
 def test_pin_table_rows_are_well_formed():
     # a typo fails here instead of dropping a pin: each row is 64 lowercase
     # hex digits, two spaces and an argv, no argv is pinned twice, every
-    # command has a row, and every tag names a test below
+    # command has a row, and every row runs test_stdout_is_pinned, under an
+    # old name if a tag gives one
     rows = [line for line in PIN_TABLE.read_text().splitlines()
             if line and not line.startswith("#")]
     assert [row for row in rows if not PIN_ROW.fullmatch(row)] == []
     argvs = [argv for _, _, argv, _ in PINS]
     assert len(set(argvs)) == len(argvs) == len(rows)
     assert {argv.split()[0] for argv in argvs} >= {name for name, *_ in COMMANDS}
-    assert {test for test, *_ in PINS} <= set(globals())
+    assert all(globals().get(test) is test_stdout_is_pinned for test, *_ in PINS)
 
 
-def test_verify_all_seed0_stdout_is_pinned(capsys):
-    # the behaviour invariant: the full report at seed 0, byte for byte
-    (argv, digest), = [(argv, digest) for test, _, argv, digest in PINS
-                       if test == "test_verify_all_seed0_stdout_is_pinned"]
-    assert argv == "verify --suite all --seed 0"
+def test_verify_all_seed0_stdout_is_pinned():
+    # the behaviour invariant: the full report at seed 0, byte for byte; its
+    # row runs as test_stdout_is_pinned[verify --suite all --seed 0]
+    (test, digest), = [(test, digest) for test, _, argv, digest in PINS
+                       if argv == "verify --suite all --seed 0"]
+    assert test == "test_stdout_is_pinned"
     assert digest.startswith("2d4142") and digest.endswith("3eff")
-    assert stdout_sha256(capsys, argv) == digest
 
 
 def pytest_generate_tests(metafunc):
@@ -359,12 +360,20 @@ def test_precision_error_exit_3(capsys):
     assert err == "error: insufficient precision\n"
 
 
+CARRY_3 = ("verify", "--suite", "carry", "-p", "3")
+
+
+def saved_fixture(capsys, path):
+    """The fixture recipe: `padiclift verify --suite carry -p 3 > path`."""
+    rc, out, _ = run(capsys, *CARRY_3)
+    assert rc == 0
+    path.write_text(out)
+    return (*CARRY_3, "--fixtures", str(path))
+
+
 def test_fixtures_round_trip(tmp_path, capsys):
     fx = tmp_path / "carry.json"
-    args = ("verify", "--suite", "carry", "-p", "3", "--fixtures", str(fx))
-    rc, out, err = run(capsys, *args)
-    assert rc == 0 and fx.exists()
-    assert "fixtures written" in err
+    args = saved_fixture(capsys, fx)
     rc, out, err = run(capsys, *args)
     assert rc == 0
     assert "fixtures match" in err
@@ -379,8 +388,7 @@ def test_fixtures_round_trip(tmp_path, capsys):
 
 def test_fixtures_mismatch_names_first_record(tmp_path, capsys):
     fx = tmp_path / "carry.json"
-    args = ("verify", "--suite", "carry", "-p", "3", "--fixtures", str(fx))
-    assert run(capsys, *args)[0] == 0
+    args = saved_fixture(capsys, fx)
     data = json.loads(fx.read_text())
     data["records"][1]["failures"] += 1
     data["records"][2:] = []
@@ -402,8 +410,7 @@ def test_fixtures_mismatch_names_first_record(tmp_path, capsys):
 ], ids=["config", "passed"])
 def test_fixtures_mismatch_names_its_cause(tmp_path, capsys, edit, cause):
     fx = tmp_path / "carry.json"
-    args = ("verify", "--suite", "carry", "-p", "3", "--fixtures", str(fx))
-    assert run(capsys, *args)[0] == 0
+    args = saved_fixture(capsys, fx)
     fx.write_text(json.dumps(edit(json.loads(fx.read_text()))))
     rc, out, err = run(capsys, *args)
     assert rc == 1 and json.loads(out)["passed"]
@@ -413,8 +420,8 @@ def test_fixtures_mismatch_names_its_cause(tmp_path, capsys, edit, cause):
 @pytest.mark.parametrize("where", ["missing directory", "a directory", "not JSON",
                                    "records is 5", "an array"])
 def test_unusable_fixtures_path_is_a_usage_error(tmp_path, capsys, where):
-    # exit 1 means a check failed; a path that can be neither read nor written,
-    # or a file that is not a report, exits 2 with one error line and no traceback
+    # exit 1 means a check failed; a path that cannot be read as a verify
+    # report exits 2 with one error line and no traceback
     fx = {"missing directory": tmp_path / "no-such-dir" / "carry.json",
           "a directory": tmp_path}.get(where, tmp_path / "carry.json")
     contents = {"not JSON": "# notes\n",
@@ -422,13 +429,36 @@ def test_unusable_fixtures_path_is_a_usage_error(tmp_path, capsys, where):
                 "an array": json.dumps([{"config": {"suite": "carry"}, "records": []}])}
     if where in contents:
         fx.write_text(contents[where])
-    rc, out, err = run(capsys, "verify", "--suite", "carry", "-p", "3", "--fixtures", str(fx))
+    rc, out, err = run(capsys, *CARRY_3, "--fixtures", str(fx))
     assert rc == 2 and json.loads(out)["passed"]
     *summary, last = err.splitlines()
     assert all(line.startswith("suite carry: ") for line in summary)
     assert last.startswith(f"error: fixtures {fx}: ")
     if where in contents:
         assert "could not be parsed as a verify report" in last
+
+
+def test_missing_fixture_is_a_usage_error(tmp_path, capsys):
+    # --fixtures only compares: a missing file is one more unusable path,
+    # and the run writes no file in its place
+    fx = tmp_path / "carry.json"
+    rc, out, err = run(capsys, *CARRY_3, "--fixtures", str(fx))
+    assert rc == 2 and json.loads(out)["passed"]
+    *summary, last = err.splitlines()
+    assert all(line.startswith("suite carry: ") for line in summary)
+    assert last.startswith(f"error: fixtures {fx}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_saved_stdout_is_a_fixture(tmp_path, capsys, fmt):
+    # the report a run prints is the fixture a later run compares against,
+    # whatever --format that later run prints in
+    fx = tmp_path / "carry.json"
+    rc, out, err = run(capsys, *saved_fixture(capsys, fx), "--format", fmt)
+    assert rc == 0
+    assert err.splitlines()[-1] == f"fixtures match {fx}"
+    assert (out == fx.read_text()) == (fmt == "json")
 
 
 def test_invariant_failure_exit_4(capsys, monkeypatch):

@@ -42,7 +42,7 @@ def test_value_memo_matches_uncached_values(p, N):
     for m in range(mod):
         got = gamma_p_integer(m, p, N)
         want = uncached(m, p, N)
-        assert (got.p, got.value, got.precision) == (p, want.value, N), m
+        assert (got.ring.p, got.value, got.ring.precision) == (p, want.value, N), m
         assert gamma_p_integer(m + mod, p, N) == got, m
 
 

@@ -21,11 +21,13 @@ def test_one_entry_point_per_operation():
     # an int becomes a PAdicInt through PAdicInt.from_integer, tau(v) is
     # zq_ring(v.field, N).teichmuller(v), and F_q inverts through the
     # quotient base's unit_inverse, x^(q-2), as Z_q and the pi-ring do; zero
-    # is == 0, F_q has no precision to change, and + alone checks the rings
+    # is == 0, F_q has no precision to change, + alone checks the rings, and
+    # a PAdicInt reads p and N from its ring
     removed = [(padiclift, "from_integer"), (zp_ring, "from_integer"),
                (padiclift, "teichmuller"), (witt_zq, "teichmuller"),
                (FqElem, "inverse"), (FqElem, "__truediv__"), (ZqRing, "naive_lift"),
-               (FqElem, "is_zero"), (FqField, "with_precision"), (buium, "_check_pair")]
+               (FqElem, "is_zero"), (FqField, "with_precision"), (buium, "_check_pair"),
+               (PAdicInt, "p"), (PAdicInt, "precision")]
     assert [(owner.__name__, name) for owner, name in removed if hasattr(owner, name)] == []
     # each element class holds its own copy of the base's operators, and +
     # and * serve both sides

@@ -46,7 +46,7 @@ def test_cocycle_sum_agrees_with_integer_addition(p, m, n, j, k):
     n = min(m, n)
     x, y = PAdicInt.from_integer(j, p, n), PAdicInt.from_integer(k, p, n)
     got = cocycle_sum(x, y)
-    assert (got.p, got.precision, got.value) == (p, n, (j + k) % p**n)
+    assert (got.ring.p, got.ring.precision, got.value) == (p, n, (j + k) % p**n)
     assert got == x + y == cocycle_sum(y, x)
     if m > n:
         with pytest.raises(ValueError, match="ring mismatch"):
@@ -55,7 +55,7 @@ def test_cocycle_sum_agrees_with_integer_addition(p, m, n, j, k):
 
 def tuple_walk_cocycle_sum(x, y):
     """cocycle_sum as first written: digit tuples in, digit list out."""
-    p = x.p
+    p = x.ring.p
     out = []
     carry = 0
     for a, b in zip(x.digits, y.digits):
@@ -77,7 +77,7 @@ def test_cocycle_sum_matches_tuple_walk(p, m, n, j, k):
     n = min(m, n)
     x, y = PAdicInt.from_integer(j, p, n), PAdicInt.from_integer(k, p, n)
     got, want = cocycle_sum(x, y), tuple_walk_cocycle_sum(x, y)
-    assert (got.p, got.value, got.precision) == (want.p, want.value, want.precision)
+    assert (got.ring, got.value) == (want.ring, want.value)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -154,7 +154,7 @@ def test_min_precision_propagation():
     for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a - b):
         with pytest.raises(ValueError, match="ring mismatch"):
             op(x, y)
-    assert (x.truncate(2) + y).precision == 2
+    assert (x.truncate(2) + y).ring.precision == 2
 
 
 def test_carry_cocycle_values():
@@ -210,7 +210,7 @@ def test_buium_carry_matches_the_integer_formula(p, n, a, b):
     # in Z_q at n = 1 give the same carry through buium.ring_carry.
     out = buium_carry(PAdicInt.from_integer(a, p, n), PAdicInt.from_integer(b, p, n))
     want = (a**p + b**p - (a + b) ** p) // p % p ** (n - 1)
-    assert (out.p, out.precision, out.value) == (p, n - 1, want)
+    assert (out.ring.p, out.ring.precision, out.value) == (p, n - 1, want)
     ring = zq_ring(fq_make(p, 1), n)
     z = ring_carry(ring.from_int(a), ring.from_int(b))
     assert (z.ring.precision, z.residues) == (n - 1, (want,))
@@ -268,17 +268,18 @@ def test_from_integer_is_the_one_constructor():
 
 def test_padic_int_is_the_degree_one_quotient_element():
     # Z/p^N = (Z/p^N)[X]/(X): the base holds the arithmetic, PAdicInt keeps
-    # its constructor, four read-only views and the tracer shims
+    # its constructor, two read-only views and the tracer shims; p and N
+    # are read from its ring
     x = PAdicInt.from_integer(7, 5, 3)
     assert isinstance(x, QuotientElem) and x.residues == (7,)
     assert (x.ring.n, x.ring.relation, x.ring.units) == (1, (0, 1), 4 * 25)
     assert PAdicInt.from_integer(1, 5, 3).ring is x.ring
     assert x.ring.with_precision(2) is PAdicInt.from_integer(0, 5, 2).ring
     own = {k for k in vars(PAdicInt) if k not in ("__module__", "__doc__", "__slots__")}
-    assert own == {"from_integer", "p", "precision", "value", "digits",
+    assert own == {"from_integer", "value", "digits",
                    "__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__",
                    "__pow__", "unit_inverse", "div_exact_by_p", "truncate"}
-    for name in ("value", "p", "precision", "digits"):
+    for name in ("value", "digits"):
         with pytest.raises(AttributeError):
             setattr(x, name, 1)
 
